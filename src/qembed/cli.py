@@ -275,29 +275,34 @@ def _cmd_embed(args) -> int:
     x = _load_vector(args.input, args.line)
     cfg = QuantConfig(args.delta)
     drng = stream(args.dither_seed, "cli:dither")
-    if args.family == "rop":
-        if args.n1 is None or args.n2 is None:
-            raise _CliError("family rop: missing --n1/--n2 (matrix shape)")
-        if args.layout != "single":
-            raise _CliError("family rop: only the single layout is supported")
-        if x.size != args.n1 * args.n2:
-            raise _CliError(f"--input: vector length {x.size} does not match --n1*--n2 = {args.n1 * args.n2}")
-        op = build_rop(args.m, args.n1, args.n2, seed=args.seed, kappa=args.kappa)
-        xi = sample_dither(args.m, cfg, drng)
-        block = embed_rop(op, x.reshape(args.n1, args.n2), xi, cfg, dither_seed=args.dither_seed)
-    else:
-        if args.n is None:
-            raise _CliError(f"family {args.family}: missing --n (input dimension)")
-        op = _build_op(args)
-        if x.size != args.n:
-            raise _CliError(f"--input: vector length {x.size} does not match --n {args.n}")
-        if args.layout == "single":
+    try:
+        if args.family == "rop":
+            if args.n1 is None or args.n2 is None:
+                raise _CliError("family rop: missing --n1/--n2 (matrix shape)")
+            if args.layout != "single":
+                raise _CliError("family rop: only the single layout is supported")
+            if x.size != args.n1 * args.n2:
+                raise _CliError(f"--input: vector length {x.size} does not match --n1*--n2 = {args.n1 * args.n2}")
+            op = build_rop(args.m, args.n1, args.n2, seed=args.seed, kappa=args.kappa)
             xi = sample_dither(args.m, cfg, drng)
-            block = embed(op, x, xi, cfg, dither_seed=args.dither_seed)
+            block = embed_rop(op, x.reshape(args.n1, args.n2), xi, cfg, dither_seed=args.dither_seed)
         else:
-            xi = np.column_stack([sample_dither(args.m, cfg, drng), sample_dither(args.m, cfg, drng)])
-            block = embed_bidither(op, x, xi, cfg, dither_seed=args.dither_seed)
-    _atomic_write(args.out, serialize(block))
+            if args.n is None:
+                raise _CliError(f"family {args.family}: missing --n (input dimension)")
+            op = _build_op(args)
+            if x.size != args.n:
+                raise _CliError(f"--input: vector length {x.size} does not match --n {args.n}")
+            if args.layout == "single":
+                xi = sample_dither(args.m, cfg, drng)
+                block = embed(op, x, xi, cfg, dither_seed=args.dither_seed)
+            else:
+                # one (2, m) draw equals two back-to-back sample_dither calls
+                xi = drng.uniform(0.0, cfg.delta, size=(2, args.m)).T
+                block = embed_bidither(op, x, xi, cfg, dither_seed=args.dither_seed)
+        data = serialize(block)
+    except ValueError as exc:
+        raise _CliError(str(exc))
+    _atomic_write(args.out, data)
     print(f"wrote {args.out}: layout={block.layout} m={block.m} delta={block.delta}")
     return 0
 

@@ -4,6 +4,11 @@ A CodeBlock stores the integer cell indices of a dithered, quantized
 measurement vector.  Distances between two comparable blocks are exact
 integer accumulations scaled once by the resolution at the end, so the
 estimators carry no float accumulation error.
+
+Monte Carlo sweeps quantize one measurement pair under many dithers;
+``_PairKernel`` fuses dither sampling, quantization and estimation for
+that case and returns the same estimates as ``quantize_with_dither``
+followed by ``_estimate_from_codes``.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ _VERSION = 1
 _LAYOUT_CODES = {"single": 1, "bidither": 2}
 _LAYOUT_NAMES = {v: k for k, v in _LAYOUT_CODES.items()}
 _WIDTH_DTYPES = {0: "<i1", 1: "<i2", 2: "<i4"}
+_INT64_SPAN = 2.0**63
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,8 @@ class CodeBlock:
     dither_seed: int = 0
 
     def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"code blocks need m >= 1, got m = {self.m}")
         if self.layout not in _LAYOUT_CODES:
             raise ValueError(f"layout must be 'single' or 'bidither', got {self.layout!r}")
         codes = np.asarray(self.codes, dtype=np.int64)
@@ -91,14 +99,24 @@ class CodeBlock:
 
 
 def quantize_with_dither(values: np.ndarray, dither: np.ndarray, cfg: QuantConfig) -> np.ndarray:
-    """Cell indices floor((values + dither) / delta), validating the dither range."""
+    """Cell indices floor((values + dither) / delta) as int64.
+
+    Raises ValueError when a dither entry lies outside [0, delta) or a
+    cell index is not finite or does not fit in int64 (NaN, infinite or
+    |value| >= 2**63 * delta measurements).
+    """
     values = np.asarray(values, dtype=float)
     dither = np.asarray(dither, dtype=float)
     if values.shape != dither.shape:
         raise ValueError(f"dither shape {dither.shape} does not match measurements {values.shape}")
-    if np.any(dither < 0) or np.any(dither >= cfg.delta):
+    if dither.size == 0:
+        return np.zeros(values.shape, dtype=np.int64)
+    if not (dither.min() >= 0 and dither.max() < cfg.delta):
         raise ValueError("dither entries must lie in [0, delta)")
-    return np.floor((values + dither) / cfg.delta).astype(np.int64)
+    cells = np.floor((values + dither) / cfg.delta)
+    if not (-_INT64_SPAN <= cells.min() and cells.max() < _INT64_SPAN):
+        raise ValueError("measurements must be finite with cell indices inside the int64 range")
+    return cells.astype(np.int64)
 
 
 def embed(
@@ -133,7 +151,7 @@ def embed_bidither(
     if dither.shape != (op.m, 2):
         raise ValueError(f"bi-dither layout needs an ({op.m}, 2) dither, got {dither.shape}")
     y = op.matvec(x)
-    codes = quantize_with_dither(np.column_stack([y, y]), dither, cfg)
+    codes = quantize_with_dither(np.broadcast_to(y[:, None], dither.shape), dither, cfg)
     return CodeBlock(
         layout="bidither",
         m=op.m,
@@ -172,12 +190,17 @@ def embed_rop(
 def _estimate_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, mode: str, delta: float) -> float:
     """Shared integer-exact estimator core over (m, cols) index arrays.
 
-    Sums run in int64 when the worst case provably fits, otherwise in
+    Gaps are exact uint64 values for every int64 index pair.  Sums run
+    in 64-bit integers when the worst case provably fits, otherwise in
     arbitrary-precision Python ints; either way the accumulation is
     exact and delta scaling is applied once at the end.
     """
     m = codes_a.shape[0]
-    gaps = np.abs(codes_a.astype(np.int64) - codes_b.astype(np.int64))
+    codes_a = np.asarray(codes_a, dtype=np.int64)
+    codes_b = np.asarray(codes_b, dtype=np.int64)
+    # max - min of two int64 values lies in [0, 2**64), so the uint64
+    # difference of their bit patterns is the exact gap
+    gaps = np.maximum(codes_a, codes_b).view(np.uint64) - np.minimum(codes_a, codes_b).view(np.uint64)
     if mode == "l1":
         peak = m * int(gaps[:, 0].max(initial=0))
         if peak < 2**62:
@@ -188,17 +211,93 @@ def _estimate_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, mode: str, de
     if mode == "l2sq":
         g = gaps[:, 0]
         peak = m * int(g.max(initial=0)) ** 2
-        total = int(np.sum(g * g)) if peak < 2**62 else int(np.sum(g.astype(object) ** 2))
+        total = int(np.dot(g, g)) if peak < 2**62 else int(np.sum(g.astype(object) ** 2))
         return delta * delta * total / m
     if mode == "circ":
         g1, g2 = gaps[:, 0], gaps[:, 1]
         peak = m * int(g1.max(initial=0)) * int(g2.max(initial=0))
         if peak < 2**62:
-            total = int(np.sum(g1 * g2))
+            total = int(np.dot(g1, g2))
         else:
             total = int(np.sum(g1.astype(object) * g2.astype(object)))
         return delta * delta * total / m
     raise ValueError(f"unknown mode {mode!r}; choose l1, l2sq or circ")
+
+
+class _PairKernel:
+    """Quantize-and-estimate kernel for one measurement pair (y, y').
+
+    Each call draws a (cols, m) dither block from ``rng``, quantizes
+    both measurements against it and returns the code-domain estimate
+    (cols = 2 for circ, else 1).  The block holds, bit for bit, the
+    values of ``cols`` back-to-back ``sample_dither`` calls on ``rng``,
+    and the estimate equals ``_estimate_from_codes`` on the codes of
+    ``quantize_with_dither``.
+
+    The arithmetic runs in float64 buffers owned by the instance, so an
+    instance must not be shared between threads.  It is exact under two
+    guards: cell indices below 2**52 in magnitude (checked once, from
+    max |y| / delta) are exact doubles, and gap sums and products are
+    exact while ``m * max gap`` (l1) or ``m * max gap1 * max gap2``
+    (l2sq, circ) stays below 2**53 (checked per call).  A call that
+    fails either guard takes the integer path instead.
+    """
+
+    def __init__(self, y: np.ndarray, y_prime: np.ndarray, mode: str, cfg: QuantConfig):
+        if mode not in ("l1", "l2sq", "circ"):
+            raise ValueError(f"unknown mode {mode!r}; choose l1, l2sq or circ")
+        self.y = np.asarray(y, dtype=float)
+        self.y_prime = np.asarray(y_prime, dtype=float)
+        if self.y.ndim != 1 or self.y.size < 1 or self.y.shape != self.y_prime.shape:
+            raise ValueError(f"measurement pair must be two equal-length vectors, got {self.y.shape} and {self.y_prime.shape}")
+        self.mode = mode
+        self.cfg = cfg
+        shape = (2 if mode == "circ" else 1, self.y.size)
+        self.dither, self._a, self._b = np.empty(shape), np.empty(shape), np.empty(shape)
+        # NaN or inf fails the comparison, so non-finite pairs take the
+        # checked path, which rejects them.
+        peak = max(float(np.abs(self.y).max()), float(np.abs(self.y_prime).max()))
+        self._fast = peak / cfg.delta + 1 < 2.0**52
+
+    def __call__(self, rng: np.random.Generator) -> float:
+        d, a, b = self.dither, self._a, self._b
+        delta = self.cfg.delta
+        # rng.uniform(0, delta) computes 0 + delta * u from the same
+        # doubles u in [0, 1) that rng.random yields; 0 + x == x and
+        # x * 1.0 == x.  Only delta * u rounding up to delta can leave the
+        # range, so the range check below needs only the maximum.
+        rng.random(out=d)
+        if delta != 1.0:
+            np.multiply(d, delta, out=d)
+        if not self._fast:
+            return self._checked()
+        if d.max() >= delta:
+            raise ValueError("dither entries must lie in [0, delta)")
+        np.add(self.y, d, out=a)
+        np.add(self.y_prime, d, out=b)
+        if delta != 1.0:
+            np.divide(a, delta, out=a)
+            np.divide(b, delta, out=b)
+        np.floor(a, out=a)
+        np.floor(b, out=b)
+        np.subtract(a, b, out=a)
+        g = np.abs(a, out=a)
+        m = g.shape[1]
+        peaks = [int(p) for p in g.max(axis=1)]
+        if self.mode == "l1":
+            if m * peaks[0] >= 2**53:
+                return self._checked()
+            return delta * float(g.sum()) / m
+        if m * peaks[0] * peaks[-1] >= 2**53:
+            return self._checked()
+        return delta * delta * float(np.einsum("i,i->", g[0], g[-1])) / m
+
+    def _checked(self) -> float:
+        """The integer path over the current dither block."""
+        d, cfg = self.dither, self.cfg
+        ca = quantize_with_dither(np.broadcast_to(self.y, d.shape), d, cfg)
+        cb = quantize_with_dither(np.broadcast_to(self.y_prime, d.shape), d, cfg)
+        return _estimate_from_codes(ca.T, cb.T, self.mode, cfg.delta)
 
 
 def estimate_distance(c: CodeBlock, c_prime: CodeBlock, mode: str) -> float:

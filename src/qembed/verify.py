@@ -21,6 +21,18 @@ Conventions of the distortion fit (``measure_qrip``):
   zero; the per-distance table reports the max over records (worst case)
   and the median.
 
+Every trial of ``measure_qrip`` and ``check_product_concentration`` is
+one call of ``embeddings._PairKernel``, the single quantize-and-estimate
+kernel: it draws the trial's (cols, m) dither block from the trial's
+keyed stream, quantizes both measurements of the pair in float64
+buffers and sums the cell gaps exactly.  Two guards keep the sums
+exact: max |y| / delta + 1 < 2**52 for the pair (checked once per pair
+and distance) and ``m * max gap`` (l1) or ``m * max gap1 * max gap2``
+(l2sq, circ) below 2**53 (checked per trial).  A trial that fails a
+guard falls back to ``quantize_with_dither`` and the integer estimator,
+so every estimate equals the exact integer result.  The fit reads
+the per-task (distances, dithers) estimate arrays, not the record list.
+
 Every routine is a pure function of (seed, config); trials are keyed by
 (seed, pair id, trial id), so results do not depend on execution order
 or worker count.
@@ -34,10 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import quantize_with_dither, _estimate_from_codes
+from .embeddings import _PairKernel, quantize_with_dither
 from .linops import LinOp, build
 from .modelsets import ModelSet, sample_pair
-from .quantizer import QuantConfig, sample_dither
+from .quantizer import QuantConfig
 from .rng import stream
 
 __all__ = [
@@ -185,9 +197,9 @@ def estimate_rip(
 
 
 def _qrip_task(op, mset, mode, cfg, grid, pair_id, dithers, seed, q):
-    """All records for one pair id across the distance grid (pure)."""
+    """All records and the (grid, dithers) estimates for one pair id (pure)."""
     p_e = _exponent(mode)
-    recs = []
+    ests = np.empty((len(grid), dithers))
     means = np.empty(len(grid))
     sds = np.empty(len(grid))
     linear = np.empty(len(grid))
@@ -200,21 +212,16 @@ def _qrip_task(op, mset, mode, cfg, grid, pair_id, dithers, seed, q):
             linear[si] = float(np.mean(np.abs(gap)))
         else:
             linear[si] = float(np.mean(gap * gap))
-        ests = np.empty(dithers)
+        kernel = _PairKernel(y, y_prime, mode, cfg)
+        row = ests[si]
         for t in range(dithers):
-            drng = stream(seed, "qrip:dither", pair_id, t, si)
-            if mode == "circ":
-                xi = np.column_stack(
-                    [sample_dither(op.m, cfg, drng), sample_dither(op.m, cfg, drng)]
-                )
-                ca = quantize_with_dither(np.column_stack([y, y]), xi, cfg)
-                cb = quantize_with_dither(np.column_stack([y_prime, y_prime]), xi, cfg)
-            else:
-                xi = sample_dither(op.m, cfg, drng)
-                ca = quantize_with_dither(y, xi, cfg)[:, None]
-                cb = quantize_with_dither(y_prime, xi, cfg)[:, None]
-            est = _estimate_from_codes(ca, cb, mode, cfg.delta)
-            ests[t] = est
+            row[t] = kernel(stream(seed, "qrip:dither", pair_id, t, si))
+        means[si] = row.mean()
+        sds[si] = row.std(ddof=1) if dithers > 1 else 0.0
+    recs = []
+    for t in range(dithers):
+        for si, s in enumerate(grid):
+            est = float(ests[si, t])
             recs.append(
                 DistortionRecord(
                     m=op.m,
@@ -222,15 +229,13 @@ def _qrip_task(op, mset, mode, cfg, grid, pair_id, dithers, seed, q):
                     mode=mode,
                     true_dist=float(s),
                     est_dist=est,
-                    rel_err=(est - s**p_e) / s**p_e,
+                    rel_err=float((est - s**p_e) / s**p_e),
                     pair_id=pair_id,
                     trial_id=t,
                     seed=seed,
                 )
             )
-        means[si] = ests.mean()
-        sds[si] = ests.std(ddof=1) if dithers > 1 else 0.0
-    return recs, means, sds, linear
+    return recs, ests, means, sds, linear
 
 
 def measure_qrip(
@@ -271,31 +276,28 @@ def measure_qrip(
     else:
         results = [task(j) for j in pair_ids]
 
-    records: list[DistortionRecord] = []
-    for recs, *_ in results:
-        records.extend(recs)
-    records.sort(key=lambda r: (r.pair_id, r.trial_id, r.true_dist))
-    pair_mean = np.stack([r[1] for r in results], axis=1)
-    pair_sd = np.stack([r[2] for r in results], axis=1)
-    linear = np.stack([r[3] for r in results], axis=1)
+    # tasks return their records ordered by (trial, distance), so the
+    # concatenation is ordered by (pair, trial, distance)
+    records: list[DistortionRecord] = [rec for recs, *_ in results for rec in recs]
+    ests = np.stack([r[1] for r in results])  # (pairs, distances, dithers)
+    pair_mean = np.stack([r[2] for r in results], axis=1)
+    pair_sd = np.stack([r[3] for r in results], axis=1)
+    linear = np.stack([r[4] for r in results], axis=1)
 
     # ---- distortion fit ----
+    # a grid may repeat a distance; records at equal distances pool, and
+    # every expression below matches the per-record rel_err arithmetic
     s_max = grid[-1]
-    eps_candidates = []
-    for j in pair_ids:
-        rels = [abs(r.rel_err) for r in records if r.pair_id == j and r.true_dist == s_max]
-        eps_candidates.append(float(np.median(rels)))
-    eps_l = float(max(eps_candidates))
+    top = ests[:, grid == s_max, :].reshape(len(pair_ids), -1)
+    rels = np.abs((top - s_max**p_e) / s_max**p_e)
+    eps_l = float(max(float(np.median(r)) for r in rels))
 
     rho_max = np.empty(grid.size)
     rho_med = np.empty(grid.size)
     for si, s in enumerate(grid):
-        resid = [
-            max(abs(r.est_dist - s**p_e) - eps_l * s**p_e, 0.0)
-            for r in records
-            if r.true_dist == s
-        ]
-        rho_max[si] = max(resid)
+        at_s = ests[:, grid == s, :]
+        resid = np.maximum(np.abs(at_s - s**p_e) - eps_l * s**p_e, 0.0)
+        rho_max[si] = resid.max()
         rho_med[si] = float(np.median(resid))
 
     fit = QripFit(eps_L_hat=eps_l, distances=grid, rho_hat_max=rho_max, rho_hat_median=rho_med)
@@ -380,13 +382,8 @@ def check_product_concentration(
         x, x_prime = sample_pair(mset, distance, stream(seed, "prodconc:pair"), q=op.rip_profile[1])
         y = op_m.matvec(np.ravel(x))
         y_prime = op_m.matvec(np.ravel(x_prime))
-        ests = np.empty(trials)
-        for t in range(trials):
-            drng = stream(seed, "prodconc:dither", mi, t)
-            xi = np.column_stack([sample_dither(m, cfg, drng), sample_dither(m, cfg, drng)])
-            ca = quantize_with_dither(np.column_stack([y, y]), xi, cfg)
-            cb = quantize_with_dither(np.column_stack([y_prime, y_prime]), xi, cfg)
-            ests[t] = _estimate_from_codes(ca, cb, "circ", cfg.delta)
+        kernel = _PairKernel(y, y_prime, "circ", cfg)
+        ests = np.array([kernel(stream(seed, "prodconc:dither", mi, t)) for t in range(trials)])
         sds.append(float(ests.std(ddof=1)))
     slope = power_law_slope(m_list, sds)
     ratios = [sds[i + 1] / sds[i] for i in range(len(sds) - 1)]

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from qembed.cli import main, parse_model
-from qembed.embeddings import deserialize
+from qembed.embeddings import HEADER_SIZE, deserialize
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +125,44 @@ class TestEmbedDistance:
             "--input", str(vec), "--delta", "1", "--out", str(out),
         )
         assert code == 1 and "--n1*--n2" in err
+
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e300"])
+    def test_unquantizable_input_exit_1(self, tmp_path, capsys, entry):
+        vec = tmp_path / "x.txt"
+        vec.write_text(f"0.5 {entry} 1 2\n")
+        for layout in ("single", "bidither"):
+            out = tmp_path / f"{layout}.qemb"
+            code, _, err = run_cli(
+                capsys, "embed", "--family", "gaussian", "--m", "8", "--n", "4", "--input", str(vec),
+                "--delta", "1", "--layout", layout, "--out", str(out),
+            )
+            assert code == 1
+            assert "finite" in err and err.count("\n") == 1
+            assert not out.exists()
+
+    def test_rop_bad_dimension_exit_1(self, tmp_path, capsys):
+        vec = tmp_path / "u.txt"
+        vec.write_text("1 2 3 4\n")
+        code, _, err = run_cli(
+            capsys, "embed", "--family", "rop", "--m", "0", "--n1", "2", "--n2", "2",
+            "--input", str(vec), "--delta", "1", "--out", str(tmp_path / "r.qemb"),
+        )
+        assert code == 1 and "m=0" in err and err.count("\n") == 1
+
+    def test_distance_on_empty_block_exit_1(self, tmp_path, capsys):
+        vec = tmp_path / "x.txt"
+        vec.write_text("1 2 3 4\n")
+        good = tmp_path / "a.qemb"
+        run_cli(capsys, "embed", "--family", "gaussian", "--m", "4", "--n", "4",
+                "--input", str(vec), "--delta", "1", "--out", str(good))
+        data = bytearray(good.read_bytes()[:HEADER_SIZE])
+        data[8:16] = (0).to_bytes(8, "little")
+        empty = tmp_path / "empty.qemb"
+        empty.write_bytes(bytes(data))
+        code, _, err = run_cli(capsys, "distance", str(empty), str(empty), "--mode", "l1")
+        assert code == 1
+        assert "m >= 1" in err and err.count("\n") == 1
 
 
 class TestRiptestQripDecay:

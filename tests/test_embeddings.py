@@ -17,7 +17,7 @@ from qembed import (
     serialize,
     sparse,
 )
-from qembed.embeddings import HEADER_SIZE
+from qembed.embeddings import HEADER_SIZE, quantize_with_dither
 from qembed.modelsets import sample_point
 from qembed.rng import stream
 
@@ -58,6 +58,20 @@ class TestEmbed:
             embed(op, np.zeros(3), np.full(4, 1.5), cfg)
         with pytest.raises(ValueError):
             embed(op, np.zeros(3), np.full(3, 0.5), cfg)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**63, -(2.0**64)])
+    def test_unquantizable_measurements_rejected(self, bad):
+        cfg = QuantConfig(1.0)
+        with pytest.raises(ValueError, match="finite"):
+            quantize_with_dither(np.array([0.0, bad]), np.zeros(2), cfg)
+        op = _identity_expander()
+        with pytest.raises(ValueError, match="finite"):
+            embed(op, np.array([0.0, bad]), np.zeros(2), cfg)
+
+    def test_int64_edge_cells_accepted(self):
+        # -2**63 is the lowest int64 cell index; 2**63 - 1024 the largest double below 2**63
+        codes = quantize_with_dither(np.array([-(2.0**63), 2.0**63 - 1024]), np.zeros(2), QuantConfig(1.0))
+        assert codes.tolist() == [-(2**63), 2**63 - 1024]
 
 
 class TestEmbedBidither:
@@ -237,6 +251,15 @@ class TestSerialization:
                               op_seed=int(rng.integers(0, 2**30)),
                               dither_seed=int(rng.integers(0, 2**30)))
             assert deserialize(serialize(block)) == block
+
+    def test_empty_blocks_rejected(self):
+        for layout, cols in (("single", 1), ("bidither", 2)):
+            with pytest.raises(ValueError, match="m >= 1"):
+                CodeBlock(layout, 0, 1.0, np.zeros((0, cols), dtype=np.int64))
+        header = bytearray(serialize(CodeBlock("single", 1, 1.0, np.zeros((1, 1), dtype=np.int64)))[:HEADER_SIZE])
+        header[8:16] = (0).to_bytes(8, "little")
+        with pytest.raises(ValueError, match="m >= 1"):
+            deserialize(bytes(header))
 
     def test_header_is_40_bytes(self):
         block = CodeBlock("single", 2, 1.0, np.array([[0], [1]]))

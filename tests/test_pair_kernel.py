@@ -1,0 +1,164 @@
+"""The fused quantize-and-estimate kernel and the exact integer estimator.
+
+The golden hashes were taken from the per-trial loop that the kernel
+replaced (separate dither draws, ``quantize_with_dither`` and
+``_estimate_from_codes`` for every trial); the sweeps must reproduce its
+records and summary CSVs byte for byte.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qembed import QuantConfig, build, measure_qrip, sample_dither, sparse
+from qembed.embeddings import _estimate_from_codes, _PairKernel
+from qembed.verify import records_csv, summary_csv
+
+GOLDEN = {
+    ("l1", 1.0): "e836779059f3695cae17de95543560f8db5b14f063121e2dc9d95c5d6db8e124",
+    ("l1", 0.7): "a5af01080f67705cbf5bb1801e4e077f2063a24915b31ffc05a047646ee704ed",
+    ("l1", 1e-09): "43307199cf8c20a5664dc2d248b8248efc95aa41b8b154ba8fd53cd526fc93dc",
+    ("l2sq", 1.0): "ee10dc4fc0b9c76707181b3b8aef162d818a17dfed02510e5cdceb2f18c21a5c",
+    ("l2sq", 0.7): "ac27c9959ab87c348a7a317934f26820daff1c7b632562538c591bb68d1af427",
+    ("l2sq", 1e-09): "e40eafddcc1349f229503ad9ddb59c35eee5601592f632334ad68b201f8fb384",
+    ("circ", 1.0): "ef8a7f06a491c1e226e950ca9f06df77cc6da5a37bfa2b691e5816dddbb6adf3",
+    ("circ", 0.7): "a34569a00871ebbecaf68459a7f870a7467d64bb7ca0d7e612512220d5be1a31",
+    ("circ", 1e-09): "52ffe91ca5996254c1d7b06cee9f6e959974e8992d9b529cdeea80190aa2f228",
+}
+
+
+@pytest.mark.parametrize("mode,delta", sorted(GOLDEN))
+def test_sweep_csvs_match_golden(mode, delta):
+    # delta = 1e-9 sends l2sq and circ trials through the int64 fallback
+    profile = {"rip": (1, 2)} if mode == "l1" else {}
+    op = build("gaussian", 256, 64, seed=10, **profile)
+    mset = sparse(4, 64, radius=20.0)
+    run = measure_qrip(op, mset, mode, QuantConfig(delta), [0.05, 0.2, 1.0, 5.0, 10.0], 3, 4, seed=11)
+    digest = hashlib.sha256((records_csv(run) + summary_csv(run)).encode()).hexdigest()
+    assert digest == GOLDEN[(mode, delta)]
+
+
+def _reference_estimate(y, y_prime, mode, delta, seed):
+    """Back-to-back sample_dither draws, int64 codes, Python-int sums."""
+    cfg = QuantConfig(delta)
+    rng = np.random.default_rng(seed)
+    m = y.size
+    dithers = [sample_dither(m, cfg, rng) for _ in range(2 if mode == "circ" else 1)]
+    gaps = []
+    for xi in dithers:
+        a = np.floor((y + xi) / delta).astype(np.int64).tolist()
+        b = np.floor((y_prime + xi) / delta).astype(np.int64).tolist()
+        gaps.append([abs(i - j) for i, j in zip(a, b)])
+    if mode == "l1":
+        return delta * sum(gaps[0]) / m, dithers
+    return delta * delta * sum(g * h for g, h in zip(gaps[0], gaps[-1])) / m, dithers
+
+
+# |y| / delta spans small values, the 2**52 fast-path limit and beyond,
+# staying below 2**62 so that the reference's int64 codes cannot overflow
+_SCALES = [1.0, 2.0**20, 2.0**40, 2.0**51, 2.0**52 - 4, 2.0**52, 2.0**53, 2.0**61]
+
+
+@st.composite
+def _pairs(draw):
+    m = draw(st.integers(1, 48))
+    delta = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+    scale = draw(st.sampled_from(_SCALES)) * delta
+    unit = st.floats(-1.0, 1.0)
+    y = np.array(draw(st.lists(unit, min_size=m, max_size=m))) * scale
+    if draw(st.booleans()):
+        y_prime = np.array(draw(st.lists(unit, min_size=m, max_size=m))) * scale
+    else:
+        y_prime = y + np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=m, max_size=m))) * delta
+    return y, y_prime, delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_pairs(), mode=st.sampled_from(["l1", "l2sq", "circ"]), seed=st.integers(0, 2**32))
+@example(pair=(np.full(3, (2.0**52 - 3) * 0.7), np.full(3, -(2.0**52 - 3) * 0.7), 0.7), mode="circ", seed=1)
+@example(pair=(np.array([2.0**52 - 2.0]), np.array([0.0]), 1.0), mode="l1", seed=2)
+@example(pair=(np.array([2.0**52]), np.array([0.0]), 1.0), mode="l2sq", seed=3)
+def test_kernel_matches_python_int_reference(pair, mode, seed):
+    y, y_prime, delta = pair
+    kernel = _PairKernel(y, y_prime, mode, QuantConfig(delta))
+    got = kernel(np.random.default_rng(seed))
+    want, dithers = _reference_estimate(y, y_prime, mode, delta, seed)
+    assert np.array_equal(kernel.dither, np.stack(dithers))
+    assert got == want
+
+
+def test_kernel_reaches_both_paths(monkeypatch):
+    calls = []
+    checked = _PairKernel._checked
+    monkeypatch.setattr(_PairKernel, "_checked", lambda self: calls.append(1) or checked(self))
+    cfg = QuantConfig(1.0)
+    rng = np.random.default_rng(0)
+    small = rng.standard_normal(64)
+    cases = [
+        (small, -small, "circ", False),  # fast path
+        (np.array([2.0**52 - 8]), np.zeros(1), "l1", False),  # fast path at the 2**52 edge
+        (np.full(4, 2.0**52), np.zeros(4), "l1", True),  # pair guard
+        (np.full(4, 2.0**30), np.zeros(4), "l2sq", True),  # per-trial guard: 4 * 2**60 >= 2**53
+    ]
+    for y, y_prime, mode, fallback in cases:
+        before = len(calls)
+        kernel = _PairKernel(y, y_prime, mode, cfg)
+        assert kernel(np.random.default_rng(1)) == _reference_estimate(y, y_prime, mode, 1.0, 1)[0]
+        assert (len(calls) > before) == fallback
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**64])
+def test_kernel_rejects_unquantizable_measurements(bad):
+    y = np.array([0.0, bad])
+    kernel = _PairKernel(y, np.zeros(2), "l1", QuantConfig(1.0))
+    with pytest.raises(ValueError, match="finite"):
+        kernel(np.random.default_rng(0))
+
+
+def test_kernel_input_validation():
+    cfg = QuantConfig(1.0)
+    with pytest.raises(ValueError):
+        _PairKernel(np.zeros(3), np.zeros(3), "l3", cfg)
+    with pytest.raises(ValueError):
+        _PairKernel(np.zeros(3), np.zeros(4), "l1", cfg)
+    with pytest.raises(ValueError):
+        _PairKernel(np.zeros(0), np.zeros(0), "l1", cfg)
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def _code_pairs(draw):
+    mode = draw(st.sampled_from(["l1", "l2sq", "circ"]))
+    m = draw(st.integers(1, 12))
+    cols = 2 if mode == "circ" else 1
+    codes = st.lists(st.lists(_INT64, min_size=cols, max_size=cols), min_size=m, max_size=m)
+    return mode, draw(codes), draw(codes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_code_pairs(), delta=st.floats(1e-3, 1e3))
+@example(case=("l1", [[-(2**63)]], [[2**62]]), delta=1.0)
+@example(case=("circ", [[2**63 - 1, -(2**63)]], [[-(2**63), 2**63 - 1]]), delta=1.0)
+def test_estimate_from_codes_matches_python_int_reference(case, delta):
+    mode, a, b = case
+    m = len(a)
+    gaps = [[abs(i - j) for i, j in zip(ra, rb)] for ra, rb in zip(a, b)]
+    if mode == "l1":
+        want = delta * sum(g[0] for g in gaps) / m
+    else:
+        want = delta * delta * sum(g[0] * g[-1] for g in gaps) / m
+    got = _estimate_from_codes(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), mode, delta)
+    assert got == want
+
+
+def test_estimate_from_codes_gap_beyond_int64():
+    # the gap 3 * 2**62 does not fit in int64
+    a = np.array([[-(2**63)]], dtype=np.int64)
+    b = np.array([[2**62]], dtype=np.int64)
+    assert _estimate_from_codes(a, b, "l1", 1.0) == float(3 * 2**62)
