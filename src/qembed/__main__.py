@@ -1,0 +1,6 @@
+"""``python -m qembed``: the qembed command-line runner."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

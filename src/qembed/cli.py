@@ -6,7 +6,11 @@ are written atomically (temp file + rename) and the resolved
 configuration is echoed into CSV headers as comment lines.
 
 Exit codes: 0 success, 1 validation error, 2 failed selftest assertion.
-Set QEMB_THREADS to cap the trial worker count (default 1).
+Sweeps run their trials on one worker per usable core when a trial's
+dither block has at least 2**14 entries, else on one; set QEMB_THREADS
+to fix the worker count.  Results do not depend on it.  For sweeps, set
+OPENBLAS_NUM_THREADS=1 as well: idle OpenBLAS threads spin on the cores
+the trial workers need.
 """
 
 from __future__ import annotations
@@ -89,10 +93,11 @@ def _build_op(args) -> "LinOp":
         raise _CliError(str(exc))
 
 
-def _threads() -> int:
+def _threads() -> int | None:
+    """QEMB_THREADS as a worker count, or None to let the sweep choose."""
     raw = os.environ.get("QEMB_THREADS")
     if raw is None:
-        return 1
+        return None
     try:
         val = int(raw)
     except ValueError:
@@ -125,10 +130,12 @@ def _umask() -> int:
 
 def _load_vector(path: str, line: int) -> np.ndarray:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             rows = [ln for ln in fh.read().splitlines() if ln.strip()]
     except OSError as exc:
         raise _CliError(f"--input: {exc}")
+    except UnicodeDecodeError:
+        raise _CliError(f"--input {path}: not a UTF-8 text file")
     if not rows:
         raise _CliError(f"--input {path}: no vectors found")
     if line >= len(rows):
@@ -154,10 +161,12 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
         raise _CliError("--config: missing file path")
     path = argv[idx + 1]
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]
     except OSError as exc:
         raise _CliError(f"--config: {exc}")
+    except UnicodeDecodeError:
+        raise _CliError(f"--config {path}: not a UTF-8 text file")
     injected: list[str] = []
     for ln in lines:
         if "=" not in ln:
@@ -165,7 +174,7 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
         key, value = (part.strip() for part in ln.split("=", 1))
         injected.extend([f"--{key.replace('_', '-')}", value])
     rest = argv[:idx] + argv[idx + 2 :]
-    return [rest[0]] + injected + rest[1:]
+    return rest[:1] + injected + rest[1:]
 
 
 def _add_op_flags(sp, need_m=True):
@@ -444,7 +453,10 @@ def main(argv=None) -> int:
     try:
         if argv:
             argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # -h/--help printed the usage text
+            return 0
         return _COMMANDS[args.command](args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -453,3 +465,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -13,6 +13,7 @@ followed by ``_estimate_from_codes``.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -40,6 +41,7 @@ _LAYOUT_CODES = {"single": 1, "bidither": 2}
 _LAYOUT_NAMES = {v: k for k, v in _LAYOUT_CODES.items()}
 _WIDTH_DTYPES = {0: "<i1", 1: "<i2", 2: "<i4"}
 _INT64_SPAN = 2.0**63
+_U64 = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,8 @@ class CodeBlock:
     ``codes`` has shape (m, cols) with cols = 1 for the single layout and
     2 for the bi-dither layout; decoding index k gives the cell centre
     delta * (k + 1/2).  Blocks are comparable only when (layout, m,
-    delta) agree.
+    delta) agree.  Seeds are stored folded into unsigned 64 bits, as
+    ``rng.stream`` folds them, so -1 and 2**64 - 1 name the same stream.
     """
 
     layout: str
@@ -71,10 +74,14 @@ class CodeBlock:
                 f"codes must have shape ({self.m}, {expected_cols}) for layout "
                 f"{self.layout!r}, got {codes.shape}"
             )
-        if not (self.delta > 0 and np.isfinite(self.delta)):
+        if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
+        # deserialize builds a block per query; in-range seeds skip the fold
+        if not (0 <= self.op_seed <= _U64 and 0 <= self.dither_seed <= _U64):
+            object.__setattr__(self, "op_seed", int(self.op_seed) & _U64)
+            object.__setattr__(self, "dither_seed", int(self.dither_seed) & _U64)
 
     @property
     def cols(self) -> int:
@@ -352,8 +359,8 @@ def serialize(c: CodeBlock) -> bytes:
         0,
         c.m,
         c.delta,
-        c.op_seed & 0xFFFFFFFFFFFFFFFF,
-        c.dither_seed & 0xFFFFFFFFFFFFFFFF,
+        c.op_seed,
+        c.dither_seed,
     )
     payload = np.ascontiguousarray(c.codes).astype(_WIDTH_DTYPES[width]).tobytes(order="C")
     return header + payload

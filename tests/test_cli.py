@@ -1,7 +1,16 @@
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import qembed
 from qembed.cli import main, parse_model
 from qembed.embeddings import HEADER_SIZE, deserialize
 
@@ -276,3 +285,70 @@ class TestMeanwidthSelftestConfig:
         assert code == 1 and "key=value" in err
         code, _, err = run_cli(capsys, "reqm", "--config", str(tmp_path / "missing.cfg"))
         assert code == 1
+        # a config file but no subcommand
+        good = tmp_path / "good.cfg"
+        good.write_text("seed = 1\n")
+        code, _, err = run_cli(capsys, "--config", str(good))
+        assert code == 1 and err.count("\n") == 1
+
+
+def _one_line(err: str) -> bool:
+    return err.startswith("error: ") and err.endswith("\n") and "\n" not in err[:-1]
+
+
+_FUZZ_COMMANDS = {
+    "config": ["entropy", "--model", "sparse:2:8", "--eta", "0.1", "--config", "{path}"],
+    "input": ["embed", "--family", "gaussian", "--m", "8", "--n", "2", "--input", "{path}",
+              "--delta", "1", "--out", "{out}"],
+}
+_TEXTISH = st.text(alphabet="0123456789.e+- \t\n\r=#_abdfilmnqrstw:", max_size=40).map(str.encode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.one_of(st.binary(max_size=80), _TEXTISH), target=st.sampled_from(sorted(_FUZZ_COMMANDS)))
+@example(data=b"\xff\xfe", target="config")
+@example(data=b"\xff\xfe", target="input")
+@example(data=b"h=1\n", target="config")
+@example(data=b"1 nan\n", target="input")
+def test_arbitrary_file_bytes_exit_0_or_1(data, target):
+    """Any bytes as the config or vector file: exit 0, or exit 1 with one line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        argv = [a.format(path=path, out=os.path.join(tmp, "o.qemb")) for a in _FUZZ_COMMANDS[target]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert _one_line(err.getvalue())
+
+
+class TestModuleEntryPoint:
+    """``python -m qembed`` runs the command line in a fresh interpreter."""
+
+    def _run(self, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qembed.__file__)))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        return subprocess.run([sys.executable, "-m", "qembed", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_embed_writes_code_file(self, tmp_path):
+        vec = tmp_path / "x.txt"
+        vec.write_text("0.1 0.2 0.3 0.4\n")
+        out = tmp_path / "x.qemb"
+        proc = self._run("embed", "--family", "gaussian", "--m", "8", "--n", "4",
+                         "--input", str(vec), "--delta", "1", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert deserialize(out.read_bytes()).m == 8
+
+    def test_length_mismatch_exit_1(self, tmp_path):
+        vec = tmp_path / "x.txt"
+        vec.write_text("1 2 3\n")
+        out = tmp_path / "x.qemb"
+        proc = self._run("embed", "--family", "gaussian", "--m", "8", "--n", "4",
+                         "--input", str(vec), "--delta", "1", "--out", str(out))
+        assert proc.returncode == 1
+        assert _one_line(proc.stderr) and "length" in proc.stderr
+        assert not out.exists()

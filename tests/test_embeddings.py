@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qembed import (
     CodeBlock,
@@ -251,6 +253,28 @@ class TestSerialization:
                               op_seed=int(rng.integers(0, 2**30)),
                               dither_seed=int(rng.integers(0, 2**30)))
             assert deserialize(serialize(block)) == block
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        layout=st.sampled_from(["single", "bidither"]),
+        bits=st.sampled_from([8, 16, 32]),
+        m=st.integers(1, 16),
+        delta=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        op_seed=st.integers(-(2**70), 2**70),
+        dither_seed=st.integers(-(2**70), 2**70),
+    )
+    def test_every_in_range_block_roundtrips(self, data, layout, bits, m, delta, op_seed, dither_seed):
+        cols = 1 if layout == "single" else 2
+        lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+        values = data.draw(st.lists(st.integers(lo, hi), min_size=m * cols, max_size=m * cols))
+        block = CodeBlock(layout, m, delta, np.array(values).reshape(m, cols),
+                          op_seed=op_seed, dither_seed=dither_seed)
+        back = deserialize(serialize(block))
+        assert back == block
+        # seeds are stored as rng.stream reads them: folded into u64
+        assert (back.op_seed, back.dither_seed) == (op_seed % 2**64, dither_seed % 2**64)
+        assert serialize(back) == serialize(block)
 
     def test_empty_blocks_rejected(self):
         for layout, cols in (("single", 1), ("bidither", 2)):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qembed.rng import stream
 from qembed.verify import (
     RECORD_COLUMNS,
     SUMMARY_COLUMNS,
+    _default_workers,
     _soft_vec,
     power_law_slope,
     records_csv,
@@ -78,6 +80,31 @@ class TestEstimateRip:
             estimate_rip(op, sparse(2, 16), 1, 2, pairs=60, rng=stream(9, "t"))
 
 
+class TestDefaultWorkers:
+    @pytest.mark.parametrize(
+        "cores, block, pairs, workers",
+        [
+            (1, 2**14 - 1, 6, 1),
+            (1, 2**14, 6, 1),
+            (4, 2**14 - 1, 6, 1),
+            (4, 2**14, 6, 4),
+            (4, 2**14, 3, 3),
+        ],
+    )
+    def test_affinity_cores(self, monkeypatch, cores, block, pairs, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _default_workers(block, pairs) == workers
+
+    def test_cpu_count_fallback(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _default_workers(2**14, 8) == 3
+        assert _default_workers(2**14 - 1, 8) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _default_workers(2**14, 8) == 1
+
+
 class TestMeasureQrip:
     def _run(self, mode, delta=1.0, m=512, **kw):
         profile = {"rip": (1, 2)} if mode == "l1" else {}
@@ -106,9 +133,14 @@ class TestMeasureQrip:
         assert np.array_equal(a.fit.rho_hat_max, b.fit.rho_hat_max)
         assert [r.est_dist for r in a.records] == [r.est_dist for r in b.records]
 
-    def test_threads_do_not_change_results(self):
-        a = self._run("circ")
-        b = self._run("circ", threads=4)
+    @pytest.mark.parametrize("m, threads", [(512, None), (512, 4), (8192, None), (8192, 4)])
+    def test_threads_do_not_change_results(self, monkeypatch, m, threads):
+        # at m=8192 a circ trial's dither block has 2**14 entries, so
+        # threads=None runs the pool on the 4 cores patched in here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        size = {} if m == 512 else {"pairs": 3, "dithers": 2}
+        a = self._run("circ", m=m, threads=1, **size)
+        b = self._run("circ", m=m, threads=threads, **size)
         assert [r.est_dist for r in a.records] == [r.est_dist for r in b.records]
         assert np.array_equal(a.fit.rho_hat_max, b.fit.rho_hat_max)
 
