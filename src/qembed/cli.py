@@ -282,9 +282,9 @@ def _parse_grid(raw: str) -> list[float]:
 
 def _cmd_embed(args) -> int:
     x = _load_vector(args.input, args.line)
-    cfg = QuantConfig(args.delta)
     drng = stream(args.dither_seed, "cli:dither")
     try:
+        cfg = QuantConfig(args.delta)
         if args.family == "rop":
             if args.n1 is None or args.n2 is None:
                 raise _CliError("family rop: missing --n1/--n2 (matrix shape)")
@@ -345,9 +345,9 @@ def _cmd_riptest(args) -> int:
 def _run_qrip(args, m: int):
     op = _build_op_with_m(args, m)
     mset = parse_model(args.model, radius=args.radius)
-    cfg = QuantConfig(args.delta)
     grid = _parse_grid(args.grid)
     try:
+        cfg = QuantConfig(args.delta)
         return measure_qrip(
             op, mset, args.mode, cfg, grid, args.pairs, args.dithers, seed=args.seed, threads=_threads()
         )

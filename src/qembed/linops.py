@@ -8,7 +8,9 @@ action (unit-variance rows for the dense families, +-1 rows for the
 subsampled Hadamard, 0/1 adjacency for the expander); ``mu`` is metadata
 consumed by the verification side.
 
-Operators are immutable after build and matvec is reentrant.
+Operators are immutable after build and matvec is reentrant.  The dense
+families draw their rows straight into one buffer, so a build holds one
+copy of the matrix.
 """
 
 from __future__ import annotations
@@ -189,7 +191,9 @@ class _DenseIIDOp(LinOp):
 
     Row i is drawn from the stream keyed by (seed, family-label, i), so
     matvec and dense materialization agree without ever storing the
-    matrix unless it fits the cache budget.
+    matrix unless it fits the cache budget.  Each 64-row block is filled
+    in place (``_fill_row_block``) into a view of one ``np.empty`` buffer,
+    so building the cache, or one streamed slice, holds one copy of it.
     """
 
     _row_label = "rows"
@@ -201,20 +205,19 @@ class _DenseIIDOp(LinOp):
             self._cache = self._rows(0, self.m)
             self._cache.setflags(write=False)
 
-    def _sample_row_block(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+    def _fill_row_block(self, rng: np.random.Generator, out: np.ndarray) -> None:
         raise NotImplementedError
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
         # one keyed stream per 64-row block keeps construction cheap and
         # the layout reproducible for any (start, stop) slicing
-        blocks = []
         blk = 64
         first = (start // blk) * blk
-        for b0 in range(first, stop, blk):
+        last = min(self.m, -(-stop // blk) * blk)
+        full = np.empty((last - first, self.n))
+        for b0 in range(first, last, blk):
             rng = stream(self.seed, f"{self.family}:{self._row_label}", b0)
-            rows_b = self._sample_row_block(rng, min(blk, self.m - b0))
-            blocks.append(rows_b)
-        full = np.concatenate(blocks, axis=0)
+            self._fill_row_block(rng, full[b0 - first : min(b0 + blk, last) - first])
         return full[start - first : stop - first]
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
@@ -239,8 +242,8 @@ class GaussianOp(_DenseIIDOp):
 
     family = "gaussian"
 
-    def _sample_row_block(self, rng, rows):
-        return rng.standard_normal((rows, self.n))
+    def _fill_row_block(self, rng, out):
+        rng.standard_normal(out=out)
 
 
 class BernoulliOp(_DenseIIDOp):
@@ -248,8 +251,10 @@ class BernoulliOp(_DenseIIDOp):
 
     family = "bernoulli"
 
-    def _sample_row_block(self, rng, rows):
-        return rng.integers(0, 2, size=(rows, self.n)).astype(float) * 2.0 - 1.0
+    def _fill_row_block(self, rng, out):
+        out[...] = rng.integers(0, 2, size=out.shape)
+        out *= 2.0
+        out -= 1.0
 
 
 class SubsampledHadamardOp(LinOp):
@@ -407,8 +412,8 @@ def build_rop(m: int, n1: int, n2: int, seed: int, kappa: float = 1.0, dist: str
     """Build a rank-one probing operator with gaussian or +-1 probes."""
     if m < 1 or n1 < 1 or n2 < 1:
         raise ValueError(f"dimensions must be >= 1, got m={m}, n1={n1}, n2={n2}")
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     rng_a = stream(seed, "rop:left")
     rng_b = stream(seed, "rop:right")
     if dist == "gaussian":

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "ModelSet",
@@ -421,7 +420,13 @@ def mean_width_mc(mset: ModelSet, trials: int, rng: np.random.Generator) -> tupl
 
 def ball_mean_width_exact(n: int) -> float:
     """Closed-form expected l2 norm of an n-dim standard normal:
-    sqrt(2) * Gamma((n+1)/2) / Gamma(n/2)."""
+    sqrt(2) * Gamma((n+1)/2) / Gamma(n/2).
+
+    scipy is imported here, its only use, so that importing qembed does
+    not load it; math.lgamma is not a drop-in (it differs from gammaln in
+    the last bits for most n)."""
+    from scipy.special import gammaln
+
     return math.sqrt(2.0) * math.exp(gammaln((n + 1) / 2.0) - gammaln(n / 2.0))
 
 

@@ -61,6 +61,20 @@ class TestReqmAndEntropy:
         assert code == 1
         assert "epsilon" in err
 
+    @pytest.mark.parametrize("model,extra,expected", [
+        ("ball:1", ["--eta", "0.5"], "2.54647908947"),
+        ("ball:10", ["--eta", "0.3"], "105.700863665"),
+        ("ball:256", ["--eta", "0.1", "--radius", "2"], "102200.195693"),
+        ("ball:100000", ["--eta", "7"], "2040.80612263"),
+    ])
+    def test_entropy_ball_exact_output(self, capsys, model, extra, expected):
+        code, out, _ = run_cli(capsys, "entropy", "--model", model, *extra)
+        assert code == 0 and out == expected + "\n"
+
+    def test_reqm_ball_exact_output(self, capsys):
+        code, out, _ = run_cli(capsys, "reqm", "--prop", "p1", "--model", "ball:256", "--eps", "0.5", "--delta", "1")
+        assert code == 0 and out == "16353\n"
+
     def test_unknown_flag_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "entropy", "--model", "sparse:2:8", "--eta", "0.1", "--bogus", "1")
         assert code == 1
@@ -149,6 +163,18 @@ class TestEmbedDistance:
             assert code == 1
             assert "finite" in err and err.count("\n") == 1
             assert not out.exists()
+
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "0"])
+    def test_rop_bad_kappa_exit_1(self, tmp_path, capsys, kappa):
+        vec = tmp_path / "u.txt"
+        vec.write_text("1 2 3 4\n")
+        out = tmp_path / "r.qemb"
+        code, _, err = run_cli(
+            capsys, "embed", "--family", "rop", "--m", "4", "--n1", "2", "--n2", "2",
+            "--input", str(vec), "--delta", "1", f"--kappa={kappa}", "--out", str(out),
+        )
+        assert code == 1 and "kappa" in err and _one_line(err)
+        assert not out.exists()
 
     def test_rop_bad_dimension_exit_1(self, tmp_path, capsys):
         vec = tmp_path / "u.txt"
@@ -255,6 +281,28 @@ class TestRiptestQripDecay:
         assert len(lines) == 2 + 4 * 3
 
 
+_DELTA_COMMANDS = {
+    "embed": ["embed", "--family", "gaussian", "--m", "8", "--n", "4", "--input", "{vec}", "--out", "{out}"],
+    "qrip": ["qrip", "--family", "gaussian", "--m", "16", "--n", "8", "--model", "sparse:2:8", "--mode", "l1",
+             "--grid", "1", "--pairs", "1", "--dithers", "1", "--out", "{out}"],
+    "decay": ["decay", "--family", "gaussian", "--n", "8", "--model", "sparse:2:8", "--mode", "l1",
+              "--grid", "1", "--m-list", "8,16,32,64", "--pairs", "1", "--dithers", "1", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", sorted(_DELTA_COMMANDS))
+def test_bad_delta_exit_1(tmp_path, capsys, command, delta):
+    vec = tmp_path / "x.txt"
+    vec.write_text("1 2 3 4\n")
+    out = tmp_path / "out"
+    argv = [a.format(vec=vec, out=out) for a in _DELTA_COMMANDS[command]]
+    code, _, err = run_cli(capsys, *argv, f"--delta={delta}")
+    assert code == 1
+    assert _one_line(err) and "delta" in err
+    assert not out.exists()
+
+
 class TestMeanwidthSelftestConfig:
     def test_meanwidth(self, capsys):
         code, out, _ = run_cli(capsys, "meanwidth", "--model", "ball:1", "--trials", "100000", "--seed", "3")
@@ -352,3 +400,13 @@ class TestModuleEntryPoint:
         assert proc.returncode == 1
         assert _one_line(proc.stderr) and "length" in proc.stderr
         assert not out.exists()
+
+
+def test_import_does_not_load_scipy():
+    """scipy is loaded only by the exact ball mean width (entropy, reqm)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qembed.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, qembed, qembed.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,9 +1,11 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qembed import build, build_rop, rop_apply
+from qembed import build, build_rop, linops, rop_apply
 from qembed.linops import circular_convolve_counted, fwht, fwht_counted
 from qembed.rng import stream
 
@@ -106,6 +108,70 @@ class TestBuildAndMatvec:
         assert np.array_equal(rows, op.dense()[37:85])
 
 
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+# sha256 of dense() for (family, m, n, seed); m is not a multiple of the
+# 64-row stream block, so the last block is partial
+DENSE_GOLDENS = {
+    ("gaussian", 1000, 300, 7): "c1d62c8ff9c20fa111cf67ef9a068e2ba26d71f6f1bb172ed13e14973ce9f3fd",
+    ("bernoulli", 1000, 300, 7): "d535ecd4a4cecadf727d199b1579d3db31c0940ff18baa3926851d1ed63a6f87",
+    ("gaussian", 130, 77, 3): "53a792b10559f77c6fede111739275a943d6668bf236b9899e3fb100fb3d6525",
+    ("bernoulli", 130, 77, 3): "149b2d8f2676d191e972862724527191d55601cdb6d476f2b284ff11f1abfef5",
+}
+# sha256 of matvec(linspace(-1, 1, 300)) on the (1000, 300, 7) operators
+# with the cache ceiling at 1000 entries, i.e. streamed in 3-row slices
+STREAMED_MATVEC_GOLDENS = {
+    "gaussian": "1fbde272e45e7c58ca3a06a954dc582cb5fb9c52fd9bdcc72ffb436275566fcf",
+    "bernoulli": "5f939bb2f44f2db4080534a5e1ca5414a0acb4323f2cd20299e12ddd063930ee",
+}
+
+
+class TestDenseBuild:
+    @pytest.mark.parametrize("key", sorted(DENSE_GOLDENS))
+    def test_dense_matches_golden(self, key):
+        family, m, n, seed = key
+        dense = build(family, m, n, seed=seed).dense()
+        assert dense.shape == (m, n)
+        assert _sha256(dense) == DENSE_GOLDENS[key]
+
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+    def test_unaligned_row_slices(self, family):
+        op = build(family, 1000, 300, seed=7)
+        dense = op.dense()
+        for start, stop in [(0, 1), (1, 2), (63, 65), (64, 128), (37, 85), (130, 900), (960, 1000), (999, 1000), (0, 1000)]:
+            rows = op._rows(start, stop)
+            assert rows.shape == (stop - start, 300)
+            assert np.array_equal(rows, dense[start:stop])
+
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+    def test_streamed_path_matches_golden(self, family, monkeypatch):
+        monkeypatch.setattr(linops, "_DENSE_CACHE_MAX", 1000)
+        op = build(family, 1000, 300, seed=7)
+        assert op._cache is None
+        dense = op.dense()
+        assert _sha256(dense) == DENSE_GOLDENS[(family, 1000, 300, 7)]
+        x = np.linspace(-1.0, 1.0, 300)
+        got = op.matvec(x)
+        assert _sha256(got) == STREAMED_MATVEC_GOLDENS[family]
+        assert np.allclose(got, dense @ x, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+    def test_build_holds_one_copy(self, family):
+        m, n = 2048, 256
+        build(family, m, n, seed=0)  # warm-up: first-call allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            op = build(family, m, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * m * n * 8
+
+
 class TestEnergyConcentration:
     def test_gaussian_mean_energy(self):
         # mean over 100 unit vectors of (1/m)||Phi x||^2 near 1
@@ -205,6 +271,12 @@ class TestRankOneProbes:
                 for b in range(3)
             )
             assert got[i] == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_bad_kappa_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa") as info:
+            build_rop(4, 2, 2, seed=0, kappa=kappa)
+        assert "\n" not in str(info.value)
 
     def test_shape_mismatch(self):
         op = build_rop(5, 4, 3, seed=32)

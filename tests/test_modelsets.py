@@ -225,6 +225,22 @@ class TestMeanWidth:
             est, se = mean_width_mc(ball(n, radius=1.0), 100_000, stream(16, "t", n))
             assert abs(est - ball_mean_width_exact(n)) <= 3 * se
 
+    def test_ball_closed_form_exact_values(self):
+        expected = {
+            1: 0.7978845608028655,
+            2: 1.2533141373155003,
+            3: 1.5957691216057308,
+            7: 2.553230594569169,
+            10: 3.084327759799865,
+            64: 7.968812221998633,
+            100: 9.975031639551357,
+            1000: 31.614871896968094,
+            12345: 111.10580547381839,
+            200000: 447.2130364877651,
+        }
+        for n, value in expected.items():
+            assert ball_mean_width_exact(n) == value
+
     def test_single_point_cloud(self):
         est, se = mean_width_mc(finite_cloud(np.eye(5)[:1]), 100_000, stream(17, "t"))
         assert abs(est - math.sqrt(2 / math.pi)) <= 3 * se
