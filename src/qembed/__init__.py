@@ -21,7 +21,7 @@ from .quantizer import (
     soft_premetric_l2,
     premetric_circ,
 )
-from .linops import LinOp, RopOp, build, build_rop, rop_apply, fwht
+from .linops import LinOp, RopOp, build, build_rop, fwht
 from .embeddings import (
     CodeBlock,
     embed,

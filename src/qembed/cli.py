@@ -5,7 +5,9 @@ reqm, selftest.  Every run is fully determined by (flags, seed); outputs
 are written atomically (temp file + rename) and the resolved
 configuration is echoed into CSV headers as comment lines.
 
-Exit codes: 0 success, 1 validation error, 2 failed selftest assertion.
+Exit codes: 0 success, 1 validation error (a one-line message on stderr;
+every ValueError raised by the library maps to it), 2 failed selftest
+assertion.
 Sweeps run their trials on one worker per usable core when a trial's
 dither block has at least 2**14 entries, else on one; set QEMB_THREADS
 to fix the worker count.  Results do not depend on it.  For sweeps, set
@@ -23,7 +25,7 @@ import tempfile
 import numpy as np
 
 from . import modelsets
-from .embeddings import deserialize, embed, embed_bidither, embed_rop, estimate_distance, serialize
+from .embeddings import deserialize, embed, embed_bidither, estimate_distance, serialize
 from .linops import FAMILIES, build, build_rop
 from .modelsets import ModelSet, entropy_bound, mean_width_mc, required_m
 from .quantizer import QuantConfig, sample_dither
@@ -87,10 +89,7 @@ def _build_op(args) -> "LinOp":
         except ValueError:
             raise _CliError(f"--rip: expected 'p,q' integers, got {args.rip!r}")
         options["rip"] = (p, q)
-    try:
-        return build(args.family, args.m, args.n, seed=args.seed, **options)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    return build(args.family, args.m, args.n, seed=args.seed, **options)
 
 
 def _threads() -> int | None:
@@ -283,34 +282,29 @@ def _parse_grid(raw: str) -> list[float]:
 def _cmd_embed(args) -> int:
     x = _load_vector(args.input, args.line)
     drng = stream(args.dither_seed, "cli:dither")
-    try:
-        cfg = QuantConfig(args.delta)
-        if args.family == "rop":
-            if args.n1 is None or args.n2 is None:
-                raise _CliError("family rop: missing --n1/--n2 (matrix shape)")
-            if args.layout != "single":
-                raise _CliError("family rop: only the single layout is supported")
-            if x.size != args.n1 * args.n2:
-                raise _CliError(f"--input: vector length {x.size} does not match --n1*--n2 = {args.n1 * args.n2}")
-            op = build_rop(args.m, args.n1, args.n2, seed=args.seed, kappa=args.kappa)
-            xi = sample_dither(args.m, cfg, drng)
-            block = embed_rop(op, x.reshape(args.n1, args.n2), xi, cfg, dither_seed=args.dither_seed)
-        else:
-            if args.n is None:
-                raise _CliError(f"family {args.family}: missing --n (input dimension)")
-            op = _build_op(args)
-            if x.size != args.n:
-                raise _CliError(f"--input: vector length {x.size} does not match --n {args.n}")
-            if args.layout == "single":
-                xi = sample_dither(args.m, cfg, drng)
-                block = embed(op, x, xi, cfg, dither_seed=args.dither_seed)
-            else:
-                # one (2, m) draw equals two back-to-back sample_dither calls
-                xi = drng.uniform(0.0, cfg.delta, size=(2, args.m)).T
-                block = embed_bidither(op, x, xi, cfg, dither_seed=args.dither_seed)
-        data = serialize(block)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    cfg = QuantConfig(args.delta)
+    if args.family == "rop":
+        if args.n1 is None or args.n2 is None:
+            raise _CliError("family rop: missing --n1/--n2 (matrix shape)")
+        if args.layout != "single":
+            raise _CliError("family rop: only the single layout is supported")
+        if x.size != args.n1 * args.n2:
+            raise _CliError(f"--input: vector length {x.size} does not match --n1*--n2 = {args.n1 * args.n2}")
+        op = build_rop(args.m, args.n1, args.n2, seed=args.seed, kappa=args.kappa)
+    else:
+        if args.n is None:
+            raise _CliError(f"family {args.family}: missing --n (input dimension)")
+        op = _build_op(args)
+        if x.size != args.n:
+            raise _CliError(f"--input: vector length {x.size} does not match --n {args.n}")
+    if args.layout == "single":
+        xi = sample_dither(args.m, cfg, drng)
+        block = embed(op, x, xi, cfg, dither_seed=args.dither_seed)
+    else:
+        # one (2, m) draw equals two back-to-back sample_dither calls
+        xi = drng.uniform(0.0, cfg.delta, size=(2, args.m)).T
+        block = embed_bidither(op, x, xi, cfg, dither_seed=args.dither_seed)
+    data = serialize(block)
     _atomic_write(args.out, data)
     print(f"wrote {args.out}: layout={block.layout} m={block.m} delta={block.delta}")
     return 0
@@ -324,20 +318,14 @@ def _cmd_distance(args) -> int:
                 blocks.append(deserialize(fh.read()))
         except (OSError, ValueError) as exc:
             raise _CliError(f"codes file {path}: {exc}")
-    try:
-        print(format(estimate_distance(blocks[0], blocks[1], args.mode), ".12g"))
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    print(format(estimate_distance(blocks[0], blocks[1], args.mode), ".12g"))
     return 0
 
 
 def _cmd_riptest(args) -> int:
     op = _build_op(args)
     mset = parse_model(args.model, radius=args.radius)
-    try:
-        eps = estimate_rip(op, mset, args.p, args.q, args.pairs, stream(args.seed, "cli:riptest"))
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    eps = estimate_rip(op, mset, args.p, args.q, args.pairs, stream(args.seed, "cli:riptest"))
     print(format(eps, ".12g"))
     return 0
 
@@ -346,13 +334,10 @@ def _run_qrip(args, m: int):
     op = _build_op_with_m(args, m)
     mset = parse_model(args.model, radius=args.radius)
     grid = _parse_grid(args.grid)
-    try:
-        cfg = QuantConfig(args.delta)
-        return measure_qrip(
-            op, mset, args.mode, cfg, grid, args.pairs, args.dithers, seed=args.seed, threads=_threads()
-        )
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    cfg = QuantConfig(args.delta)
+    return measure_qrip(
+        op, mset, args.mode, cfg, grid, args.pairs, args.dithers, seed=args.seed, threads=_threads()
+    )
 
 
 def _build_op_with_m(args, m):
@@ -397,29 +382,20 @@ def _cmd_decay(args) -> int:
 
 def _cmd_meanwidth(args) -> int:
     mset = parse_model(args.model, radius=args.radius)
-    try:
-        est, stderr = mean_width_mc(mset, args.trials, stream(args.seed, "cli:meanwidth"))
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    est, stderr = mean_width_mc(mset, args.trials, stream(args.seed, "cli:meanwidth"))
     print(f"{format(est, '.12g')} {format(stderr, '.12g')}")
     return 0
 
 
 def _cmd_entropy(args) -> int:
     mset = parse_model(args.model, radius=args.radius)
-    try:
-        print(format(entropy_bound(mset, args.eta, args.q), ".12g"))
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    print(format(entropy_bound(mset, args.eta, args.q), ".12g"))
     return 0
 
 
 def _cmd_reqm(args) -> int:
     mset = parse_model(args.model, radius=args.radius)
-    try:
-        print(required_m(args.prop, mset, args.eps, QuantConfig(args.delta), C=args.C, q=args.q))
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    print(required_m(args.prop, mset, args.eps, QuantConfig(args.delta), C=args.C, q=args.q))
     return 0
 
 
@@ -458,7 +434,7 @@ def main(argv=None) -> int:
         except SystemExit:  # -h/--help printed the usage text
             return 0
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

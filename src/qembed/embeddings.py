@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import LinOp, RopOp, rop_apply
+from .linops import LinOp, RopOp
 from .quantizer import QuantConfig
 
 __all__ = [
@@ -176,22 +176,16 @@ def embed_rop(
     cfg: QuantConfig,
     dither_seed: int = 0,
 ) -> CodeBlock:
-    """Codes of the rank-one probing map: floor((kappa * a_i^T U b_i + xi_i)/delta).
+    """``embed`` of an n1-by-n2 matrix u: floor((kappa * a_i^T U b_i + xi_i)/delta).
 
     Distance estimates over these codes approximate kappa times the
     Frobenius gap; dividing the estimate by op.kappa is the caller's
     responsibility (kappa defaults to 1).
     """
-    y = op.kappa * rop_apply(op, u)
-    codes = quantize_with_dither(y, np.asarray(dither, float), cfg)
-    return CodeBlock(
-        layout="single",
-        m=op.m,
-        delta=cfg.delta,
-        codes=codes[:, None],
-        op_seed=op.seed,
-        dither_seed=dither_seed,
-    )
+    u = np.asarray(u, dtype=float)
+    if u.shape != (op.n1, op.n2):
+        raise ValueError(f"expected a {op.n1}x{op.n2} matrix, got shape {u.shape}")
+    return embed(op, u.ravel(), dither, cfg, dither_seed)
 
 
 def _estimate_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, mode: str, delta: float) -> float:

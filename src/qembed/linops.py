@@ -5,8 +5,14 @@ Each operator carries its output/input dimensions, a declared scaling
 ``(mu**p / m) * ||op.matvec(u)||_p**p`` concentrates around ``||u||_q**p``
 on the sets the family is built for.  ``matvec`` returns the raw family
 action (unit-variance rows for the dense families, +-1 rows for the
-subsampled Hadamard, 0/1 adjacency for the expander); ``mu`` is metadata
-consumed by the verification side.
+subsampled Hadamard, 0/1 adjacency for the expander, kappa-scaled
+rank-one probes of a flattened matrix for ``build_rop``); ``mu`` is
+metadata consumed by the verification side.
+
+The fast families run one transform each, ``fwht_counted`` (Hadamard)
+and ``circular_convolve_counted`` (convolution); both return an
+operation tally next to the result, so the O(n log n) cost is counted
+on the code that ``matvec`` runs.
 
 Operators are immutable after build and matvec is reentrant.  The dense
 families draw their rows straight into one buffer, so a build holds one
@@ -16,7 +22,6 @@ copy of the matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +32,6 @@ __all__ = [
     "build",
     "RopOp",
     "build_rop",
-    "rop_apply",
     "fwht",
     "fwht_counted",
     "circular_convolve_counted",
@@ -51,32 +55,13 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-def fwht(x: np.ndarray) -> np.ndarray:
-    """In-order fast Walsh-Hadamard transform with +-1 entries.
+def fwht_counted(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """In-order fast Walsh-Hadamard transform with a tally of its operations.
 
     Implements H @ x for the Sylvester matrix H[i, j] = (-1)**popcount(i & j)
-    in O(n log n) additions; requires len(x) to be a power of two.
-    """
-    y = np.array(x, dtype=float, copy=True)
-    n = y.size
-    if not _is_pow2(n):
-        raise ValueError(f"transform length must be a power of two, got {n}")
-    h = 1
-    while h < n:
-        blk = y.reshape(-1, 2 * h)
-        left = blk[:, :h].copy()
-        right = blk[:, h:].copy()
-        blk[:, :h] = left + right
-        blk[:, h:] = left - right
-        h *= 2
-    return y
-
-
-def fwht_counted(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """fwht plus a tally of butterfly multiply-add operations.
-
-    Each butterfly produces (a+b, a-b) and is tallied as two
-    multiply-adds, giving n*log2(n) total.
+    and requires len(x) to be a power of two.  Each butterfly produces
+    (a+b, a-b) and is tallied as two multiply-adds, n*log2(n) in total.
+    This is the transform ``SubsampledHadamardOp.matvec`` runs.
     """
     y = np.array(x, dtype=float, copy=True)
     n = y.size
@@ -95,52 +80,28 @@ def fwht_counted(x: np.ndarray) -> tuple[np.ndarray, int]:
     return y, ops
 
 
-def _fft_counted(z: np.ndarray) -> tuple[np.ndarray, int]:
-    """Iterative radix-2 complex FFT tallying butterflies as multiply-adds.
-
-    One butterfly = one twiddle multiply fused with an add/sub pair,
-    tallied as a single multiply-add; there are (n/2)*log2(n) of them.
-    """
-    z = np.asarray(z, dtype=complex).copy()
-    n = z.size
-    if not _is_pow2(n):
-        raise ValueError(f"transform length must be a power of two, got {n}")
-    levels = n.bit_length() - 1
-    # bit-reversal permutation
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(levels):
-        rev |= ((idx >> b) & 1) << (levels - 1 - b)
-    z = z[rev]
-    ops = 0
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        blk = z.reshape(-1, size)
-        t = tw * blk[:, half:]
-        blk[:, half:] = blk[:, :half] - t
-        blk[:, :half] += t
-        ops += blk.shape[0] * half
-        size *= 2
-    return z, ops
+def fwht(x: np.ndarray) -> np.ndarray:
+    """``fwht_counted`` without the tally."""
+    return fwht_counted(x)[0]
 
 
 def circular_convolve_counted(kernel_spectrum: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Circular convolution by transform-domain product, with an op tally.
+    """Circular convolution by a real-FFT product, with an op tally.
 
-    ``kernel_spectrum`` is the precomputed full FFT of the generator (a
-    build-time constant, not tallied).  Tally = forward FFT + n pointwise
-    multiplies + inverse FFT, all in butterfly multiply-add units; total
-    n*log2(n) + n, within the 3*n*log2(n) budget.
+    ``kernel_spectrum`` is the generator's transform, a build-time
+    constant that is not tallied: its first n//2 + 1 entries are used,
+    so ``np.fft.rfft(g)`` and ``np.fft.fft(g)`` both work.  This is the
+    transform ``RandomConvolutionOp.matvec`` runs.  The tally charges
+    each of the two real length-n transforms (n//2) * ceil(log2 n)
+    multiply-adds, the radix-2 butterfly count (exact for powers of two;
+    a convention for other n), plus n//2 + 1 spectrum products: about
+    n*log2(n) + n/2 in total, within the 3*n*log2(n) budget.
     """
+    x = np.asarray(x, dtype=float)
     n = x.size
-    fx, ops1 = _fft_counted(np.asarray(x, dtype=complex))
-    prod = fx * kernel_spectrum
-    # inverse FFT via conjugation
-    inv, ops2 = _fft_counted(np.conj(prod))
-    y = np.conj(inv).real / n
-    return y, ops1 + n + ops2
+    half = n // 2 + 1
+    y = np.fft.irfft(kernel_spectrum[:half] * np.fft.rfft(x), n=n)
+    return y, 2 * (n // 2) * (n - 1).bit_length() + half
 
 
 class LinOp:
@@ -275,7 +236,7 @@ class SubsampledHadamardOp(LinOp):
         self.signs.setflags(write=False)
 
     def _matvec(self, x):
-        return fwht(self.signs * x)[self.rows]
+        return fwht_counted(self.signs * x)[0][self.rows]
 
     def _dense(self):
         cols = np.arange(self.n)
@@ -302,8 +263,7 @@ class RandomConvolutionOp(LinOp):
         self.coords.setflags(write=False)
 
     def _matvec(self, x):
-        full = np.fft.irfft(self._spectrum * np.fft.rfft(x), n=self.n)
-        return full[self.coords]
+        return circular_convolve_counted(self._spectrum, x)[0][self.coords]
 
     def _dense(self):
         # row i of the circulant is generator[(i - j) mod n]
@@ -385,27 +345,33 @@ def _reject_extra(options: dict) -> None:
         raise ValueError(f"unknown operator options: {sorted(options)}")
 
 
-@dataclass(frozen=True)
-class RopOp:
-    """Rank-one probing operator on n1-by-n2 matrices.
+class RopOp(LinOp):
+    """Rank-one probes on n1-by-n2 matrices, read row-major (n = n1 * n2).
 
-    Output coordinate i is a_i^T U b_i with i.i.d. unit-variance probe
-    vectors a_i, b_i; ``kappa`` rescales the argument fed to the
-    quantizer (the estimator side divides by kappa).
+    Output coordinate i is kappa * a_i^T U b_i with i.i.d. unit-variance
+    probe vectors a_i, b_i (``probes_left`` is (m, n1), ``probes_right``
+    (m, n2)); ``kappa`` rescales the argument fed to the quantizer, so
+    distance estimates over the codes carry a factor kappa (the caller
+    divides it out).  E(a_i^T U b_i)**2 = ||U||_F**2 gives the (l2, l2)
+    profile with mu = 1 / kappa.
     """
 
     family = "rop"
 
-    m: int
-    n1: int
-    n2: int
-    seed: int
-    kappa: float
-    probes_left: np.ndarray  # (m, n1)
-    probes_right: np.ndarray  # (m, n2)
+    def __init__(self, m, n1, n2, seed, kappa, probes_left, probes_right):
+        super().__init__(m, n1 * n2, seed, mu=1.0 / kappa, rip_profile=(2.0, 2.0))
+        self.n1, self.n2, self.kappa = int(n1), int(n2), float(kappa)
+        self.probes_left = probes_left
+        self.probes_right = probes_right
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return rop_apply(self, u)
+    def _matvec(self, x):
+        u = x.reshape(self.n1, self.n2)
+        return self.kappa * np.einsum("mi,ij,mj->m", self.probes_left, u, self.probes_right)
+
+    def _dense(self):
+        # row i is the flattened outer product a_i b_i^T
+        rows = self.probes_left[:, :, None] * self.probes_right[:, None, :]
+        return self.kappa * rows.reshape(self.m, self.n)
 
 
 def build_rop(m: int, n1: int, n2: int, seed: int, kappa: float = 1.0, dist: str = "gaussian") -> RopOp:
@@ -426,12 +392,4 @@ def build_rop(m: int, n1: int, n2: int, seed: int, kappa: float = 1.0, dist: str
         raise ValueError(f"unknown probe distribution {dist!r}")
     a.setflags(write=False)
     b.setflags(write=False)
-    return RopOp(m=int(m), n1=int(n1), n2=int(n2), seed=int(seed), kappa=float(kappa), probes_left=a, probes_right=b)
-
-
-def rop_apply(op: RopOp, u: np.ndarray) -> np.ndarray:
-    """Coordinate i equals a_i^T U b_i."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (op.n1, op.n2):
-        raise ValueError(f"expected a {op.n1}x{op.n2} matrix, got shape {u.shape}")
-    return np.einsum("mi,ij,mj->m", op.probes_left, u, op.probes_right)
+    return RopOp(m, n1, n2, seed, kappa, a, b)

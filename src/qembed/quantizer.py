@@ -7,6 +7,9 @@ thresholds ``k * delta`` separating the two inputs; ``soft_distance``
 generalizes that count with a guard band of half-width ``|t|`` around
 every threshold (t > 0 suppresses near-threshold counts, t < 0 admits
 them), which restores a form of continuity that the plain count lacks.
+``_threshold_count`` is the one guard-band counter: ``soft_distance``
+and ``soft_distance_array`` use it with one t, the identity self-tests
+with a t per element.
 """
 
 from __future__ import annotations
@@ -85,25 +88,35 @@ def sample_dither(m: int, cfg: QuantConfig, rng: np.random.Generator) -> np.ndar
     return rng.uniform(0.0, cfg.delta, size=int(m))
 
 
-def _threshold_count(a: np.ndarray, a_prime: np.ndarray, t: float, delta: float) -> np.ndarray:
+def _threshold_count(a: np.ndarray, a_prime: np.ndarray, t: float | np.ndarray, delta: float) -> np.ndarray:
     """Count thresholds k*delta with a guard band of half-width |t|.
 
-    Counts k such that (a - k*delta, a' - k*delta) falls in
-    {u < -t, u' > t} or {u > t, u' < -t}.  The enumeration window is
-    padded by ceil(|t|/delta) + 1 cells on each side, which covers every
-    k that can satisfy the condition.
+    The one place that enumerates thresholds.  Counts k such that
+    (u, u') = (a - k*delta, a' - k*delta) falls in {u < -t, u' > t} or
+    {u > t, u' < -t}; ``a``, ``a_prime`` and ``t`` broadcast together, so
+    t may differ per element.  Every such k lies within pad =
+    ceil(|t|/delta) + 1 cells of the two inputs.  The first and the last
+    2*pad + 1 candidates are enumerated; the thresholds between those
+    two windows clear both guard bands by more than delta, so all of
+    them count and they are added as an integer difference.  Work and
+    memory therefore do not grow with |a - a'|.
     """
-    a, a_prime = np.broadcast_arrays(np.asarray(a, float), np.asarray(a_prime, float))
-    pad = math.ceil(abs(t) / delta) + 1
+    a, a_prime, t = np.broadcast_arrays(np.asarray(a, float), np.asarray(a_prime, float), np.asarray(t, float))
+    pad = np.ceil(np.abs(t) / delta).astype(np.int64) + 1
     lo = np.floor(np.minimum(a, a_prime) / delta).astype(np.int64) - pad
     hi = np.ceil(np.maximum(a, a_prime) / delta).astype(np.int64) + pad
-    width = int((hi - lo).max()) + 1
-    ks = lo[..., None] + np.arange(width, dtype=np.int64)
-    valid = ks <= hi[..., None]
+    span = 2 * pad + 1
+    # the second window follows the first, or ends at hi when the
+    # candidates outnumber two windows
+    second = np.maximum(lo + span, hi - span + 1)
+    j = np.arange(int(span.max(initial=1)), dtype=np.int64)
+    ks = np.concatenate([lo[..., None] + j, second[..., None] + j], axis=-1)
+    valid = np.concatenate([j < span[..., None], ks[..., j.size :] <= hi[..., None]], axis=-1)
     u = a[..., None] - ks * delta
     u_p = a_prime[..., None] - ks * delta
-    hit = ((u < -t) & (u_p > t)) | ((u > t) & (u_p < -t))
-    return np.count_nonzero(hit & valid, axis=-1)
+    tt = t[..., None]
+    hit = ((u < -tt) & (u_p > tt)) | ((u > tt) & (u_p < -tt))
+    return np.count_nonzero(hit & valid, axis=-1) + (second - lo - span)
 
 
 def _d0(a: np.ndarray, a_prime: np.ndarray, delta: float) -> np.ndarray:
@@ -131,15 +144,9 @@ def soft_distance(
     |Q(a) - Q(a')|`` for every input including lattice boundaries.
     ``strict=True`` instead applies the open-interval guard-band rule
     verbatim at t = 0; the two differ only when an input sits exactly on
-    a threshold.
+    a threshold.  This is the 0-d case of ``soft_distance_array``.
     """
-    if not (math.isfinite(a) and math.isfinite(a_prime)):
-        raise ValueError("soft_distance requires finite inputs")
-    t = soft.t
-    if t == 0.0 and not strict:
-        return float(_d0(a, a_prime, cfg.delta))
-    count = _threshold_count(np.float64(a), np.float64(a_prime), t, cfg.delta)
-    return float(cfg.delta * count)
+    return float(soft_distance_array(a, a_prime, soft, cfg, strict))
 
 
 def soft_distance_array(

@@ -33,6 +33,10 @@ guard falls back to ``quantize_with_dither`` and the integer estimator,
 so every estimate equals the exact integer result.  The fit reads
 the per-task (distances, dithers) estimate arrays, not the record list.
 
+The guard-band identity checks of ``selftest`` count thresholds with
+``quantizer._threshold_count``, the counter behind ``soft_distance``,
+with one t per tuple.
+
 Every routine is a pure function of (seed, config); trials are keyed by
 (seed, pair id, trial id), so results do not depend on execution order
 or worker count.  ``measure_qrip`` runs its pair ids on a thread pool
@@ -52,7 +56,7 @@ import numpy as np
 from .embeddings import _PairKernel, quantize_with_dither
 from .linops import LinOp, build
 from .modelsets import ModelSet, sample_pair
-from .quantizer import QuantConfig
+from .quantizer import QuantConfig, _threshold_count
 from .rng import stream
 
 __all__ = [
@@ -478,7 +482,8 @@ def selftest(seed: int = 0, fast: bool = False) -> list[dict]:
     rel = abs(mean_sq - gap) / gap
     add("small-gap-second-moment", rel <= 0.01, f"mean={_fmt(mean_sq)} target={_fmt(gap)} rel={_fmt(rel)}")
 
-    # perturbation sandwich and guard-band bounds, randomized
+    # perturbation sandwich and guard-band bounds, randomized; at
+    # delta = 1 the guarded threshold count is the soft distance
     rng = stream(seed, "selftest:sandwich")
     a = rng.uniform(-3, 3, size=n_tuples)
     b = rng.uniform(-3, 3, size=n_tuples)
@@ -486,29 +491,29 @@ def selftest(seed: int = 0, fast: bool = False) -> list[dict]:
     eps = rng.uniform(0.0, 1.0, size=n_tuples)
     r1 = rng.uniform(-1, 1, size=n_tuples) * eps
     r2 = rng.uniform(-1, 1, size=n_tuples) * eps
-    d_mid = _soft_vec(a + r1, b + r2, t, 1.0)
-    d_up = _soft_vec(a, b, t + eps, 1.0)
-    d_lo = _soft_vec(a, b, t - eps, 1.0)
+    d_mid = _threshold_count(a + r1, b + r2, t, 1.0)
+    d_up = _threshold_count(a, b, t + eps, 1.0)
+    d_lo = _threshold_count(a, b, t - eps, 1.0)
     violations = int(np.count_nonzero((d_up > d_mid) | (d_mid > d_lo)))
     add("perturbation-sandwich", violations == 0, f"tuples={n_tuples} violations={violations}")
 
     s2 = rng.uniform(-1.5, 1.5, size=n_tuples)
-    lhs = np.abs(_soft_vec(a, b, t, 1.0) - _soft_vec(a, b, s2, 1.0))
+    lhs = np.abs(_threshold_count(a, b, t, 1.0) - _threshold_count(a, b, s2, 1.0))
     ok12 = int(np.count_nonzero(lhs > 4.0 * (1.0 + np.abs(t - s2)) + 1e-12))
     add("guard-band-shift-bound", ok12 == 0, f"tuples={n_tuples} violations={ok12}")
 
-    lhs13 = np.abs(_soft_vec(a, b, t, 1.0) - np.abs(a - b))
+    lhs13 = np.abs(_threshold_count(a, b, t, 1.0) - np.abs(a - b))
     ok13 = int(np.count_nonzero(lhs13 > 4.0 * (1.0 + np.abs(t)) + 1e-12))
     add("soft-vs-true-gap-bound", ok13 == 0, f"tuples={n_tuples} violations={ok13}")
 
-    mono = np.count_nonzero(_soft_vec(a, b, np.abs(t), 1.0) > _soft_vec(a, b, -np.abs(t), 1.0))
+    mono = np.count_nonzero(_threshold_count(a, b, np.abs(t), 1.0) > _threshold_count(a, b, -np.abs(t), 1.0))
     add("guard-band-monotonicity", mono == 0, f"tuples={n_tuples} violations={int(mono)}")
 
     # guarded-mean bound: |E d^t(a+xi, a'+xi) - |a-a'|| <= 4|t| (+ MC margin)
     rng = stream(seed, "selftest:guardmean")
     a0, b0, t0 = 0.3, 1.1, 0.2
     xi = rng.uniform(0.0, 1.0, size=n_mc // 10)
-    vals = _soft_vec(a0 + xi, b0 + xi, np.full(xi.size, t0), 1.0)
+    vals = _threshold_count(a0 + xi, b0 + xi, t0, 1.0)
     margin = 4.0 * float(vals.std()) / math.sqrt(xi.size)
     dev = abs(float(vals.mean()) - abs(a0 - b0))
     add("guarded-mean-bound", dev <= 4 * abs(t0) + margin, f"dev={_fmt(dev)} bound={_fmt(4 * abs(t0) + margin)}")
@@ -531,24 +536,6 @@ def selftest(seed: int = 0, fast: bool = False) -> list[dict]:
     add("code-roundtrip", deserialize(serialize(blk)) == blk, "64x1 block, i16 width")
 
     return checks
-
-
-def _soft_vec(a, b, t, delta):
-    """Strict guard-band distances for per-element t values (vectorized)."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    t = np.asarray(t, float)
-    pad = np.ceil(np.abs(t) / delta).astype(np.int64) + 1
-    lo = np.floor(np.minimum(a, b) / delta).astype(np.int64) - pad
-    hi = np.ceil(np.maximum(a, b) / delta).astype(np.int64) + pad
-    width = int((hi - lo).max()) + 1
-    ks = lo[..., None] + np.arange(width, dtype=np.int64)
-    valid = ks <= hi[..., None]
-    u = a[..., None] - ks * delta
-    v = b[..., None] - ks * delta
-    tt = t[..., None]
-    hit = ((u < -tt) & (v > tt)) | ((u > tt) & (v < -tt))
-    return delta * np.count_nonzero(hit & valid, axis=-1)
 
 
 # ---------------------------------------------------------------------------

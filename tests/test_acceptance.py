@@ -36,7 +36,7 @@ from qembed import (
 from qembed.embeddings import CodeBlock
 from qembed.linops import circular_convolve_counted, fwht_counted
 from qembed.rng import stream
-from qembed.verify import _soft_vec
+from qembed.quantizer import _threshold_count
 
 GRID = [0.05, 0.2, 1.0, 5.0, 10.0]
 
@@ -94,20 +94,20 @@ def test_03_soft_distance_suite():
 
     sandwich = int(
         np.count_nonzero(
-            (_soft_vec(a, b, t + eps, 1.0) > _soft_vec(a + r1, b + r2, t, 1.0))
-            | (_soft_vec(a + r1, b + r2, t, 1.0) > _soft_vec(a, b, t - eps, 1.0))
+            (_threshold_count(a, b, t + eps, 1.0) > _threshold_count(a + r1, b + r2, t, 1.0))
+            | (_threshold_count(a + r1, b + r2, t, 1.0) > _threshold_count(a, b, t - eps, 1.0))
         )
     )
     shift = int(
         np.count_nonzero(
-            np.abs(_soft_vec(a, b, t, 1.0) - _soft_vec(a, b, s, 1.0))
+            np.abs(_threshold_count(a, b, t, 1.0) - _threshold_count(a, b, s, 1.0))
             > 4 * (1 + np.abs(t - s)) + 1e-12
         )
     )
     versus = int(
-        np.count_nonzero(np.abs(_soft_vec(a, b, t, 1.0) - np.abs(a - b)) > 4 * (1 + np.abs(t)) + 1e-12)
+        np.count_nonzero(np.abs(_threshold_count(a, b, t, 1.0) - np.abs(a - b)) > 4 * (1 + np.abs(t)) + 1e-12)
     )
-    mono = int(np.count_nonzero(_soft_vec(a, b, np.abs(t), 1.0) > _soft_vec(a, b, -np.abs(t), 1.0)))
+    mono = int(np.count_nonzero(_threshold_count(a, b, np.abs(t), 1.0) > _threshold_count(a, b, -np.abs(t), 1.0)))
     assert sandwich == shift == versus == mono == 0
     _report(3, "soft-distance suite", f"{n} tuples x 4 properties, 0 violations")
 

@@ -148,7 +148,11 @@ class TestEmbedDistance:
             "--input", str(vec), "--delta", "1", "--out", str(out),
         )
         assert code == 1 and "--n1*--n2" in err
-
+        code, _, err = run_cli(
+            capsys, "embed", "--family", "rop", "--m", "16", "--n1", "3", "--n2", "4",
+            "--input", str(vec), "--delta", "1", "--layout", "bidither", "--out", str(out),
+        )
+        assert code == 1 and err == "error: family rop: only the single layout is supported\n"
 
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e300"])
     def test_unquantizable_input_exit_1(self, tmp_path, capsys, entry):

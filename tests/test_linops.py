@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qembed import build, build_rop, linops, rop_apply
-from qembed.linops import circular_convolve_counted, fwht, fwht_counted
+from qembed import QuantConfig, build, build_rop, embed_rop, linops
+from qembed.linops import LinOp, RopOp, circular_convolve_counted, fwht, fwht_counted
 from qembed.rng import stream
 
 ALL_FAMILIES = [
@@ -244,8 +244,61 @@ class TestFastTransforms:
         assert np.allclose(y[op.rows], op.matvec(x))
         assert ops <= 3 * n * math.log2(n)
 
+    @pytest.mark.parametrize(
+        "family,counted",
+        [("subsampled_hadamard", "fwht_counted"), ("random_convolution", "circular_convolve_counted")],
+    )
+    def test_matvec_runs_the_counted_transform(self, family, counted, monkeypatch):
+        # the op counts of test_04 are taken on the transform matvec runs
+        op = build(family, 32, 64, seed=35)
+        x = stream(36, "test:spy").standard_normal(64)
+        expected = op.matvec(x)
+        calls = []
+        real = getattr(linops, counted)
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(linops, counted, spy)
+        assert np.array_equal(op.matvec(x), expected)
+        assert len(calls) == 1
+
+    def test_convolution_count_defined_for_every_n(self):
+        for n in range(1, 130):
+            x = stream(37, "test:conv-any-n", n).standard_normal(n)
+            g = stream(38, "test:conv-any-n", n).standard_normal(n)
+            y, ops = circular_convolve_counted(np.fft.rfft(g), x)
+            ref = g[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n] @ x
+            assert np.allclose(y, ref, rtol=1e-9, atol=1e-9)
+            assert isinstance(ops, int) and ops >= n // 2 + 1
+            if n >= 2:
+                assert ops <= 3 * n * math.log2(n)
+        # two length-n real FFTs at (n/2) log2 n each, plus n/2 + 1 products
+        x = stream(39, "test:conv-4096").standard_normal(4096)
+        assert circular_convolve_counted(np.fft.fft(x), x)[1] == 4096 * 12 + 2049
+
 
 class TestRankOneProbes:
+    def test_is_a_linop(self):
+        op = build_rop(7, 3, 4, seed=41, kappa=2.0)
+        assert isinstance(op, LinOp) and isinstance(op, RopOp)
+        assert (op.family, op.m, op.n, op.n1, op.n2, op.kappa) == ("rop", 7, 12, 3, 4, 2.0)
+        assert op.rip_profile == (2.0, 2.0) and op.mu == 0.5
+        u = stream(42, "test:rop-linop").standard_normal((3, 4))
+        ref = 2.0 * np.einsum("mi,ij,mj->m", op.probes_left, u, op.probes_right)
+        assert np.array_equal(op.matvec(u.ravel()), ref)
+        assert np.allclose(op.dense() @ u.ravel(), ref, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError):
+            op.matvec(np.zeros(11))
+
+    def test_second_moment_profile(self):
+        # (mu**2 / m) * ||op(U)||_2**2 concentrates around ||U||_F**2
+        op = build_rop(4096, 6, 5, seed=43, kappa=3.0)
+        u = stream(44, "test:rop-moment").standard_normal(30)
+        val = op.mu**2 / op.m * float(np.sum(op.matvec(u) ** 2))
+        assert val == pytest.approx(float(u @ u), rel=0.15)
+
     def test_basis_probe(self):
         op = build_rop(1, 3, 3, seed=28)
         probes_l = np.zeros((1, 3))
@@ -254,16 +307,16 @@ class TestRankOneProbes:
         object.__setattr__(op, "probes_right", probes_l.copy())
         u = np.zeros((3, 3))
         u[0, 0] = 1.0
-        assert rop_apply(op, u) == pytest.approx([1.0])
+        assert op.matvec(u.ravel()) == pytest.approx([1.0])
 
     def test_zero_matrix(self):
         op = build_rop(5, 4, 3, seed=29)
-        assert np.allclose(rop_apply(op, np.zeros((4, 3))), 0.0)
+        assert np.allclose(op.matvec(np.zeros((4, 3)).ravel()), 0.0)
 
     def test_double_sum_oracle(self):
         op = build_rop(6, 3, 3, seed=30)
         u = stream(31, "test:rop").standard_normal((3, 3))
-        got = rop_apply(op, u)
+        got = op.matvec(u.ravel())
         for i in range(6):
             ref = sum(
                 op.probes_left[i, a] * u[a, b] * op.probes_right[i, b]
@@ -281,7 +334,7 @@ class TestRankOneProbes:
     def test_shape_mismatch(self):
         op = build_rop(5, 4, 3, seed=32)
         with pytest.raises(ValueError):
-            rop_apply(op, np.zeros((3, 4)))
+            embed_rop(op, np.zeros((3, 4)), np.zeros(5), QuantConfig(1.0))
 
     def test_rub_coarse_bound(self):
         # rank-one unit-Frobenius inputs keep the mean absolute
@@ -291,7 +344,7 @@ class TestRankOneProbes:
         for _ in range(100):
             u = np.outer(rng.standard_normal(16), rng.standard_normal(16))
             u /= np.linalg.norm(u, "fro")
-            val = np.abs(rop_apply(op, u)).mean()
+            val = np.abs(op.matvec(u.ravel())).mean()
             assert 0.2 <= val <= 3.0
 
 

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qembed import (
     QuantConfig,
@@ -14,7 +17,7 @@ from qembed import (
     soft_premetric_l1,
     soft_premetric_l2,
 )
-from qembed.quantizer import soft_distance_array
+from qembed.quantizer import _threshold_count, soft_distance_array
 from qembed.rng import stream
 
 
@@ -131,6 +134,60 @@ class TestSoftDistance:
             )
 
 
+def _full_count(a, b, t, delta):
+    """Reference: test every candidate threshold between the inputs."""
+    pad = math.ceil(abs(t) / delta) + 1
+    count = 0
+    for k in range(math.floor(min(a, b) / delta) - pad, math.ceil(max(a, b) / delta) + pad + 1):
+        u, v = a - k * delta, b - k * delta
+        if (u < -t and v > t) or (u > t and v < -t):
+            count += 1
+    return count
+
+
+_DELTAS = st.sampled_from([1.0, 0.37, 2.5, 0.05])
+_VALUES = st.floats(-40.0, 40.0, allow_nan=False)
+
+
+class TestThresholdCount:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(_VALUES, _VALUES, st.floats(-3.0, 3.0, allow_nan=False)), min_size=1, max_size=8),
+        _DELTAS,
+        st.booleans(),
+    )
+    @example([(0.0, 10.0, 0.0), (3.0, -3.0, -0.0), (0.5, 0.5, 0.5)], 1.0, True)
+    def test_matches_full_enumeration(self, rows, delta, on_lattice):
+        a, b, t = (np.array(col) for col in zip(*rows))
+        if on_lattice:  # inputs on thresholds, and ties
+            a, b = np.round(a) * delta, np.round(b) * delta
+        ref = [_full_count(x, y, z, delta) for x, y, z in zip(a, b, t)]
+        # per-element t, and each tuple through the scalar entry point
+        assert _threshold_count(a, b, t, delta).tolist() == ref
+        for x, y, z, r in zip(a, b, t, ref):
+            got = soft_distance(x, y, SoftParam(z), QuantConfig(delta), strict=True)
+            assert got == delta * r
+
+    def test_far_apart_inputs_exact(self):
+        cfg = QuantConfig(1.0)
+        assert soft_distance(0.0, 1e12, SoftParam(0.1), cfg) == 999999999999.0
+        assert soft_distance(1e12, 0.0, SoftParam(-0.1), cfg) == 1e12 + 1
+        got = soft_distance_array(np.array([0.0, -5e11]), np.array([1e12, 5e11]), SoftParam(0.1), cfg)
+        assert got.tolist() == [999999999999.0, 999999999999.0]
+
+    def test_memory_does_not_grow_with_the_gap(self):
+        cfg, soft = QuantConfig(1.0), SoftParam(0.1)
+        peaks = []
+        for gap in (1e3, 1e9, 1e12):
+            tracemalloc.start()
+            try:
+                soft_distance(0.0, gap, soft, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 64 * 1024
+
+
 class TestPremetrics:
     def test_premetric_examples(self):
         assert premetric([0, 1], [1, 3], 1) == pytest.approx(1.5)
@@ -225,34 +282,26 @@ class TestDeterministicBounds:
         eps = rng.uniform(0, 1, size=self.N)
         r1 = rng.uniform(-1, 1, size=self.N) * eps
         r2 = rng.uniform(-1, 1, size=self.N) * eps
-        from qembed.verify import _soft_vec
-
-        mid = _soft_vec(a + r1, b + r2, t, 1.0)
-        hi = _soft_vec(a, b, t - eps, 1.0)
-        lo = _soft_vec(a, b, t + eps, 1.0)
+        mid = _threshold_count(a + r1, b + r2, t, 1.0)
+        hi = _threshold_count(a, b, t - eps, 1.0)
+        lo = _threshold_count(a, b, t + eps, 1.0)
         assert int(np.count_nonzero((lo > mid) | (mid > hi))) == 0
 
     def test_guard_band_shift_bound(self):
         rng, a, b, t = self._tuples()
         s = rng.uniform(-1.5, 1.5, size=self.N)
-        from qembed.verify import _soft_vec
-
-        gap = np.abs(_soft_vec(a, b, t, 1.0) - _soft_vec(a, b, s, 1.0))
+        gap = np.abs(_threshold_count(a, b, t, 1.0) - _threshold_count(a, b, s, 1.0))
         assert int(np.count_nonzero(gap > 4 * (1.0 + np.abs(t - s)) + 1e-12)) == 0
 
     def test_soft_vs_true_gap_bound(self):
         _, a, b, t = self._tuples()
-        from qembed.verify import _soft_vec
-
-        gap = np.abs(_soft_vec(a, b, t, 1.0) - np.abs(a - b))
+        gap = np.abs(_threshold_count(a, b, t, 1.0) - np.abs(a - b))
         assert int(np.count_nonzero(gap > 4 * (1.0 + np.abs(t)) + 1e-12)) == 0
 
     def test_monotone_in_t(self):
         _, a, b, t = self._tuples()
-        from qembed.verify import _soft_vec
-
-        hi = _soft_vec(a, b, -np.abs(t), 1.0)
-        lo = _soft_vec(a, b, np.abs(t), 1.0)
+        hi = _threshold_count(a, b, -np.abs(t), 1.0)
+        lo = _threshold_count(a, b, np.abs(t), 1.0)
         mid = soft_distance_array(a, b, SoftParam(0.0), QuantConfig(1.0))
         assert int(np.count_nonzero(lo > hi)) == 0
         # the quantizer-tied zero-band count sits inside the chain
@@ -274,13 +323,11 @@ class TestDitherIdentities:
     def test_guarded_mean_bound(self):
         # |E d^t(a+xi, a'+xi) - |a-a'|| <= 4|t|, with an MC margin
         rng = stream(12, "test:guarded-mean")
-        from qembed.verify import _soft_vec
-
         n = 200_000
         for t in (0.15, -0.3):
             a, b = 0.4, 1.7
             xi = rng.uniform(0, 1, size=n)
-            vals = _soft_vec(a + xi, b + xi, np.full(n, t), 1.0)
+            vals = _threshold_count(a + xi, b + xi, np.full(n, t), 1.0)
             margin = 4 * vals.std() / math.sqrt(n)
             assert abs(vals.mean() - abs(a - b)) <= 4 * abs(t) + margin
 

@@ -15,12 +15,12 @@ from qembed import (
     selftest,
     sparse,
 )
+from qembed.quantizer import _threshold_count
 from qembed.rng import stream
 from qembed.verify import (
     RECORD_COLUMNS,
     SUMMARY_COLUMNS,
     _default_workers,
-    _soft_vec,
     power_law_slope,
     records_csv,
     summary_csv,
@@ -266,11 +266,11 @@ class TestEndToEndInvariants:
             eps = rng.uniform(0, 0.5)
             r1 = rng.uniform(-eps, eps, size=256)
             r2 = rng.uniform(-eps, eps, size=256)
-            d_mid = np.asarray(_soft_vec(a + r1, b + r2, t, 1.0))
-            assert np.all(_soft_vec(a, b, t + eps, 1.0) <= d_mid)
-            assert np.all(d_mid <= _soft_vec(a, b, t - eps, 1.0))
-            assert np.all(np.abs(_soft_vec(a, b, t, 1.0) - _soft_vec(a, b, s, 1.0)) <= 4 * (1 + np.abs(t - s)) + 1e-12)
-            assert np.all(np.abs(_soft_vec(a, b, t, 1.0) - np.abs(a - b)) <= 4 * (1 + np.abs(t)) + 1e-12)
+            d_mid = np.asarray(_threshold_count(a + r1, b + r2, t, 1.0))
+            assert np.all(_threshold_count(a, b, t + eps, 1.0) <= d_mid)
+            assert np.all(d_mid <= _threshold_count(a, b, t - eps, 1.0))
+            assert np.all(np.abs(_threshold_count(a, b, t, 1.0) - _threshold_count(a, b, s, 1.0)) <= 4 * (1 + np.abs(t - s)) + 1e-12)
+            assert np.all(np.abs(_threshold_count(a, b, t, 1.0) - np.abs(a - b)) <= 4 * (1 + np.abs(t)) + 1e-12)
 
     def test_l2sq_floor_grows_below_delta(self):
         # the squared-route residual per unit distance increases as the
