@@ -356,7 +356,7 @@ def _cmd_qrip(args) -> int:
     _atomic_write(args.out, header + records_csv(run))
     summary_path = args.summary or args.out + ".summary.csv"
     _atomic_write(summary_path, header + summary_csv(run))
-    print(f"eps_L_hat={format(run.fit.eps_L_hat, '.12g')} records={len(run.records)} -> {args.out}")
+    print(f"eps_L_hat={format(run.fit.eps_L_hat, '.12g')} records={run.estimates.size} -> {args.out}")
     return 0
 
 

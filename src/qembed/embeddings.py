@@ -8,7 +8,10 @@ estimators carry no float accumulation error.
 Monte Carlo sweeps quantize one measurement pair under many dithers;
 ``_PairKernel`` fuses dither sampling, quantization and estimation for
 that case and returns the same estimates as ``quantize_with_dither``
-followed by ``_estimate_from_codes``.
+followed by ``_estimate_from_codes``.  Its ``trials`` method runs many
+trials of a pair from their keyed generator states; below
+``_BLOCK_MAX`` dither entries per trial it quantizes the trials as one
+block, which cuts the per-call overhead that dominates small m.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linops import LinOp, RopOp
-from .quantizer import QuantConfig
+from .quantizer import QuantConfig, _int64_cells
 
 __all__ = [
     "CodeBlock",
@@ -40,8 +43,15 @@ _VERSION = 1
 _LAYOUT_CODES = {"single": 1, "bidither": 2}
 _LAYOUT_NAMES = {v: k for k, v in _LAYOUT_CODES.items()}
 _WIDTH_DTYPES = {0: "<i1", 1: "<i2", 2: "<i4"}
-_INT64_SPAN = 2.0**63
 _U64 = 0xFFFFFFFFFFFFFFFF
+# ``_PairKernel.trials`` quantizes dither blocks (cols * m entries) of at
+# most _BLOCK_MAX entries as one (trials, cols, m) block, _BLOCK_ENTRIES
+# (256 KiB of float64) per buffer.  With 16 trials on 2 cores, blocked
+# against per-trial ran 2.4-3.0x at 128-512 entries, 1.6-1.9x at 1024
+# and 2048, 1.2-1.3x at 4096, 1.03-1.08x at 8192 and 0.93-0.97x at 16384
+# (l1 and circ alike).
+_BLOCK_MAX = 2**12
+_BLOCK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -120,10 +130,7 @@ def quantize_with_dither(values: np.ndarray, dither: np.ndarray, cfg: QuantConfi
         return np.zeros(values.shape, dtype=np.int64)
     if not (dither.min() >= 0 and dither.max() < cfg.delta):
         raise ValueError("dither entries must lie in [0, delta)")
-    cells = np.floor((values + dither) / cfg.delta)
-    if not (-_INT64_SPAN <= cells.min() and cells.max() < _INT64_SPAN):
-        raise ValueError("measurements must be finite with cell indices inside the int64 range")
-    return cells.astype(np.int64)
+    return _int64_cells(np.floor((values + dither) / cfg.delta))
 
 
 def embed(
@@ -233,45 +240,66 @@ class _PairKernel:
     (cols = 2 for circ, else 1).  The block holds, bit for bit, the
     values of ``cols`` back-to-back ``sample_dither`` calls on ``rng``,
     and the estimate equals ``_estimate_from_codes`` on the codes of
-    ``quantize_with_dither``.
+    ``quantize_with_dither``.  ``trials`` runs a whole run of trials,
+    each from its own keyed generator state; ``load`` points the kernel
+    at the next pair and keeps its buffers.
 
     The arithmetic runs in float64 buffers owned by the instance, so an
     instance must not be shared between threads.  It is exact under two
     guards: cell indices below 2**52 in magnitude (checked once, from
     max |y| / delta) are exact doubles, and gap sums and products are
     exact while ``m * max gap`` (l1) or ``m * max gap1 * max gap2``
-    (l2sq, circ) stays below 2**53 (checked per call).  A call that
+    (l2sq, circ) stays below 2**53 (checked per trial).  A trial that
     fails either guard takes the integer path instead.
     """
 
     def __init__(self, y: np.ndarray, y_prime: np.ndarray, mode: str, cfg: QuantConfig):
         if mode not in ("l1", "l2sq", "circ"):
             raise ValueError(f"unknown mode {mode!r}; choose l1, l2sq or circ")
-        self.y = np.asarray(y, dtype=float)
-        self.y_prime = np.asarray(y_prime, dtype=float)
-        if self.y.ndim != 1 or self.y.size < 1 or self.y.shape != self.y_prime.shape:
-            raise ValueError(f"measurement pair must be two equal-length vectors, got {self.y.shape} and {self.y_prime.shape}")
         self.mode = mode
         self.cfg = cfg
-        shape = (2 if mode == "circ" else 1, self.y.size)
-        self.dither, self._a, self._b = np.empty(shape), np.empty(shape), np.empty(shape)
+        self.dither = None
+        self.load(y, y_prime)
+
+    def load(self, y: np.ndarray, y_prime: np.ndarray) -> None:
+        """Make (y, y') the kernel's pair; buffers of the same shape are kept."""
+        y = np.asarray(y, dtype=float)
+        y_prime = np.asarray(y_prime, dtype=float)
+        if y.ndim != 1 or y.size < 1 or y.shape != y_prime.shape:
+            raise ValueError(f"measurement pair must be two equal-length vectors, got {y.shape} and {y_prime.shape}")
+        self.y, self.y_prime = y, y_prime
+        shape = (2 if self.mode == "circ" else 1, y.size)
+        if self.dither is None or self.dither.shape != shape:
+            self.dither, self._a, self._b = np.empty(shape), np.empty(shape), np.empty(shape)
+            self._block = None
         # NaN or inf fails the comparison, so non-finite pairs take the
         # checked path, which rejects them.
-        peak = max(float(np.abs(self.y).max()), float(np.abs(self.y_prime).max()))
-        self._fast = peak / cfg.delta + 1 < 2.0**52
+        peak = max(float(np.abs(y).max()), float(np.abs(y_prime).max()))
+        self._fast = peak / self.cfg.delta + 1 < 2.0**52
 
     def __call__(self, rng: np.random.Generator) -> float:
-        d, a, b = self.dither, self._a, self._b
+        d = self.dither
         delta = self.cfg.delta
         # rng.uniform(0, delta) computes 0 + delta * u from the same
         # doubles u in [0, 1) that rng.random yields; 0 + x == x and
         # x * 1.0 == x.  Only delta * u rounding up to delta can leave the
-        # range, so the range check below needs only the maximum.
+        # range, so the range check in _estimates needs only the maximum.
         rng.random(out=d)
         if delta != 1.0:
             np.multiply(d, delta, out=d)
         if not self._fast:
             return self._checked()
+        return self._estimates(d[None], self._a[None], self._b[None])[0]
+
+    def _estimates(self, d: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[float]:
+        """Estimates of every dither row of the (rows, cols, m) block ``d``.
+
+        ``a`` and ``b`` are scratch of the same shape.  Under the guards
+        every row sum is an exact integer in float64, so the reduction
+        order cannot change a value; a row that fails the sum guard takes
+        the integer path over its own dither row.
+        """
+        delta = self.cfg.delta
         if d.max() >= delta:
             raise ValueError("dither entries must lie in [0, delta)")
         np.add(self.y, d, out=a)
@@ -283,15 +311,57 @@ class _PairKernel:
         np.floor(b, out=b)
         np.subtract(a, b, out=a)
         g = np.abs(a, out=a)
-        m = g.shape[1]
-        peaks = [int(p) for p in g.max(axis=1)]
+        m = g.shape[-1]
         if self.mode == "l1":
-            if m * peaks[0] >= 2**53:
-                return self._checked()
-            return delta * float(g.sum()) / m
-        if m * peaks[0] * peaks[-1] >= 2**53:
-            return self._checked()
-        return delta * delta * float(np.einsum("i,i->", g[0], g[-1])) / m
+            scale = delta
+            sums = g[:, 0].sum(axis=1).tolist()
+            bounds = [m * int(p) for p in g[:, 0].max(axis=1).tolist()]
+        else:
+            scale = delta * delta
+            sums = np.einsum("ti,ti->t", g[:, 0], g[:, -1]).tolist()
+            bounds = [m * int(p[0]) * int(p[-1]) for p in g.max(axis=2).tolist()]
+        ests = []
+        for row, total, bound in zip(d, sums, bounds):
+            if bound >= 2**53:
+                self.dither[...] = row
+                ests.append(self._checked())
+            else:
+                ests.append(scale * total / m)
+        return ests
+
+    def trials(self, gen: np.random.Generator, states, out: np.ndarray) -> np.ndarray:
+        """Estimates of a run of trials into ``out``; returns ``out``.
+
+        Trial t draws from ``gen`` with its bit generator set to
+        ``states[t]`` (see ``rng._stream_states``), so ``out[t]`` equals
+        this kernel called on that keyed stream.  Dither blocks of at
+        most ``_BLOCK_MAX`` entries are quantized up to
+        ``_BLOCK_ENTRIES`` at a time, as one (trials, cols, m) block
+        with per-trial guards; a pair that fails the 2**52 guard, or a
+        larger block, runs trial by trial.
+        """
+        cols, m = self.dither.shape
+        if not self._fast or cols * m > _BLOCK_MAX:
+            for t, state in enumerate(states):
+                gen.bit_generator.state = state
+                out[t] = self(gen)
+            return out
+        if self._block is None:
+            rows = max(1, min(_BLOCK_ENTRIES // (cols * m), len(states)))
+            self._block = tuple(np.empty((rows, cols, m)) for _ in range(3))
+        rows = self._block[0].shape[0]
+        for t0 in range(0, len(states), rows):
+            self._trial_block(gen, states[t0 : t0 + rows], out[t0 : t0 + rows])
+        return out
+
+    def _trial_block(self, gen, states, out) -> None:
+        d, a, b = (buf[: len(states)] for buf in self._block)
+        for row, state in zip(d, states):
+            gen.bit_generator.state = state
+            gen.random(out=row)
+        if self.cfg.delta != 1.0:
+            np.multiply(d, self.cfg.delta, out=d)
+        out[:] = self._estimates(d, a, b)
 
     def _checked(self) -> float:
         """The integer path over the current dither block."""

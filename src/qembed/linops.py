@@ -22,10 +22,11 @@ copy of the matrix.
 from __future__ import annotations
 
 import math
+import mmap
 
 import numpy as np
 
-from .rng import stream
+from .rng import _stream_states, stream
 
 __all__ = [
     "LinOp",
@@ -49,6 +50,19 @@ FAMILIES = (
 # Dense-cache ceiling: 2**24 float64 entries (128 MiB).  Larger dense
 # families stream their rows per matvec from the same keyed generators.
 _DENSE_CACHE_MAX = 1 << 24
+
+
+def _row_buffer(rows: int, n: int) -> np.ndarray:
+    """A fresh (rows, n) float64 buffer for dense rows to fill.
+
+    The buffer is an anonymous mapping of its own, unmapped when the
+    last array using it goes away.  From the malloc heap, caches of
+    different sizes built one after another (a decay sweep builds
+    m = 128 ... 8192) fragmented it, and peak RSS grew by about one
+    cache.
+    """
+    buf = mmap.mmap(-1, max(rows * n * 8, 8))  # a mapping cannot be empty
+    return np.frombuffer(buf, dtype=float, count=rows * n).reshape(rows, n)
 
 
 def _is_pow2(n: int) -> bool:
@@ -150,11 +164,14 @@ class LinOp:
 class _DenseIIDOp(LinOp):
     """Shared machinery for i.i.d.-entry families.
 
-    Row i is drawn from the stream keyed by (seed, family-label, i), so
-    matvec and dense materialization agree without ever storing the
-    matrix unless it fits the cache budget.  Each 64-row block is filled
-    in place (``_fill_row_block``) into a view of one ``np.empty`` buffer,
-    so building the cache, or one streamed slice, holds one copy of it.
+    The 64-row block starting at row b is drawn from the stream keyed
+    by (seed, family-label, b), so matvec and dense materialization
+    agree without ever storing the matrix unless it fits the cache
+    budget.  Each block is filled in place (``_fill_row_block``) into a
+    view of one ``_row_buffer``, so building the cache, or one streamed
+    slice, holds one copy of it.  One ``_rows`` call derives its block
+    states in one batched pass (``rng._stream_states``) and draws them
+    through a generator of its own, so matvec stays reentrant.
     """
 
     _row_label = "rows"
@@ -175,10 +192,13 @@ class _DenseIIDOp(LinOp):
         blk = 64
         first = (start // blk) * blk
         last = min(self.m, -(-stop // blk) * blk)
-        full = np.empty((last - first, self.n))
-        for b0 in range(first, last, blk):
-            rng = stream(self.seed, f"{self.family}:{self._row_label}", b0)
-            self._fill_row_block(rng, full[b0 - first : min(b0 + blk, last) - first])
+        full = _row_buffer(last - first, self.n)
+        starts = np.arange(first, last, blk)
+        states = _stream_states(self.seed, f"{self.family}:{self._row_label}", starts[:, None])
+        gen = np.random.default_rng(0)
+        for b0, state in zip(starts.tolist(), states):
+            gen.bit_generator.state = state
+            self._fill_row_block(gen, full[b0 - first : min(b0 + blk, last) - first])
         return full[start - first : stop - first]
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
@@ -275,10 +295,12 @@ class RandomConvolutionOp(LinOp):
 class ExpanderOp(LinOp):
     """0/1 adjacency of a random left-d-regular bipartite graph.
 
-    Each input node connects to d distinct output nodes chosen uniformly;
-    matvec accumulates in O(n*d).  Declared scaling makes the normalized
-    functional (mu**p / m) * ||A x||_p**p equal to (1/d**p) * ||A x||_p**p,
-    which equals ||x||_p**p exactly on nonnegative inputs for p=1.
+    Each input node j connects to d distinct output nodes chosen
+    uniformly from the stream keyed by (seed, "expander:nbrs", j); the n
+    states come from one batched pass.  matvec accumulates in O(n*d).
+    Declared scaling makes the normalized functional
+    (mu**p / m) * ||A x||_p**p equal to (1/d**p) * ||A x||_p**p, which
+    equals ||x||_p**p exactly on nonnegative inputs for p=1.
     """
 
     family = "expander"
@@ -292,8 +314,10 @@ class ExpanderOp(LinOp):
         super().__init__(m, n, seed, mu=m ** (1.0 / p) / degree, rip_profile=(p, p))
         self.degree = int(degree)
         nbrs = np.empty((n, degree), dtype=np.int64)
-        for j in range(n):
-            nbrs[j] = stream(seed, "expander:nbrs", j).choice(m, size=degree, replace=False)
+        gen = np.random.default_rng(0)
+        for j, state in enumerate(_stream_states(seed, "expander:nbrs", np.arange(n)[:, None])):
+            gen.bit_generator.state = state
+            nbrs[j] = gen.choice(m, size=degree, replace=False)
         self.neighbors = nbrs
         self.neighbors.setflags(write=False)
 

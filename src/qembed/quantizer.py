@@ -10,6 +10,9 @@ them), which restores a form of continuity that the plain count lacks.
 ``_threshold_count`` is the one guard-band counter: ``soft_distance``
 and ``soft_distance_array`` use it with one t, the identity self-tests
 with a t per element.
+
+Cell indices are int64.  Inputs whose indices do not fit raise a
+one-line ValueError (``_int64_cells``) instead of wrapping around.
 """
 
 from __future__ import annotations
@@ -32,6 +35,17 @@ __all__ = [
     "soft_premetric_l2",
     "premetric_circ",
 ]
+
+
+_INT64_SPAN = 2.0**63
+_OUT_OF_RANGE = "measurements must be finite with cell indices inside the int64 range"
+
+
+def _int64_cells(cells: np.ndarray) -> np.ndarray:
+    """Float cell indices as int64; ValueError when one is NaN or does not fit."""
+    if cells.size and not (-_INT64_SPAN <= cells.min() and cells.max() < _INT64_SPAN):
+        raise ValueError(_OUT_OF_RANGE)
+    return cells.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -74,11 +88,15 @@ def quantize(value: float, cfg: QuantConfig) -> tuple[int, float]:
 
 
 def cell_indices(values: np.ndarray, cfg: QuantConfig) -> np.ndarray:
-    """Vectorized cell indices floor(v/delta) as int64."""
+    """Vectorized cell indices floor(v/delta) as int64.
+
+    Raises ValueError for non-finite inputs and for indices outside the
+    int64 range (|v| / delta >= 2**63).
+    """
     v = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("cell_indices requires finite inputs")
-    return np.floor(v / cfg.delta).astype(np.int64)
+    return _int64_cells(np.floor(v / cfg.delta))
 
 
 def sample_dither(m: int, cfg: QuantConfig, rng: np.random.Generator) -> np.ndarray:
@@ -100,11 +118,27 @@ def _threshold_count(a: np.ndarray, a_prime: np.ndarray, t: float | np.ndarray, 
     two windows clear both guard bands by more than delta, so all of
     them count and they are added as an integer difference.  Work and
     memory therefore do not grow with |a - a'|.
+
+    The candidates are int64 cell indices.  Inputs whose cells do not
+    fit int64 raise the ValueError of ``_int64_cells``.  Inputs whose
+    cells fit, but whose guard-banded windows reach past int64 or whose
+    count could exceed it, raise a ValueError of their own; the float
+    bounds below reject every such case, since rounding is monotone.
     """
     a, a_prime, t = np.broadcast_arrays(np.asarray(a, float), np.asarray(a_prime, float), np.asarray(t, float))
-    pad = np.ceil(np.abs(t) / delta).astype(np.int64) + 1
-    lo = np.floor(np.minimum(a, a_prime) / delta).astype(np.int64) - pad
-    hi = np.ceil(np.maximum(a, a_prime) / delta).astype(np.int64) + pad
+    pad_f = np.ceil(np.abs(t) / delta)
+    lo_f = np.floor(np.minimum(a, a_prime) / delta)
+    hi_f = np.ceil(np.maximum(a, a_prime) / delta)
+    if a.size:
+        if not (-_INT64_SPAN <= lo_f.min() and hi_f.max() < _INT64_SPAN):
+            raise ValueError(_OUT_OF_RANGE)
+        # every candidate lies within 3 * max(pad) + 1 cells of [lo, hi]
+        reach = 3 * pad_f.max() + 4
+        if not (-_INT64_SPAN < lo_f.min() - reach and hi_f.max() + reach < _INT64_SPAN and (hi_f - lo_f).max() < _INT64_SPAN):
+            raise ValueError("soft distance: the guard-banded threshold window leaves the int64 range")
+    pad = pad_f.astype(np.int64) + 1
+    lo = lo_f.astype(np.int64) - pad
+    hi = hi_f.astype(np.int64) + pad
     span = 2 * pad + 1
     # the second window follows the first, or ends at hi when the
     # candidates outnumber two windows

@@ -4,15 +4,37 @@ Every stochastic routine in this package draws from a stream keyed by
 (master seed, purpose label, indices).  Two calls with the same key yield
 identical draws, independent of call order, which is what makes trials
 safe to run on any number of workers and reports bit-reproducible.
+
+``stream`` builds one keyed generator through numpy's ``SeedSequence``
+and is the reference.  Loops over many keys use ``_stream_states``
+instead: it derives the PCG64 states of a whole batch of keys in one
+vectorized pass (``SeedSequence``'s hash mix over uint32 arrays, then
+PCG64's set-seed step in 128-bit Python ints), and the loop assigns
+each state to one reused ``Generator``.  That costs about 3 us per key
+against about 25 us for ``stream``, and draws the same values bit for
+bit; ``SeedSequence`` output is stable across numpy versions (NEP 19).
+A batch keeps 32 bytes per key and builds the state dicts on access.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections.abc import Sequence
 
 import numpy as np
 
 __all__ = ["stream", "label_key"]
+
+_U32 = 0xFFFFFFFF
+_U64 = 0xFFFFFFFFFFFFFFFF
+_U128 = (1 << 128) - 1
+# SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def label_key(label: str) -> int:
@@ -26,7 +48,140 @@ def stream(seed: int, label: str, *indices: int) -> np.random.Generator:
     Indices may be any non-negative ints (pair ids, trial ids, row
     numbers, ...).  Negative seeds are folded into the unsigned domain.
     """
-    entropy = (int(seed) & 0xFFFFFFFFFFFFFFFF, label_key(label)) + tuple(
-        int(i) & 0xFFFFFFFFFFFFFFFF for i in indices
-    )
+    entropy = (int(seed) & _U64, label_key(label)) + tuple(int(i) & _U64 for i in indices)
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def _fold(values) -> np.ndarray:
+    """Integers folded into uint64 as ``stream`` folds them (x & (2**64 - 1))."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.uint64)  # two's-complement wrap is the fold
+    # object dtype: numpy would turn a list mixing -1 and 2**64 - 1 into floats
+    arr = np.array(values, dtype=object)
+    return np.array([int(v) & _U64 for v in arr.ravel()], dtype=np.uint64).reshape(arr.shape)
+
+
+def _consts(init: int, mult: int, count: int) -> list[np.uint32]:
+    """The data-independent multiplier sequence init * mult**k mod 2**32."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _U32)
+    return [np.uint32(c) for c in out]
+
+
+def _pool(words: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence.mix_entropy`` over entropy columns (uint32 arrays)."""
+    calls = _POOL + _POOL * (_POOL - 1) + _POOL * max(len(words) - _POOL, 0)
+    hc = iter(_consts(_INIT_A, _MULT_A, calls))
+    mult = next(hc)
+
+    def hashmix(v):
+        nonlocal mult
+        v = v ^ mult
+        mult = next(hc)
+        v *= mult
+        v ^= v >> 16
+        return v
+
+    def mix(x, y):
+        r = x * np.uint32(_MIX_L)
+        r -= y * np.uint32(_MIX_R)
+        r ^= r >> 16
+        return r
+
+    zeros = np.zeros_like(words[0])
+    pool = [hashmix(words[i] if i < len(words) else zeros) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, len(words)):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(words[src]))
+    return pool
+
+
+def _seed_words(pool: list[np.ndarray]) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of every row as a (rows, 4) array."""
+    hb = _consts(_INIT_B, _MULT_B, 2 * _POOL)
+    out = np.empty((pool[0].size, 2 * _POOL), dtype=np.uint32)
+    for i in range(2 * _POOL):
+        v = pool[i % _POOL] ^ hb[i]
+        v *= hb[i + 1]
+        v ^= v >> 16
+        out[:, i] = v
+    # as numpy does: little-endian uint32 pairs form each uint64 word
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
+    """PCG64's set-seed step on seed words (s_hi, s_lo) and stream words (i_hi, i_lo)."""
+    inc = (((i_hi << 64 | i_lo) << 1) | 1) & _U128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _U128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+class _States(Sequence):
+    """PCG64 ``bit_generator.state`` dicts of a batch of keys.
+
+    Holds 32 bytes of seed words per key and builds each dict on access;
+    slices are batches too.  Read-only, so threads may share one.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _States(self._words[i])
+        return _pcg64_state(*self._words[i].tolist())
+
+    def __iter__(self):
+        # a few rows at a time: Python ints for every key would cost ~250 bytes each
+        for start in range(0, len(self._words), 256):
+            for row in self._words[start : start + 256].tolist():
+                yield _pcg64_state(*row)
+
+
+def _stream_states(seed: int, label: str, indices) -> _States:
+    """PCG64 states of ``stream(seed, label, *row)`` for every row of ``indices``.
+
+    ``indices`` is a (keys, k) integer array or nested sequence; entries
+    fold into 64 bits as in ``stream``.  Returns one ``bit_generator.state``
+    dict per row, built on access.  A loop keeps one ``Generator`` and
+    assigns the row's state before drawing, which reproduces ``stream``'s
+    draws bit for bit.  Such a reused generator belongs to one task, and
+    so to one thread; do not share it between threads.
+
+    ``SeedSequence`` turns each int into its little-endian uint32 words
+    (0 is one word), so keys with values of 2**32 or more hash more
+    words.  Rows are grouped by their word layout and each group runs
+    the vectorized hash mix.
+    """
+    rows = _fold(indices)
+    if rows.ndim != 2:
+        raise ValueError(f"indices must be a (keys, k) array, got shape {rows.shape}")
+    n, k = rows.shape
+    s = int(seed) & _U64
+    head = [s & _U32] + ([s >> 32] if s >> 32 else []) + [label_key(label)]
+    lo = (rows & np.uint64(_U32)).astype(np.uint32)
+    hi = (rows >> np.uint64(32)).astype(np.uint32)
+    # bit c of a row's layout code: index c hashes two words
+    layout = np.zeros(n, dtype=np.int64)
+    for c in range(k):
+        layout |= (hi[:, c] != 0).astype(np.int64) << c
+    words = np.empty((n, 4), dtype=np.uint64)
+    for code in np.unique(layout).tolist() if layout.any() else [0]:
+        sel = np.flatnonzero(layout == code)
+        entropy = [np.full(sel.size, w, dtype=np.uint32) for w in head]
+        for c in range(k):
+            entropy.append(lo[sel, c])
+            if code >> c & 1:
+                entropy.append(hi[sel, c])
+        words[sel] = _seed_words(_pool(entropy))
+    return _States(words)

@@ -21,17 +21,26 @@ Conventions of the distortion fit (``measure_qrip``):
   zero; the per-distance table reports the max over records (worst case)
   and the median.
 
-Every trial of ``measure_qrip`` and ``check_product_concentration`` is
-one call of ``embeddings._PairKernel``, the single quantize-and-estimate
-kernel: it draws the trial's (cols, m) dither block from the trial's
-keyed stream, quantizes both measurements of the pair in float64
-buffers and sums the cell gaps exactly.  Two guards keep the sums
-exact: max |y| / delta + 1 < 2**52 for the pair (checked once per pair
-and distance) and ``m * max gap`` (l1) or ``m * max gap1 * max gap2``
-(l2sq, circ) below 2**53 (checked per trial).  A trial that fails a
-guard falls back to ``quantize_with_dither`` and the integer estimator,
-so every estimate equals the exact integer result.  The fit reads
-the per-task (distances, dithers) estimate arrays, not the record list.
+Every trial of ``measure_qrip`` and ``check_product_concentration`` runs
+in ``embeddings._PairKernel``, the single quantize-and-estimate kernel:
+it draws the trial's (cols, m) dither block from the trial's keyed
+stream, quantizes both measurements of the pair in float64 buffers and
+sums the cell gaps exactly.  Two guards keep the sums exact: max |y| /
+delta + 1 < 2**52 for the pair (checked once per pair and distance) and
+``m * max gap`` (l1) or ``m * max gap1 * max gap2`` (l2sq, circ) below
+2**53 (checked per trial).  A trial that fails a guard falls back to
+``quantize_with_dither`` and the integer estimator, so every estimate
+equals the exact integer result.  ``_PairKernel.trials`` runs a pair's
+trials at one distance together; blocks of at most 4096 entries are
+quantized as one (trials, cols, m) block (see ``embeddings._BLOCK_MAX``).
+
+The keyed streams of a sweep come from one batched pass each
+(``rng._stream_states``): all (pair, trial, distance) dither states and
+all pair states are derived up front, and each task assigns them in
+turn to one generator of its own.  A run keeps the (pairs, distances,
+dithers) estimate array; the fit and ``records_csv`` read it, and
+``QripRun.records`` builds ``DistortionRecord`` objects from it on
+access.
 
 The guard-band identity checks of ``selftest`` count thresholds with
 ``quantizer._threshold_count``, the counter behind ``soft_distance``,
@@ -48,6 +57,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -57,7 +67,7 @@ from .embeddings import _PairKernel, quantize_with_dither
 from .linops import LinOp, build
 from .modelsets import ModelSet, sample_pair
 from .quantizer import QuantConfig, _threshold_count
-from .rng import stream
+from .rng import _stream_states, stream
 
 __all__ = [
     "DistortionRecord",
@@ -123,19 +133,62 @@ class QripFit:
 
 @dataclass
 class QripRun:
-    """Full output of one distortion sweep at fixed (op, delta, mode)."""
+    """Full output of one distortion sweep at fixed (op, delta, mode).
+
+    ``estimates`` holds every trial's estimate; ``records`` presents them
+    as ``DistortionRecord`` objects, built on access.
+    """
 
     m: int
     delta: float
     mode: str
     q: float
     distances: np.ndarray
-    records: list[DistortionRecord]
+    estimates: np.ndarray  # (pairs, distances, dithers) code-domain estimates
     fit: QripFit
     pair_mean_est: np.ndarray  # (distances, pairs) dither-mean estimates
     pair_sd_est: np.ndarray  # (distances, pairs) dither SD of estimates
     linear_est: np.ndarray  # (distances, pairs) same pre-metric on the raw measurements
     seed: int
+
+    @property
+    def records(self) -> "_Records":
+        return _Records(self)
+
+
+class _Records(Sequence):
+    """A run's records ordered by (pair, trial, distance), built on access."""
+
+    def __init__(self, run: QripRun):
+        self._run = run
+
+    def __len__(self) -> int:
+        return self._run.estimates.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("record index out of range")
+        run = self._run
+        _pairs, grid, dithers = run.estimates.shape
+        pair_id, rest = divmod(i % n, grid * dithers)
+        trial_id, si = divmod(rest, grid)
+        s = run.distances[si]
+        target = s ** _exponent(run.mode)
+        est = float(run.estimates[pair_id, si, trial_id])
+        return DistortionRecord(
+            m=run.m,
+            delta=run.delta,
+            mode=run.mode,
+            true_dist=float(s),
+            est_dist=est,
+            rel_err=float((est - target) / target),
+            pair_id=pair_id,
+            trial_id=trial_id,
+            seed=run.seed,
+        )
 
 
 def _exponent(mode: str) -> int:
@@ -211,15 +264,21 @@ def estimate_rip(
     return worst
 
 
-def _qrip_task(op, mset, mode, cfg, grid, pair_id, dithers, seed, q):
-    """All records and the (grid, dithers) estimates for one pair id (pure)."""
-    p_e = _exponent(mode)
+def _qrip_task(op, mset, mode, cfg, grid, pair_state, dither_states, q):
+    """The (grid, dithers) estimates of one pair id (pure).
+
+    ``pair_state`` keys the pair's sampling stream, reused at every
+    distance; ``dither_states`` key its trials, ordered by (distance,
+    trial).  One generator and one kernel serve the whole task.
+    """
+    dithers = len(dither_states) // len(grid)
+    gen = np.random.default_rng(0)
+    kernel = None
     ests = np.empty((len(grid), dithers))
-    means = np.empty(len(grid))
-    sds = np.empty(len(grid))
     linear = np.empty(len(grid))
     for si, s in enumerate(grid):
-        x, x_prime = sample_pair(mset, float(s), stream(seed, "qrip:pair", pair_id), q=q)
+        gen.bit_generator.state = pair_state
+        x, x_prime = sample_pair(mset, float(s), gen, q=q)
         y = op.matvec(np.ravel(x))
         y_prime = op.matvec(np.ravel(x_prime))
         gap = y - y_prime
@@ -227,30 +286,13 @@ def _qrip_task(op, mset, mode, cfg, grid, pair_id, dithers, seed, q):
             linear[si] = float(np.mean(np.abs(gap)))
         else:
             linear[si] = float(np.mean(gap * gap))
-        kernel = _PairKernel(y, y_prime, mode, cfg)
-        row = ests[si]
-        for t in range(dithers):
-            row[t] = kernel(stream(seed, "qrip:dither", pair_id, t, si))
-        means[si] = row.mean()
-        sds[si] = row.std(ddof=1) if dithers > 1 else 0.0
-    recs = []
-    for t in range(dithers):
-        for si, s in enumerate(grid):
-            est = float(ests[si, t])
-            recs.append(
-                DistortionRecord(
-                    m=op.m,
-                    delta=cfg.delta,
-                    mode=mode,
-                    true_dist=float(s),
-                    est_dist=est,
-                    rel_err=float((est - s**p_e) / s**p_e),
-                    pair_id=pair_id,
-                    trial_id=t,
-                    seed=seed,
-                )
-            )
-    return recs, ests, means, sds, linear
+        if kernel is None:
+            kernel = _PairKernel(y, y_prime, mode, cfg)
+        else:
+            kernel.load(y, y_prime)
+        kernel.trials(gen, dither_states[si * dithers : (si + 1) * dithers], ests[si])
+    sds = ests.std(axis=1, ddof=1) if dithers > 1 else np.zeros(len(grid))
+    return ests, ests.mean(axis=1), sds, linear
 
 
 def _default_workers(block: int, pairs: int) -> int:
@@ -301,9 +343,15 @@ def measure_qrip(
         raise ValueError("pairs_per_distance and dithers_per_pair must be >= 1")
     p_e = _exponent(mode)
     q = op.rip_profile[1]
+    pair_states = _stream_states(seed, "qrip:pair", np.arange(pairs_per_distance)[:, None])
+    # rows ordered by (pair, distance, trial), keyed (pair, trial, distance)
+    keys = np.indices((pairs_per_distance, grid.size, dithers_per_pair)).reshape(3, -1).T
+    dither_states = _stream_states(seed, "qrip:dither", keys[:, [0, 2, 1]])
+    per_pair = grid.size * dithers_per_pair
 
     def task(j):
-        return _qrip_task(op, mset, mode, cfg, grid, j, dithers_per_pair, seed, q)
+        states = dither_states[j * per_pair : (j + 1) * per_pair]
+        return _qrip_task(op, mset, mode, cfg, grid, pair_states[j], states, q)
 
     pair_ids = list(range(pairs_per_distance))
     if threads is None:
@@ -314,13 +362,10 @@ def measure_qrip(
     else:
         results = [task(j) for j in pair_ids]
 
-    # tasks return their records ordered by (trial, distance), so the
-    # concatenation is ordered by (pair, trial, distance)
-    records: list[DistortionRecord] = [rec for recs, *_ in results for rec in recs]
-    ests = np.stack([r[1] for r in results])  # (pairs, distances, dithers)
-    pair_mean = np.stack([r[2] for r in results], axis=1)
-    pair_sd = np.stack([r[3] for r in results], axis=1)
-    linear = np.stack([r[4] for r in results], axis=1)
+    ests = np.stack([r[0] for r in results])  # (pairs, distances, dithers)
+    pair_mean = np.stack([r[1] for r in results], axis=1)
+    pair_sd = np.stack([r[2] for r in results], axis=1)
+    linear = np.stack([r[3] for r in results], axis=1)
 
     # ---- distortion fit ----
     # a grid may repeat a distance; records at equal distances pool, and
@@ -345,7 +390,7 @@ def measure_qrip(
         mode=mode,
         q=q,
         distances=grid,
-        records=records,
+        estimates=ests,
         fit=fit,
         pair_mean_est=pair_mean,
         pair_sd_est=pair_sd,
@@ -415,13 +460,16 @@ def check_product_concentration(
     if op.family == "gaussian" and op.rip_profile == (1.0, 2.0):
         extra["rip"] = (1, 2)
     sds = []
+    keys = np.indices((len(m_list), trials)).reshape(2, -1).T
+    dither_states = _stream_states(seed, "prodconc:dither", keys)
+    gen = np.random.default_rng(0)
     for mi, m in enumerate(m_list):
         op_m = build(op.family, m, op.n, seed=op.seed + 1000 * mi, **extra)
         x, x_prime = sample_pair(mset, distance, stream(seed, "prodconc:pair"), q=op.rip_profile[1])
         y = op_m.matvec(np.ravel(x))
         y_prime = op_m.matvec(np.ravel(x_prime))
         kernel = _PairKernel(y, y_prime, "circ", cfg)
-        ests = np.array([kernel(stream(seed, "prodconc:dither", mi, t)) for t in range(trials)])
+        ests = kernel.trials(gen, dither_states[mi * trials : (mi + 1) * trials], np.empty(trials))
         sds.append(float(ests.std(ddof=1)))
     slope = power_law_slope(m_list, sds)
     ratios = [sds[i + 1] / sds[i] for i in range(len(sds) - 1)]
@@ -543,12 +591,26 @@ def selftest(seed: int = 0, fast: bool = False) -> list[dict]:
 
 
 def records_csv(run: QripRun) -> str:
+    """One row per record, ordered by (pair, trial, distance), formatted
+    from the estimate array with the arithmetic of ``run.records``."""
+    p_e = _exponent(run.mode)
+    head = f"{run.m},{_fmt(run.delta)},{run.mode},"
+    # texts[si][j][t] holds the distance, estimate and relative-error fields
+    texts = []
+    for si, s in enumerate(run.distances):
+        target = s**p_e
+        est = run.estimates[:, si, :]
+        s_txt = _fmt(s)
+        texts.append([
+            [f"{s_txt},{_fmt(e)},{_fmt(r)}" for e, r in zip(e_row, r_row)]
+            for e_row, r_row in zip(est.tolist(), ((est - target) / target).tolist())
+        ])
+    pairs, grid, dithers = run.estimates.shape
     lines = [RECORD_COLUMNS]
-    for r in run.records:
-        lines.append(
-            f"{r.m},{_fmt(r.delta)},{r.mode},{_fmt(r.true_dist)},{_fmt(r.est_dist)},"
-            f"{_fmt(r.rel_err)},{r.pair_id},{r.trial_id},{r.seed}"
-        )
+    for j in range(pairs):
+        for t in range(dithers):
+            tail = f",{j},{t},{run.seed}"
+            lines.extend(head + texts[si][j][t] + tail for si in range(grid))
     return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import qembed
 from qembed.cli import main, parse_model
-from qembed.embeddings import HEADER_SIZE, deserialize
+from qembed.embeddings import HEADER_SIZE, CodeBlock, deserialize, serialize
 
 
 def run_cli(capsys, *argv):
@@ -352,23 +352,47 @@ _FUZZ_COMMANDS = {
     "config": ["entropy", "--model", "sparse:2:8", "--eta", "0.1", "--config", "{path}"],
     "input": ["embed", "--family", "gaussian", "--m", "8", "--n", "2", "--input", "{path}",
               "--delta", "1", "--out", "{out}"],
+    "codes": ["distance", "{path}", "{ref}", "--mode", "l1"],
 }
 _TEXTISH = st.text(alphabet="0123456789.e+- \t\n\r=#_abdfilmnqrstw:", max_size=40).map(str.encode)
+_REF_BLOCK = CodeBlock("single", 3, 1.0, np.array([[0], [5], [-2]]))
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.one_of(st.binary(max_size=80), _TEXTISH), target=st.sampled_from(sorted(_FUZZ_COMMANDS)))
+@st.composite
+def _code_files(draw):
+    """Serialized code blocks with overwritten bytes, cut short or extended."""
+    layout = draw(st.sampled_from(["single", "bidither"]))
+    m = draw(st.integers(1, 4))
+    cols = 1 if layout == "single" else 2
+    codes = draw(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=m * cols, max_size=m * cols))
+    delta = draw(st.sampled_from([1.0, 0.5]))
+    data = bytearray(serialize(CodeBlock(layout, m, delta, np.array(codes).reshape(m, cols))))
+    for pos, val in draw(st.lists(st.tuples(st.integers(0, len(data) - 1), st.integers(0, 255)), max_size=4)):
+        data[pos] = val
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return bytes(data) + draw(st.binary(max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(st.binary(max_size=80), _TEXTISH, _code_files()), target=st.sampled_from(sorted(_FUZZ_COMMANDS)))
 @example(data=b"\xff\xfe", target="config")
 @example(data=b"\xff\xfe", target="input")
 @example(data=b"h=1\n", target="config")
 @example(data=b"1 nan\n", target="input")
+@example(data=serialize(_REF_BLOCK), target="codes")
+@example(data=serialize(CodeBlock("bidither", 3, 1.0, np.zeros((3, 2)))), target="codes")
+@example(data=serialize(_REF_BLOCK)[:HEADER_SIZE], target="codes")
 def test_arbitrary_file_bytes_exit_0_or_1(data, target):
-    """Any bytes as the config or vector file: exit 0, or exit 1 with one line."""
+    """Any bytes as the config, vector or code file: exit 0, or exit 1 with one line."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "file")
         with open(path, "wb") as fh:
             fh.write(data)
-        argv = [a.format(path=path, out=os.path.join(tmp, "o.qemb")) for a in _FUZZ_COMMANDS[target]]
+        ref = os.path.join(tmp, "ref.qemb")
+        with open(ref, "wb") as fh:
+            fh.write(serialize(_REF_BLOCK))
+        argv = [a.format(path=path, out=os.path.join(tmp, "o.qemb"), ref=ref) for a in _FUZZ_COMMANDS[target]]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -158,9 +158,14 @@ class TestDenseBuild:
         assert np.allclose(got, dense @ x, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
-    def test_build_holds_one_copy(self, family):
+    def test_build_holds_one_copy(self, family, monkeypatch):
+        # the cache is one mapping of m*n*8 bytes, which tracemalloc does
+        # not see; any numpy copy of a tenth of it would show in the peak
         m, n = 2048, 256
         build(family, m, n, seed=0)  # warm-up: first-call allocations
+        mapped = []
+        row_buffer = linops._row_buffer
+        monkeypatch.setattr(linops, "_row_buffer", lambda rows, cols: mapped.append(rows * cols * 8) or row_buffer(rows, cols))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -169,7 +174,28 @@ class TestDenseBuild:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * m * n * 8
+        assert mapped == [m * n * 8]
+        assert peak <= 0.1 * m * n * 8
+        assert op._cache.shape == (m, n)
+
+    def test_caches_live_in_their_own_mapping(self):
+        # a mapping is unmapped when its operator goes away; heap buffers of
+        # changing sizes fragmented the heap across decay sweeps
+        big, small = build("gaussian", 2048, 256, seed=1), build("gaussian", 256, 256, seed=1)
+        for op in (big, small):
+            base = op._cache
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base, memoryview)
+            assert base.nbytes == op.m * op.n * 8  # exactly one copy of the matrix
+            assert not op._cache.flags.writeable
+        assert np.array_equal(big.dense()[:256], small.dense())
+        x = np.linspace(-1.0, 1.0, 256)
+        assert np.array_equal(big.matvec(x), big.dense() @ x)
+
+    def test_empty_row_slice(self):
+        op = build("gaussian", 128, 16, seed=3)
+        assert op._rows(64, 64).shape == (0, 16)
 
 
 class TestEnergyConcentration:

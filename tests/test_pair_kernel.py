@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qembed import QuantConfig, build, measure_qrip, sample_dither, sparse
-from qembed.embeddings import _estimate_from_codes, _PairKernel
+from qembed.embeddings import _BLOCK_MAX, _estimate_from_codes, _PairKernel
+from qembed.rng import _stream_states, stream
 from qembed.verify import records_csv, summary_csv
 
 GOLDEN = {
@@ -109,6 +110,57 @@ def test_kernel_reaches_both_paths(monkeypatch):
         kernel = _PairKernel(y, y_prime, mode, cfg)
         assert kernel(np.random.default_rng(1)) == _reference_estimate(y, y_prime, mode, 1.0, 1)[0]
         assert (len(calls) > before) == fallback
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_pairs(), mode=st.sampled_from(["l1", "l2sq", "circ"]), seed=st.integers(0, 2**32), trials=st.integers(1, 40))
+def test_trials_match_per_trial_calls(pair, mode, seed, trials):
+    # blocked for these small m; states[t] keys the stream of trial t
+    y, y_prime, delta = pair
+    kernel = _PairKernel(y, y_prime, mode, QuantConfig(delta))
+    states = _stream_states(seed, "test:trials", np.arange(trials)[:, None])
+    got = kernel.trials(np.random.default_rng(0), states, np.empty(trials))
+    want = [_PairKernel(y, y_prime, mode, QuantConfig(delta))(stream(seed, "test:trials", t)) for t in range(trials)]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("mode,m,gap", [("l1", 4096, 2**41), ("l2sq", 2048, 2**21), ("circ", 2048, 2**21)])
+def test_block_row_takes_the_sum_guard_fallback(monkeypatch, mode, m, gap):
+    # coordinate 0 has cell gap gap - 1 when its dither is below 1/2 and
+    # gap when above; the sum guard fails exactly at gap (m * gap = 2**53
+    # for l1, m * gap**2 = 2**53 otherwise), so the block mixes rows that
+    # pass it with rows that fall back to ``_checked``
+    assert (2 if mode == "circ" else 1) * m <= _BLOCK_MAX
+    y = np.zeros(m)
+    y[0] = gap - 0.5
+    trials = 16
+    states = _stream_states(5, "test:guard", np.arange(trials)[:, None])
+    want = []
+    for t in range(trials):
+        reference = _PairKernel(y, np.zeros(m), mode, QuantConfig(1.0))
+        reference.dither[...] = stream(5, "test:guard", t).random(reference.dither.shape)
+        want.append(reference._checked())
+    calls = []
+    checked = _PairKernel._checked
+    monkeypatch.setattr(_PairKernel, "_checked", lambda self: calls.append(1) or checked(self))
+    kernel = _PairKernel(y, np.zeros(m), mode, QuantConfig(1.0))
+    got = kernel.trials(np.random.default_rng(0), states, np.empty(trials))
+    assert kernel._block is not None  # the blocked path ran
+    assert got.tolist() == want
+    assert 0 < len(calls) < trials
+
+
+def test_load_keeps_buffers_and_retargets():
+    cfg = QuantConfig(1.0)
+    rng = np.random.default_rng(3)
+    y, y_prime = rng.standard_normal((2, 32)) * 5
+    kernel = _PairKernel(np.zeros(32), np.zeros(32), "circ", cfg)
+    buffer = kernel.dither
+    kernel.load(y, y_prime)
+    assert kernel.dither is buffer
+    assert kernel(np.random.default_rng(4)) == _PairKernel(y, y_prime, "circ", cfg)(np.random.default_rng(4))
+    with pytest.raises(ValueError):
+        kernel.load(np.zeros(3), np.zeros(4))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**64])

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qembed import (
@@ -17,7 +17,8 @@ from qembed import (
     soft_premetric_l1,
     soft_premetric_l2,
 )
-from qembed.quantizer import _threshold_count, soft_distance_array
+from qembed.embeddings import quantize_with_dither
+from qembed.quantizer import _threshold_count, cell_indices, soft_distance_array
 from qembed.rng import stream
 
 
@@ -186,6 +187,107 @@ class TestThresholdCount:
             finally:
                 tracemalloc.stop()
         assert max(peaks) < 64 * 1024
+
+
+# magnitudes around the int64 edge of x / delta, and far beyond it
+_EDGE = st.one_of(
+    st.floats(-(2.0**66), 2.0**66, allow_nan=False),
+    st.integers(-(2**64), 2**64).map(float),
+    st.sampled_from([2.0**63, -(2.0**63), 2.0**61, 9.3e18, 1e19, -1e300, 1e300]),
+)
+
+
+class TestInt64Edge:
+    """Cell indices that do not fit int64 raise instead of wrapping around."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_EDGE, delta=st.sampled_from([1.0, 0.5, 3.0, 1e-3]))
+    @example(x=-(2.0**63), delta=1.0)
+    @example(x=2.0**63, delta=1.0)
+    def test_cell_indices(self, x, delta):
+        cell = math.floor(x / delta)
+        if -(2**63) <= cell < 2**63:
+            assert cell_indices([x], QuantConfig(delta)).tolist() == [cell]
+        else:
+            with pytest.raises(ValueError, match="int64"):
+                cell_indices([x], QuantConfig(delta))
+
+    def test_cell_indices_reported_cases(self):
+        with pytest.raises(ValueError, match="int64"):
+            cell_indices([1e19, -1e300, 9.3e18], QuantConfig(1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_EDGE, t=st.floats(-4.0, 4.0, allow_nan=False), delta=st.sampled_from([1.0, 0.5, 3.0]))
+    @example(x=1e19, t=0.1, delta=1.0)
+    @example(x=1e300, t=0.1, delta=1.0)
+    @example(x=2.0**60, t=-0.5, delta=1.0)
+    @example(x=3e18, t=0.1, delta=1.0)
+    @example(x=-(2.0**63), t=0.1, delta=1.0)
+    def test_soft_distance(self, x, t, delta):
+        assume(t != 0.0)
+        soft, cfg = SoftParam(t), QuantConfig(delta)
+        cell = math.floor(x / delta)
+        if not -(2**63) <= cell < 2**63:
+            with pytest.raises(ValueError, match="cell indices inside the int64 range"):
+                soft_distance(0.0, x, soft, cfg)
+            return
+        if cell == -(2**63):  # the only float cell within the guard band of the edge
+            with pytest.raises(ValueError, match="threshold window leaves the int64 range"):
+                soft_distance(0.0, x, soft, cfg)
+            return
+        got = soft_distance(0.0, x, soft, cfg)
+        # within the guard bands and the rounding of x - k * delta
+        assert abs(got - abs(x)) <= 8 * (delta + abs(t)) + 2.0**-50 * abs(x)
+
+    @pytest.mark.parametrize("x", [3e18, 6e18, -6e18, 2.0**63 - 1024])
+    def test_soft_distance_below_the_edge(self, x):
+        assert soft_distance(0.0, x, SoftParam(0.1), QuantConfig(1.0)) == abs(x)
+
+    def test_count_past_int64_raises(self):
+        # both cells fit, but the 1.8e19 thresholds between them do not
+        with pytest.raises(ValueError, match="threshold window leaves the int64 range"):
+            soft_distance(-9e18, 9e18, SoftParam(0.1), QuantConfig(1.0))
+
+
+# dyadic values: multiples of delta / 2**10 whose sums stay exact
+_STEPS = st.integers(-(2**40), 2**40)
+
+
+class TestQuantizerInvariance:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(st.tuples(_STEPS, st.integers(0, 2**10 - 1)), min_size=1, max_size=16),
+        p=st.integers(-10, 10),
+        k=st.integers(-(2**30), 2**30),
+    )
+    def test_shift_by_whole_cells_shifts_codes(self, steps, p, k):
+        delta = 2.0**p
+        x = np.array([i for i, _ in steps]) * (delta / 2**10)
+        dither = np.array([j for _, j in steps]) * (delta / 2**10)
+        cfg = QuantConfig(delta)
+        codes = quantize_with_dither(x, dither, cfg)
+        shifted = quantize_with_dither(x + k * delta, dither, cfg)
+        assert np.array_equal(shifted, codes + k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.floats(-1e6, 1e6, allow_subnormal=False), st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=False)),
+            min_size=1,
+            max_size=16,
+        ),
+        delta=st.floats(1e-3, 1e3),
+        e=st.integers(-20, 20),
+    )
+    def test_joint_power_of_two_scaling_keeps_codes(self, pairs, delta, e):
+        x = np.array([v for v, _ in pairs])
+        dither = np.array([u for _, u in pairs]) * delta
+        assume(dither.max() < delta)
+        # scaling by 2**e is exact unless a sum lands in the subnormal range
+        assume(np.all((x + dither == 0) | (np.abs(x + dither) >= 2.0**-1000)))
+        c = 2.0**e
+        codes = quantize_with_dither(x, dither, QuantConfig(delta))
+        assert np.array_equal(quantize_with_dither(c * x, c * dither, QuantConfig(c * delta)), codes)
 
 
 class TestPremetrics:

@@ -1,0 +1,60 @@
+"""Keyed streams: batched PCG64 states reproduce ``stream`` bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from stream_states_check import check
+
+from qembed.rng import _stream_states, stream
+
+# every word-count class of SeedSequence's int coercion, plus values
+# that fold into 64 bits
+_INTS = st.one_of(
+    st.integers(0, 1000),
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**70 + 5, -1, -5, -(2**40)]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=_INTS,
+    label=st.text(max_size=12),
+    rows=st.integers(0, 4).flatmap(lambda k: st.lists(st.lists(_INTS, min_size=k, max_size=k), min_size=1, max_size=6)),
+)
+@example(seed=2**32, label="x", rows=[[2**64 - 1, -5], [0, 1], [2**32, 3]])
+@example(seed=-5, label="", rows=[[]])
+def test_batched_states_match_stream(seed, label, rows):
+    k = len(rows[0])
+    states = _stream_states(seed, label, rows if k else np.zeros((len(rows), 0), dtype=np.int64))
+    gen = np.random.default_rng(0)
+    for row, state in zip(rows, states):
+        ref = stream(seed, label, *row)
+        assert state == ref.bit_generator.state
+        gen.bit_generator.state = state
+        assert np.array_equal(gen.random(3), ref.random(3))
+
+
+def test_integer_arrays_fold_like_lists():
+    rows = np.array([[-1, 0], [2**40, 7], [-(2**63), 2**63 - 1]], dtype=np.int64)
+    want = list(_stream_states(3, "a", rows.tolist()))
+    assert list(_stream_states(3, "a", rows)) == want
+    assert list(_stream_states(3, "a", rows.astype(np.uint64))) == want
+
+
+def test_batches_index_and_slice():
+    states = _stream_states(9, "b", np.arange(10)[:, None])
+    assert len(states) == 10 and len(states[2:7]) == 5
+    assert states[3] == states[2:7][1] == stream(9, "b", 3).bit_generator.state
+    assert states[-1] == stream(9, "b", 9).bit_generator.state
+
+
+def test_fixed_key_set():
+    keys, bad = check(20_000, seed=1)
+    assert (keys, bad) == (20_000, 0)
+
+
+def test_rejects_non_tabular_indices():
+    with pytest.raises(ValueError, match="keys, k"):
+        _stream_states(0, "a", [1, 2, 3])
