@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 
 from . import modelsets
-from .embeddings import deserialize, embed, embed_bidither, estimate_distance, serialize
+from .embeddings import _LAYOUT_COLS, deserialize, embed, estimate_distance, serialize
 from .linops import FAMILIES, build, build_rop
 from .modelsets import ModelSet, entropy_bound, mean_width_mc, required_m
 from .quantizer import QuantConfig, sample_dither
@@ -77,7 +77,7 @@ def parse_model(spec: str, radius: float = 1.0) -> ModelSet:
     )
 
 
-def _build_op(args) -> "LinOp":
+def _build_op(args, m: int) -> "LinOp":
     options = {}
     if args.family == "expander":
         if args.degree is None:
@@ -89,7 +89,7 @@ def _build_op(args) -> "LinOp":
         except ValueError:
             raise _CliError(f"--rip: expected 'p,q' integers, got {args.rip!r}")
         options["rip"] = (p, q)
-    return build(args.family, args.m, args.n, seed=args.seed, **options)
+    return build(args.family, m, args.n, seed=args.seed, **options)
 
 
 def _threads() -> int | None:
@@ -286,24 +286,17 @@ def _cmd_embed(args) -> int:
     if args.family == "rop":
         if args.n1 is None or args.n2 is None:
             raise _CliError("family rop: missing --n1/--n2 (matrix shape)")
-        if args.layout != "single":
-            raise _CliError("family rop: only the single layout is supported")
         if x.size != args.n1 * args.n2:
             raise _CliError(f"--input: vector length {x.size} does not match --n1*--n2 = {args.n1 * args.n2}")
         op = build_rop(args.m, args.n1, args.n2, seed=args.seed, kappa=args.kappa)
     else:
         if args.n is None:
             raise _CliError(f"family {args.family}: missing --n (input dimension)")
-        op = _build_op(args)
+        op = _build_op(args, args.m)
         if x.size != args.n:
             raise _CliError(f"--input: vector length {x.size} does not match --n {args.n}")
-    if args.layout == "single":
-        xi = sample_dither(args.m, cfg, drng)
-        block = embed(op, x, xi, cfg, dither_seed=args.dither_seed)
-    else:
-        # one (2, m) draw equals two back-to-back sample_dither calls
-        xi = drng.uniform(0.0, cfg.delta, size=(2, args.m)).T
-        block = embed_bidither(op, x, xi, cfg, dither_seed=args.dither_seed)
+    xi = np.column_stack([sample_dither(args.m, cfg, drng) for _ in range(_LAYOUT_COLS[args.layout])])
+    block = embed(op, x, xi, cfg, dither_seed=args.dither_seed)
     data = serialize(block)
     _atomic_write(args.out, data)
     print(f"wrote {args.out}: layout={block.layout} m={block.m} delta={block.delta}")
@@ -323,7 +316,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_riptest(args) -> int:
-    op = _build_op(args)
+    op = _build_op(args, args.m)
     mset = parse_model(args.model, radius=args.radius)
     eps = estimate_rip(op, mset, args.p, args.q, args.pairs, stream(args.seed, "cli:riptest"))
     print(format(eps, ".12g"))
@@ -331,22 +324,13 @@ def _cmd_riptest(args) -> int:
 
 
 def _run_qrip(args, m: int):
-    op = _build_op_with_m(args, m)
+    op = _build_op(args, m)
     mset = parse_model(args.model, radius=args.radius)
     grid = _parse_grid(args.grid)
     cfg = QuantConfig(args.delta)
     return measure_qrip(
         op, mset, args.mode, cfg, grid, args.pairs, args.dithers, seed=args.seed, threads=_threads()
     )
-
-
-def _build_op_with_m(args, m):
-    saved = getattr(args, "m", None)
-    args.m = m
-    try:
-        return _build_op(args)
-    finally:
-        args.m = saved
 
 
 def _cmd_qrip(args) -> int:

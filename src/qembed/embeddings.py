@@ -5,13 +5,16 @@ measurement vector.  Distances between two comparable blocks are exact
 integer accumulations scaled once by the resolution at the end, so the
 estimators carry no float accumulation error.
 
+``embed`` is the one encoder; the dither's shape picks the layout.
+
 Monte Carlo sweeps quantize one measurement pair under many dithers;
 ``_PairKernel`` fuses dither sampling, quantization and estimation for
 that case and returns the same estimates as ``quantize_with_dither``
-followed by ``_estimate_from_codes``.  Its ``trials`` method runs many
-trials of a pair from their keyed generator states; below
-``_BLOCK_MAX`` dither entries per trial it quantizes the trials as one
-block, which cuts the per-call overhead that dominates small m.
+followed by ``_estimate_from_codes``.  Its ``trials`` method, the one
+entry point, runs a pair's trials from their keyed generator states in
+blocks of up to ``_BLOCK_ENTRIES`` dither entries, which cuts the
+per-call overhead that dominates small m; from ``_BLOCK_ENTRIES``
+entries per trial up, a block holds one trial.
 """
 
 from __future__ import annotations
@@ -40,18 +43,30 @@ __all__ = [
 HEADER_SIZE = 40
 _MAGIC = b"QEMB"
 _VERSION = 1
-_LAYOUT_CODES = {"single": 1, "bidither": 2}
-_LAYOUT_NAMES = {v: k for k, v in _LAYOUT_CODES.items()}
+# The mode/layout table: the code layout each estimator reads, and the
+# dither (and code) columns of each layout.  A code file's header stores
+# the layout as its column count.
+_MODE_LAYOUTS = {"l1": "single", "l2sq": "single", "circ": "bidither"}
+_LAYOUT_COLS = {"single": 1, "bidither": 2}
+_COLS_LAYOUT = {v: k for k, v in _LAYOUT_COLS.items()}
 _WIDTH_DTYPES = {0: "<i1", 1: "<i2", 2: "<i4"}
 _U64 = 0xFFFFFFFFFFFFFFFF
-# ``_PairKernel.trials`` quantizes dither blocks (cols * m entries) of at
-# most _BLOCK_MAX entries as one (trials, cols, m) block, _BLOCK_ENTRIES
-# (256 KiB of float64) per buffer.  With 16 trials on 2 cores, blocked
-# against per-trial ran 2.4-3.0x at 128-512 entries, 1.6-1.9x at 1024
-# and 2048, 1.2-1.3x at 4096, 1.03-1.08x at 8192 and 0.93-0.97x at 16384
-# (l1 and circ alike).
-_BLOCK_MAX = 2**12
+# ``_PairKernel.trials`` quantizes up to _BLOCK_ENTRIES // (cols * m)
+# trials, at least one, at a time as one (rows, cols, m) block, at most
+# 256 KiB of float64 per buffer.  With 16 trials on 2 cores, blocked
+# against per-trial ran 2.4-3.0x at 128-512 entries per trial, 1.6-1.9x
+# at 1024 and 2048 and 1.2-1.3x at 4096 (l1 and circ alike).  Timed
+# interleaved in one process, 4-row blocks ran 1.15-1.28x at 8192
+# entries and 2-row blocks 1.05-1.12x at 16384.
 _BLOCK_ENTRIES = 2**15
+
+
+def _mode_layout(mode: str) -> str:
+    """The code layout that ``mode``'s estimator reads."""
+    try:
+        return _MODE_LAYOUTS[mode]
+    except KeyError:
+        raise ValueError(f"unknown mode {mode!r}; choose l1, l2sq or circ") from None
 
 
 @dataclass(frozen=True)
@@ -75,10 +90,10 @@ class CodeBlock:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"code blocks need m >= 1, got m = {self.m}")
-        if self.layout not in _LAYOUT_CODES:
+        if self.layout not in _LAYOUT_COLS:
             raise ValueError(f"layout must be 'single' or 'bidither', got {self.layout!r}")
         codes = np.asarray(self.codes, dtype=np.int64)
-        expected_cols = 1 if self.layout == "single" else 2
+        expected_cols = _LAYOUT_COLS[self.layout]
         if codes.ndim != 2 or codes.shape != (self.m, expected_cols):
             raise ValueError(
                 f"codes must have shape ({self.m}, {expected_cols}) for layout "
@@ -140,14 +155,22 @@ def embed(
     cfg: QuantConfig,
     dither_seed: int = 0,
 ) -> CodeBlock:
-    """Single-layout codes floor((op.matvec(x) + dither) / delta)."""
+    """Codes floor((op.matvec(x) + dither) / delta), one matvec for every column.
+
+    The dither's shape picks the layout: (m,) or (m, 1) gives the single
+    layout, (m, 2), two independent dither columns, the bi-dither layout.
+    """
+    dither = np.asarray(dither, dtype=float)
+    cols = dither.shape[1] if dither.ndim == 2 else 1
+    if dither.ndim not in (1, 2) or dither.shape[0] != op.m or cols not in _COLS_LAYOUT:
+        raise ValueError(f"dither must have shape ({op.m},), ({op.m}, 1) or ({op.m}, 2), got {dither.shape}")
     y = op.matvec(x)
-    codes = quantize_with_dither(y, np.asarray(dither, float), cfg)
+    codes = quantize_with_dither(np.broadcast_to(y[:, None], (op.m, cols)), dither.reshape(op.m, cols), cfg)
     return CodeBlock(
-        layout="single",
+        layout=_COLS_LAYOUT[cols],
         m=op.m,
         delta=cfg.delta,
-        codes=codes[:, None],
+        codes=codes,
         op_seed=op.seed,
         dither_seed=dither_seed,
     )
@@ -160,20 +183,11 @@ def embed_bidither(
     cfg: QuantConfig,
     dither_seed: int = 0,
 ) -> CodeBlock:
-    """Bi-dither codes: one matvec, two independent dither columns."""
+    """``embed`` that accepts only the bi-dither layout's (m, 2) dither."""
     dither = np.asarray(dither, dtype=float)
     if dither.shape != (op.m, 2):
         raise ValueError(f"bi-dither layout needs an ({op.m}, 2) dither, got {dither.shape}")
-    y = op.matvec(x)
-    codes = quantize_with_dither(np.broadcast_to(y[:, None], dither.shape), dither, cfg)
-    return CodeBlock(
-        layout="bidither",
-        m=op.m,
-        delta=cfg.delta,
-        codes=codes,
-        op_seed=op.seed,
-        dither_seed=dither_seed,
-    )
+    return embed(op, x, dither, cfg, dither_seed)
 
 
 def embed_rop(
@@ -185,9 +199,10 @@ def embed_rop(
 ) -> CodeBlock:
     """``embed`` of an n1-by-n2 matrix u: floor((kappa * a_i^T U b_i + xi_i)/delta).
 
-    Distance estimates over these codes approximate kappa times the
-    Frobenius gap; dividing the estimate by op.kappa is the caller's
-    responsibility (kappa defaults to 1).
+    Both layouts work, as in ``embed``.  Distance estimates over these
+    codes approximate kappa times the Frobenius gap; dividing the
+    estimate by op.kappa is the caller's responsibility (kappa defaults
+    to 1).
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (op.n1, op.n2):
@@ -198,11 +213,13 @@ def embed_rop(
 def _estimate_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, mode: str, delta: float) -> float:
     """Shared integer-exact estimator core over (m, cols) index arrays.
 
-    Gaps are exact uint64 values for every int64 index pair.  Sums run
-    in 64-bit integers when the worst case provably fits, otherwise in
+    The arrays have the columns of ``mode``'s layout.  Gaps are exact
+    uint64 values for every int64 index pair.  Sums run in 64-bit
+    integers when the worst case provably fits, otherwise in
     arbitrary-precision Python ints; either way the accumulation is
     exact and delta scaling is applied once at the end.
     """
+    _mode_layout(mode)  # rejects an unknown mode
     m = codes_a.shape[0]
     codes_a = np.asarray(codes_a, dtype=np.int64)
     codes_b = np.asarray(codes_b, dtype=np.int64)
@@ -216,33 +233,28 @@ def _estimate_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, mode: str, de
         else:
             total = int(np.sum(gaps[:, 0], dtype=object))
         return delta * total / m
-    if mode == "l2sq":
-        g = gaps[:, 0]
-        peak = m * int(g.max(initial=0)) ** 2
-        total = int(np.dot(g, g)) if peak < 2**62 else int(np.sum(g.astype(object) ** 2))
-        return delta * delta * total / m
-    if mode == "circ":
-        g1, g2 = gaps[:, 0], gaps[:, 1]
-        peak = m * int(g1.max(initial=0)) * int(g2.max(initial=0))
-        if peak < 2**62:
-            total = int(np.dot(g1, g2))
-        else:
-            total = int(np.sum(g1.astype(object) * g2.astype(object)))
-        return delta * delta * total / m
-    raise ValueError(f"unknown mode {mode!r}; choose l1, l2sq or circ")
+    # l2sq multiplies its one column by itself, circ its two columns
+    g1, g2 = gaps[:, 0], gaps[:, -1]
+    top = int(g1.max(initial=0))
+    peak = m * top * (top if mode == "l2sq" else int(g2.max(initial=0)))
+    if peak < 2**62:
+        total = int(np.dot(g1, g2))
+    else:
+        total = int(np.sum(g1.astype(object) * g2.astype(object)))
+    return delta * delta * total / m
 
 
 class _PairKernel:
     """Quantize-and-estimate kernel for one measurement pair (y, y').
 
-    Each call draws a (cols, m) dither block from ``rng``, quantizes
-    both measurements against it and returns the code-domain estimate
-    (cols = 2 for circ, else 1).  The block holds, bit for bit, the
-    values of ``cols`` back-to-back ``sample_dither`` calls on ``rng``,
-    and the estimate equals ``_estimate_from_codes`` on the codes of
-    ``quantize_with_dither``.  ``trials`` runs a whole run of trials,
-    each from its own keyed generator state; ``load`` points the kernel
-    at the next pair and keeps its buffers.
+    ``trials`` runs trials of the pair, each from its own keyed generator
+    state: a trial draws a (cols, m) dither block (cols from the
+    mode/layout table), quantizes both measurements against it and
+    yields the code-domain estimate.  The block holds, bit for bit, the
+    values of ``cols`` back-to-back ``sample_dither`` calls on the
+    trial's stream, and the estimate equals ``_estimate_from_codes`` on
+    the codes of ``quantize_with_dither``.  ``load`` points the kernel at
+    the next pair and keeps its buffers.
 
     The arithmetic runs in float64 buffers owned by the instance, so an
     instance must not be shared between threads.  It is exact under two
@@ -254,51 +266,70 @@ class _PairKernel:
     """
 
     def __init__(self, y: np.ndarray, y_prime: np.ndarray, mode: str, cfg: QuantConfig):
-        if mode not in ("l1", "l2sq", "circ"):
-            raise ValueError(f"unknown mode {mode!r}; choose l1, l2sq or circ")
+        self.cols = _LAYOUT_COLS[_mode_layout(mode)]
         self.mode = mode
         self.cfg = cfg
-        self.dither = None
+        self._block = None
         self.load(y, y_prime)
 
     def load(self, y: np.ndarray, y_prime: np.ndarray) -> None:
-        """Make (y, y') the kernel's pair; buffers of the same shape are kept."""
+        """Make (y, y') the kernel's pair; the trial buffers are kept."""
         y = np.asarray(y, dtype=float)
         y_prime = np.asarray(y_prime, dtype=float)
         if y.ndim != 1 or y.size < 1 or y.shape != y_prime.shape:
             raise ValueError(f"measurement pair must be two equal-length vectors, got {y.shape} and {y_prime.shape}")
         self.y, self.y_prime = y, y_prime
-        shape = (2 if self.mode == "circ" else 1, y.size)
-        if self.dither is None or self.dither.shape != shape:
-            self.dither, self._a, self._b = np.empty(shape), np.empty(shape), np.empty(shape)
-            self._block = None
         # NaN or inf fails the comparison, so non-finite pairs take the
         # checked path, which rejects them.
         peak = max(float(np.abs(y).max()), float(np.abs(y_prime).max()))
         self._fast = peak / self.cfg.delta + 1 < 2.0**52
 
-    def __call__(self, rng: np.random.Generator) -> float:
-        d = self.dither
+    def trials(self, gen: np.random.Generator, states, out: np.ndarray) -> np.ndarray:
+        """Estimates of a run of trials into ``out``; returns ``out``.
+
+        Trial t draws from ``gen`` with its bit generator set to
+        ``states[t]`` (see ``rng._stream_states``).  Up to
+        ``_BLOCK_ENTRIES // (cols * m)`` trials, at least one and at most
+        the run's, are quantized at a time as one (rows, cols, m) block
+        with per-trial guards; a pair that fails the 2**52 guard takes
+        the integer path trial by trial.  The block's buffers are kept
+        for the next run of the same shape.
+        """
         delta = self.cfg.delta
-        # rng.uniform(0, delta) computes 0 + delta * u from the same
-        # doubles u in [0, 1) that rng.random yields; 0 + x == x and
-        # x * 1.0 == x.  Only delta * u rounding up to delta can leave the
-        # range, so the range check in _estimates needs only the maximum.
-        rng.random(out=d)
-        if delta != 1.0:
-            np.multiply(d, delta, out=d)
-        if not self._fast:
-            return self._checked()
-        return self._estimates(d[None], self._a[None], self._b[None])[0]
+        cols, m = self.cols, self.y.size
+        # capped at the run's trials: rows past them left the work as it
+        # was but made decay sweeps, which build a kernel per task, 4-10%
+        # slower at m = 512-1024
+        rows = max(1, min(_BLOCK_ENTRIES // (cols * m), len(states)))
+        if self._block is None or self._block[0].shape != (rows, cols, m):
+            self._block = tuple(np.empty((rows, cols, m)) for _ in range(3))
+        for t0 in range(0, len(states), rows):
+            chunk = states[t0 : t0 + rows]
+            d, a, b = (buf[: len(chunk)] for buf in self._block)
+            for row, state in zip(d, chunk):
+                gen.bit_generator.state = state
+                gen.random(out=row)
+            # rng.uniform(0, delta) computes 0 + delta * u from the same
+            # doubles u in [0, 1) that rng.random yields; 0 + x == x and
+            # x * 1.0 == x.  Only delta * u rounding up to delta can leave
+            # the range, so the range check in _estimates needs only the
+            # maximum.
+            if delta != 1.0:
+                np.multiply(d, delta, out=d)
+            out[t0 : t0 + len(chunk)] = self._estimates(d, a, b)
+        return out
 
     def _estimates(self, d: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[float]:
         """Estimates of every dither row of the (rows, cols, m) block ``d``.
 
         ``a`` and ``b`` are scratch of the same shape.  Under the guards
         every row sum is an exact integer in float64, so the reduction
-        order cannot change a value; a row that fails the sum guard takes
-        the integer path over its own dither row.
+        order cannot change a value; a row that fails the sum guard, and
+        every row of a pair that fails the 2**52 guard, takes the integer
+        path over its own dither row.
         """
+        if not self._fast:
+            return [self._checked(row) for row in d]
         delta = self.cfg.delta
         if d.max() >= delta:
             raise ValueError("dither entries must lie in [0, delta)")
@@ -320,52 +351,14 @@ class _PairKernel:
             scale = delta * delta
             sums = np.einsum("ti,ti->t", g[:, 0], g[:, -1]).tolist()
             bounds = [m * int(p[0]) * int(p[-1]) for p in g.max(axis=2).tolist()]
-        ests = []
-        for row, total, bound in zip(d, sums, bounds):
-            if bound >= 2**53:
-                self.dither[...] = row
-                ests.append(self._checked())
-            else:
-                ests.append(scale * total / m)
-        return ests
+        return [
+            self._checked(row) if bound >= 2**53 else scale * total / m
+            for row, total, bound in zip(d, sums, bounds)
+        ]
 
-    def trials(self, gen: np.random.Generator, states, out: np.ndarray) -> np.ndarray:
-        """Estimates of a run of trials into ``out``; returns ``out``.
-
-        Trial t draws from ``gen`` with its bit generator set to
-        ``states[t]`` (see ``rng._stream_states``), so ``out[t]`` equals
-        this kernel called on that keyed stream.  Dither blocks of at
-        most ``_BLOCK_MAX`` entries are quantized up to
-        ``_BLOCK_ENTRIES`` at a time, as one (trials, cols, m) block
-        with per-trial guards; a pair that fails the 2**52 guard, or a
-        larger block, runs trial by trial.
-        """
-        cols, m = self.dither.shape
-        if not self._fast or cols * m > _BLOCK_MAX:
-            for t, state in enumerate(states):
-                gen.bit_generator.state = state
-                out[t] = self(gen)
-            return out
-        if self._block is None:
-            rows = max(1, min(_BLOCK_ENTRIES // (cols * m), len(states)))
-            self._block = tuple(np.empty((rows, cols, m)) for _ in range(3))
-        rows = self._block[0].shape[0]
-        for t0 in range(0, len(states), rows):
-            self._trial_block(gen, states[t0 : t0 + rows], out[t0 : t0 + rows])
-        return out
-
-    def _trial_block(self, gen, states, out) -> None:
-        d, a, b = (buf[: len(states)] for buf in self._block)
-        for row, state in zip(d, states):
-            gen.bit_generator.state = state
-            gen.random(out=row)
-        if self.cfg.delta != 1.0:
-            np.multiply(d, self.cfg.delta, out=d)
-        out[:] = self._estimates(d, a, b)
-
-    def _checked(self) -> float:
-        """The integer path over the current dither block."""
-        d, cfg = self.dither, self.cfg
+    def _checked(self, d: np.ndarray) -> float:
+        """The integer path over one (cols, m) dither row ``d``."""
+        cfg = self.cfg
         ca = quantize_with_dither(np.broadcast_to(self.y, d.shape), d, cfg)
         cb = quantize_with_dither(np.broadcast_to(self.y_prime, d.shape), d, cfg)
         return _estimate_from_codes(ca.T, cb.T, self.mode, cfg.delta)
@@ -386,10 +379,9 @@ def estimate_distance(c: CodeBlock, c_prime: CodeBlock, mode: str) -> float:
             f"(layout, m, delta) = ({c.layout}, {c.m}, {c.delta}) vs "
             f"({c_prime.layout}, {c_prime.m}, {c_prime.delta})"
         )
-    if mode in ("l1", "l2sq") and c.layout != "single":
-        raise ValueError(f"mode {mode!r} requires the single layout, got {c.layout!r}")
-    if mode == "circ" and c.layout != "bidither":
-        raise ValueError(f"mode 'circ' requires the bidither layout, got {c.layout!r}")
+    layout = _mode_layout(mode)
+    if c.layout != layout:
+        raise ValueError(f"mode {mode!r} requires the {layout} layout, got {c.layout!r}")
     return _estimate_from_codes(c.codes, c_prime.codes, mode, c.delta)
 
 
@@ -408,17 +400,18 @@ def _pick_width(codes: np.ndarray) -> int:
 def serialize(c: CodeBlock) -> bytes:
     """Little-endian stream: 40-byte header then row-major indices.
 
-    Header: magic 'QEMB', version u8, layout u8 (1 single / 2 bidither),
-    width u8 (0 -> i8, 1 -> i16, 2 -> i32), reserved u8 = 0, m u64,
-    delta f64, op_seed u64, dither_seed u64.  The narrowest signed width
-    holding every index is chosen automatically.
+    Header: magic 'QEMB', version u8, layout u8 (its column count:
+    1 single / 2 bidither), width u8 (0 -> i8, 1 -> i16, 2 -> i32),
+    reserved u8 = 0, m u64, delta f64, op_seed u64, dither_seed u64.
+    The narrowest signed width holding every index is chosen
+    automatically.
     """
     width = _pick_width(c.codes)
     header = struct.pack(
         "<4sBBBBQdQQ",
         _MAGIC,
         _VERSION,
-        _LAYOUT_CODES[c.layout],
+        c.cols,
         width,
         0,
         c.m,
@@ -434,26 +427,24 @@ def deserialize(data: bytes) -> CodeBlock:
     """Inverse of serialize; validates magic, version and payload size."""
     if len(data) < HEADER_SIZE:
         raise ValueError(f"truncated stream: {len(data)} bytes is shorter than the {HEADER_SIZE}-byte header")
-    magic, version, layout_code, width, _reserved, m, delta, op_seed, dither_seed = struct.unpack(
+    magic, version, cols, width, _reserved, m, delta, op_seed, dither_seed = struct.unpack(
         "<4sBBBBQdQQ", data[:HEADER_SIZE]
     )
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}; not a code file")
     if version != _VERSION:
         raise ValueError(f"unsupported version {version}")
-    if layout_code not in _LAYOUT_NAMES:
-        raise ValueError(f"unknown layout code {layout_code}")
+    if cols not in _COLS_LAYOUT:
+        raise ValueError(f"unknown layout code {cols}")
     if width not in _WIDTH_DTYPES:
         raise ValueError(f"unknown width code {width}")
-    layout = _LAYOUT_NAMES[layout_code]
-    cols = 1 if layout == "single" else 2
     expected = m * cols * (1 << width)
     payload = data[HEADER_SIZE:]
     if len(payload) != expected:
         raise ValueError(f"truncated stream: expected {expected} payload bytes, got {len(payload)}")
     codes = np.frombuffer(payload, dtype=_WIDTH_DTYPES[width]).astype(np.int64).reshape(m, cols)
     return CodeBlock(
-        layout=layout,
+        layout=_COLS_LAYOUT[cols],
         m=int(m),
         delta=float(delta),
         codes=codes,

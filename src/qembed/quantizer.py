@@ -38,6 +38,8 @@ __all__ = [
 
 
 _INT64_SPAN = 2.0**63
+# Widest guard band that _threshold_count enumerates, in cells.
+_GUARD_MAX = 2.0**10
 _OUT_OF_RANGE = "measurements must be finite with cell indices inside the int64 range"
 
 
@@ -117,7 +119,10 @@ def _threshold_count(a: np.ndarray, a_prime: np.ndarray, t: float | np.ndarray, 
     2*pad + 1 candidates are enumerated; the thresholds between those
     two windows clear both guard bands by more than delta, so all of
     them count and they are added as an integer difference.  Work and
-    memory therefore do not grow with |a - a'|.
+    memory therefore do not grow with |a - a'|.  They grow with |t|, so
+    |t| / delta may be at most 1024 (``_GUARD_MAX``), which caps the
+    candidates at 2 * (2 * 1025 + 1) = 4102 per element; a wider guard
+    band raises a ValueError before the candidates are allocated.
 
     The candidates are int64 cell indices.  Inputs whose cells do not
     fit int64 raise the ValueError of ``_int64_cells``.  Inputs whose
@@ -130,6 +135,8 @@ def _threshold_count(a: np.ndarray, a_prime: np.ndarray, t: float | np.ndarray, 
     lo_f = np.floor(np.minimum(a, a_prime) / delta)
     hi_f = np.ceil(np.maximum(a, a_prime) / delta)
     if a.size:
+        if not pad_f.max() <= _GUARD_MAX:
+            raise ValueError(f"soft distance: the guard band |t| / delta exceeds {_GUARD_MAX:.0f}")
         if not (-_INT64_SPAN <= lo_f.min() and hi_f.max() < _INT64_SPAN):
             raise ValueError(_OUT_OF_RANGE)
         # every candidate lies within 3 * max(pad) + 1 cells of [lo, hi]

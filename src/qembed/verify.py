@@ -31,8 +31,9 @@ delta + 1 < 2**52 for the pair (checked once per pair and distance) and
 2**53 (checked per trial).  A trial that fails a guard falls back to
 ``quantize_with_dither`` and the integer estimator, so every estimate
 equals the exact integer result.  ``_PairKernel.trials`` runs a pair's
-trials at one distance together; blocks of at most 4096 entries are
-quantized as one (trials, cols, m) block (see ``embeddings._BLOCK_MAX``).
+trials at one distance together, quantizing as many trials at a time as
+fit in ``embeddings._BLOCK_ENTRIES`` dither entries (one trial for
+large m).
 
 The keyed streams of a sweep come from one batched pass each
 (``rng._stream_states``): all (pair, trial, distance) dither states and
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import _PairKernel, quantize_with_dither
+from .embeddings import _LAYOUT_COLS, _PairKernel, _mode_layout, quantize_with_dither
 from .linops import LinOp, build
 from .modelsets import ModelSet, sample_pair
 from .quantizer import QuantConfig, _threshold_count
@@ -355,7 +356,7 @@ def measure_qrip(
 
     pair_ids = list(range(pairs_per_distance))
     if threads is None:
-        threads = _default_workers((2 if mode == "circ" else 1) * op.m, pairs_per_distance)
+        threads = _default_workers(_LAYOUT_COLS[_mode_layout(mode)] * op.m, pairs_per_distance)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(task, pair_ids))

@@ -148,11 +148,18 @@ class TestEmbedDistance:
             "--input", str(vec), "--delta", "1", "--out", str(out),
         )
         assert code == 1 and "--n1*--n2" in err
-        code, _, err = run_cli(
-            capsys, "embed", "--family", "rop", "--m", "16", "--n1", "3", "--n2", "4",
-            "--input", str(vec), "--delta", "1", "--layout", "bidither", "--out", str(out),
-        )
-        assert code == 1 and err == "error: family rop: only the single layout is supported\n"
+        # rank-one probes take the bi-dither layout like every other operator
+        other = tmp_path / "v.txt"
+        other.write_text(" ".join(str(v) for v in np.linspace(1, 0, 12)) + "\n")
+        pair = [tmp_path / "r1.qemb", tmp_path / "r2.qemb"]
+        for src, dst in zip((vec, other), pair):
+            code, _, _ = run_cli(
+                capsys, "embed", "--family", "rop", "--m", "16", "--n1", "3", "--n2", "4",
+                "--input", str(src), "--delta", "1", "--layout", "bidither", "--out", str(dst),
+            )
+            assert code == 0 and deserialize(dst.read_bytes()).layout == "bidither"
+        code, txt, _ = run_cli(capsys, "distance", str(pair[0]), str(pair[1]), "--mode", "circ")
+        assert code == 0 and float(txt) > 0.0
 
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e300"])
     def test_unquantizable_input_exit_1(self, tmp_path, capsys, entry):

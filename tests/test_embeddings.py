@@ -61,6 +61,24 @@ class TestEmbed:
         with pytest.raises(ValueError):
             embed(op, np.zeros(3), np.full(3, 0.5), cfg)
 
+    def test_layout_follows_dither_shape(self):
+        op = build("gaussian", 6, 3, seed=2)
+        cfg = QuantConfig(0.5)
+        x = stream(3, "t").standard_normal(3)
+        xi = sample_dither(6, cfg, stream(4, "t"))
+        assert embed(op, x, xi[:, None], cfg) == embed(op, x, xi, cfg)
+        xi2 = np.column_stack([xi, sample_dither(6, cfg, stream(5, "t"))])
+        block = embed(op, x, xi2, cfg)
+        assert block.layout == "bidither"
+        assert block == embed_bidither(op, x, xi2, cfg)
+
+    @pytest.mark.parametrize("shape", [(6, 3), (7,), (6, 2, 1)])
+    def test_bad_dither_shape_rejected(self, shape):
+        op = build("gaussian", 6, 3, seed=2)
+        with pytest.raises(ValueError, match=r"^dither must have shape .*got \(") as err:
+            embed(op, np.zeros(3), np.zeros(shape), QuantConfig(1.0))
+        assert "\n" not in str(err.value)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**63, -(2.0**64)])
     def test_unquantizable_measurements_rejected(self, bad):
         cfg = QuantConfig(1.0)
@@ -127,6 +145,15 @@ class TestEmbedRop:
         cfg = QuantConfig(1.0)
         block = embed_rop(op, np.array([[0.3]]), np.array([0.05]), cfg)
         assert block.codes[0, 0] == 0  # floor(2 * 0.3 + 0.05) = 0
+
+    def test_bidither_layout(self):
+        op = build_rop(6, 4, 3, seed=13)
+        cfg = QuantConfig(0.5)
+        u = stream(14, "t").standard_normal((4, 3))
+        xi = sample_dither(12, cfg, stream(15, "t")).reshape(6, 2)
+        block = embed_rop(op, u, xi, cfg)
+        assert block.layout == "bidither"
+        assert block == embed(op, u.ravel(), xi, cfg)
 
     def test_deterministic(self):
         op = build_rop(6, 4, 3, seed=13)

@@ -1,8 +1,9 @@
 """Byte-stability goldens for the CLI outputs.
 
 The sha256 values pin the code file that ``qembed embed`` writes for
-every operator family and layout (rank-one probes at two kappas) and
-the ``qembed selftest --seed 7 --fast`` report.
+every operator family and layout (rank-one probes at two kappas, and
+in the bi-dither layout at one) and the ``qembed selftest --seed 7
+--fast`` report.
 """
 
 import hashlib
@@ -38,6 +39,9 @@ ROP_GOLDENS = {
     "2": "c9b9cba122f01b587722fd9aee52cdf5030752a387f348ef5a0dfe0921ba99e2",
 }
 
+# rank-one probes at kappa 1 in the bi-dither layout
+ROP_BIDITHER_GOLDEN = "5d7def13137a9abc7c9fad8e0aa9300e1eff816e21d469a0d58829803e28f5fd"
+
 SELFTEST_GOLDEN = "b831ea0e10f4644637bdcbcbff5e3bf96199d4c32ac46b40e84178e9b7125ceb"
 
 
@@ -63,15 +67,23 @@ def test_code_file_matches_golden(tmp_path, capsys, family, layout):
     assert _sha256(out) == CODE_GOLDENS[(family, layout)]
 
 
-@pytest.mark.parametrize("kappa", sorted(ROP_GOLDENS))
-def test_rop_code_file_matches_golden(tmp_path, capsys, kappa):
+def _rop_code_file_sha256(tmp_path, capsys, kappa, layout):
     out = tmp_path / "codes.bin"
     argv = ["embed", "--family", "rop", "--m", "40", "--n1", "4", "--n2", "5", "--kappa", kappa,
             "--input", _vector_file(tmp_path, 20), "--delta", "0.5", "--seed", "19",
-            "--dither-seed", "29", "--out", str(out)]
+            "--dither-seed", "29", "--layout", layout, "--out", str(out)]
     assert main(argv) == 0
     capsys.readouterr()
-    assert _sha256(out) == ROP_GOLDENS[kappa]
+    return _sha256(out)
+
+
+@pytest.mark.parametrize("kappa", sorted(ROP_GOLDENS))
+def test_rop_code_file_matches_golden(tmp_path, capsys, kappa):
+    assert _rop_code_file_sha256(tmp_path, capsys, kappa, "single") == ROP_GOLDENS[kappa]
+
+
+def test_rop_bidither_code_file_matches_golden(tmp_path, capsys):
+    assert _rop_code_file_sha256(tmp_path, capsys, "1", "bidither") == ROP_BIDITHER_GOLDEN
 
 
 def test_selftest_report_matches_golden(capsys):

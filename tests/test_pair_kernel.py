@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qembed import QuantConfig, build, measure_qrip, sample_dither, sparse
-from qembed.embeddings import _BLOCK_MAX, _estimate_from_codes, _PairKernel
+from qembed.embeddings import _BLOCK_ENTRIES, _estimate_from_codes, _PairKernel
 from qembed.rng import _stream_states, stream
 from qembed.verify import records_csv, summary_csv
 
@@ -44,9 +44,12 @@ def test_sweep_csvs_match_golden(mode, delta):
 
 
 def _reference_estimate(y, y_prime, mode, delta, seed):
-    """Back-to-back sample_dither draws, int64 codes, Python-int sums."""
+    """Back-to-back sample_dither draws, int64 codes, Python-int sums.
+
+    ``seed`` seeds ``default_rng``; a Generator is drawn from directly.
+    """
     cfg = QuantConfig(delta)
-    rng = np.random.default_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     m = y.size
     dithers = [sample_dither(m, cfg, rng) for _ in range(2 if mode == "circ" else 1)]
     gaps = []
@@ -57,6 +60,12 @@ def _reference_estimate(y, y_prime, mode, delta, seed):
     if mode == "l1":
         return delta * sum(gaps[0]) / m, dithers
     return delta * delta * sum(g * h for g, h in zip(gaps[0], gaps[-1])) / m, dithers
+
+
+def _one_trial(kernel, seed):
+    """The kernel's estimate for one trial drawn from ``default_rng(seed)``."""
+    state = np.random.default_rng(seed).bit_generator.state
+    return kernel.trials(np.random.default_rng(0), [state], np.empty(1))[0]
 
 
 # |y| / delta spans small values, the 2**52 fast-path limit and beyond,
@@ -86,16 +95,16 @@ def _pairs(draw):
 def test_kernel_matches_python_int_reference(pair, mode, seed):
     y, y_prime, delta = pair
     kernel = _PairKernel(y, y_prime, mode, QuantConfig(delta))
-    got = kernel(np.random.default_rng(seed))
+    got = _one_trial(kernel, seed)
     want, dithers = _reference_estimate(y, y_prime, mode, delta, seed)
-    assert np.array_equal(kernel.dither, np.stack(dithers))
+    assert np.array_equal(kernel._block[0][0], np.stack(dithers))
     assert got == want
 
 
 def test_kernel_reaches_both_paths(monkeypatch):
     calls = []
     checked = _PairKernel._checked
-    monkeypatch.setattr(_PairKernel, "_checked", lambda self: calls.append(1) or checked(self))
+    monkeypatch.setattr(_PairKernel, "_checked", lambda self, d: calls.append(1) or checked(self, d))
     cfg = QuantConfig(1.0)
     rng = np.random.default_rng(0)
     small = rng.standard_normal(64)
@@ -108,7 +117,7 @@ def test_kernel_reaches_both_paths(monkeypatch):
     for y, y_prime, mode, fallback in cases:
         before = len(calls)
         kernel = _PairKernel(y, y_prime, mode, cfg)
-        assert kernel(np.random.default_rng(1)) == _reference_estimate(y, y_prime, mode, 1.0, 1)[0]
+        assert _one_trial(kernel, 1) == _reference_estimate(y, y_prime, mode, 1.0, 1)[0]
         assert (len(calls) > before) == fallback
 
 
@@ -120,34 +129,55 @@ def test_trials_match_per_trial_calls(pair, mode, seed, trials):
     kernel = _PairKernel(y, y_prime, mode, QuantConfig(delta))
     states = _stream_states(seed, "test:trials", np.arange(trials)[:, None])
     got = kernel.trials(np.random.default_rng(0), states, np.empty(trials))
-    want = [_PairKernel(y, y_prime, mode, QuantConfig(delta))(stream(seed, "test:trials", t)) for t in range(trials)]
+    want = [_reference_estimate(y, y_prime, mode, delta, stream(seed, "test:trials", t))[0] for t in range(trials)]
     assert got.tolist() == want
 
 
-@pytest.mark.parametrize("mode,m,gap", [("l1", 4096, 2**41), ("l2sq", 2048, 2**21), ("circ", 2048, 2**21)])
+# dither entries per trial (cols * m): below 4096, at 8192 (a few trials
+# per block) and above _BLOCK_ENTRIES (one trial per block)
+@pytest.mark.parametrize("entries", [2000, 8192, _BLOCK_ENTRIES + 2000])
+@pytest.mark.parametrize("mode", ["l1", "circ"])
+def test_trials_match_reference_across_block_sizes(mode, entries):
+    m = entries // (2 if mode == "circ" else 1)
+    rng = np.random.default_rng(entries)
+    y, y_prime = rng.standard_normal((2, m)) * 3
+    trials = 6
+    kernel = _PairKernel(y, y_prime, mode, QuantConfig(0.7))
+    states = _stream_states(9, "test:sizes", np.arange(trials)[:, None])
+    got = kernel.trials(np.random.default_rng(0), states, np.empty(trials))
+    assert kernel._block[0].shape[0] == max(1, min(_BLOCK_ENTRIES // entries, trials))
+    want = [_reference_estimate(y, y_prime, mode, 0.7, stream(9, "test:sizes", t))[0] for t in range(trials)]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "mode,m,gap", [("l1", 4096, 2**41), ("l1", 8192, 2**40), ("l2sq", 2048, 2**21), ("circ", 2048, 2**21)]
+)
 def test_block_row_takes_the_sum_guard_fallback(monkeypatch, mode, m, gap):
     # coordinate 0 has cell gap gap - 1 when its dither is below 1/2 and
     # gap when above; the sum guard fails exactly at gap (m * gap = 2**53
     # for l1, m * gap**2 = 2**53 otherwise), so the block mixes rows that
     # pass it with rows that fall back to ``_checked``
-    assert (2 if mode == "circ" else 1) * m <= _BLOCK_MAX
     y = np.zeros(m)
     y[0] = gap - 0.5
     trials = 16
     states = _stream_states(5, "test:guard", np.arange(trials)[:, None])
-    want = []
-    for t in range(trials):
-        reference = _PairKernel(y, np.zeros(m), mode, QuantConfig(1.0))
-        reference.dither[...] = stream(5, "test:guard", t).random(reference.dither.shape)
-        want.append(reference._checked())
+    reference = _PairKernel(y, np.zeros(m), mode, QuantConfig(1.0))
+    shape = (reference.cols, m)
+    want = [reference._checked(stream(5, "test:guard", t).random(shape)) for t in range(trials)]
     calls = []
     checked = _PairKernel._checked
-    monkeypatch.setattr(_PairKernel, "_checked", lambda self: calls.append(1) or checked(self))
+    monkeypatch.setattr(_PairKernel, "_checked", lambda self, d: calls.append(1) or checked(self, d))
     kernel = _PairKernel(y, np.zeros(m), mode, QuantConfig(1.0))
     got = kernel.trials(np.random.default_rng(0), states, np.empty(trials))
-    assert kernel._block is not None  # the blocked path ran
+    rows = kernel._block[0].shape[0]
+    assert rows > 1  # several trials per block
     assert got.tolist() == want
     assert 0 < len(calls) < trials
+    # some block holds both a row that passes the guard and one that does
+    # not; a row fails when coordinate 0 draws 1/2 or more in every column
+    fell_back = [bool((stream(5, "test:guard", t).random(shape)[:, 0] >= 0.5).all()) for t in range(trials)]
+    assert any(0 < sum(fell_back[t0 : t0 + rows]) < rows for t0 in range(0, trials, rows))
 
 
 def test_load_keeps_buffers_and_retargets():
@@ -155,10 +185,11 @@ def test_load_keeps_buffers_and_retargets():
     rng = np.random.default_rng(3)
     y, y_prime = rng.standard_normal((2, 32)) * 5
     kernel = _PairKernel(np.zeros(32), np.zeros(32), "circ", cfg)
-    buffer = kernel.dither
+    _one_trial(kernel, 4)
+    buffers = kernel._block
     kernel.load(y, y_prime)
-    assert kernel.dither is buffer
-    assert kernel(np.random.default_rng(4)) == _PairKernel(y, y_prime, "circ", cfg)(np.random.default_rng(4))
+    assert _one_trial(kernel, 4) == _one_trial(_PairKernel(y, y_prime, "circ", cfg), 4)
+    assert kernel._block is buffers
     with pytest.raises(ValueError):
         kernel.load(np.zeros(3), np.zeros(4))
 
@@ -168,7 +199,7 @@ def test_kernel_rejects_unquantizable_measurements(bad):
     y = np.array([0.0, bad])
     kernel = _PairKernel(y, np.zeros(2), "l1", QuantConfig(1.0))
     with pytest.raises(ValueError, match="finite"):
-        kernel(np.random.default_rng(0))
+        _one_trial(kernel, 0)
 
 
 def test_kernel_input_validation():

@@ -176,6 +176,17 @@ class TestThresholdCount:
         got = soft_distance_array(np.array([0.0, -5e11]), np.array([1e12, 5e11]), SoftParam(0.1), cfg)
         assert got.tolist() == [999999999999.0, 999999999999.0]
 
+    def test_wide_guard_band_raises(self):
+        with pytest.raises(ValueError, match=r"guard band \|t\| / delta exceeds 1024$"):
+            soft_distance(0, 1, SoftParam(1e17), QuantConfig(1))
+        with pytest.raises(ValueError, match="exceeds 1024"):
+            _threshold_count(np.zeros(2), np.ones(2), np.array([0.5, -1024.01]), 1.0)
+
+    @pytest.mark.parametrize("a,b,t,delta", [(0.3, 3000.7, 1023.9, 1.0), (-5.0, 300.0, -511.9, 0.5)])
+    def test_guard_band_just_under_the_bound(self, a, b, t, delta):
+        assert _threshold_count(a, b, t, delta) == _full_count(a, b, t, delta)
+        assert soft_distance(a, b, SoftParam(t), QuantConfig(delta)) == delta * _full_count(a, b, t, delta)
+
     def test_memory_does_not_grow_with_the_gap(self):
         cfg, soft = QuantConfig(1.0), SoftParam(0.1)
         peaks = []
