@@ -25,13 +25,12 @@ import tempfile
 import numpy as np
 
 from . import modelsets
-from .embeddings import _LAYOUT_COLS, deserialize, embed, estimate_distance, serialize
+from .embeddings import _LAYOUT_COLS, _MODES, deserialize, embed, estimate_distance, serialize
 from .linops import FAMILIES, build, build_rop
 from .modelsets import ModelSet, entropy_bound, mean_width_mc, required_m
 from .quantizer import QuantConfig, sample_dither
 from .rng import stream
 from .verify import (
-    MODES,
     estimate_rip,
     fit_decay,
     measure_qrip,
@@ -137,6 +136,8 @@ def _load_vector(path: str, line: int) -> np.ndarray:
         raise _CliError(f"--input {path}: not a UTF-8 text file")
     if not rows:
         raise _CliError(f"--input {path}: no vectors found")
+    if line < 0:
+        raise _CliError(f"--line {line}: must be >= 0")
     if line >= len(rows):
         raise _CliError(f"--line {line}: file has only {len(rows)} vector(s)")
     try:
@@ -210,7 +211,7 @@ def _make_parser() -> _Parser:
 
     sp = sub.add_parser("distance", help="two code files -> estimate")
     sp.add_argument("codes", nargs=2)
-    sp.add_argument("--mode", required=True, choices=MODES)
+    sp.add_argument("--mode", required=True, choices=tuple(_MODES))
 
     sp = sub.add_parser("riptest", help="empirical linear-map distortion")
     _add_op_flags(sp)
@@ -221,7 +222,7 @@ def _make_parser() -> _Parser:
 
     sp = sub.add_parser("qrip", help="distance-grid distortion sweep")
     _add_op_flags(sp)
-    sp.add_argument("--mode", required=True, choices=MODES)
+    sp.add_argument("--mode", required=True, choices=tuple(_MODES))
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--grid", required=True, help="comma-separated distances")
     sp.add_argument("--pairs", type=int, default=8)
@@ -232,7 +233,7 @@ def _make_parser() -> _Parser:
 
     sp = sub.add_parser("decay", help="additive-residual decay across m")
     _add_op_flags(sp, need_m=False)
-    sp.add_argument("--mode", required=True, choices=MODES)
+    sp.add_argument("--mode", required=True, choices=tuple(_MODES))
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--grid", required=True)
     sp.add_argument("--m-list", required=True, help="comma-separated embedding dimensions (>= 4)")
@@ -349,8 +350,9 @@ def _cmd_decay(args) -> int:
         m_list = [int(v) for v in args.m_list.split(",") if v.strip()]
     except ValueError:
         raise _CliError(f"--m-list: expected comma-separated integers, got {args.m_list!r}")
-    if len(m_list) < 4:
-        raise _CliError(f"--m-list: need >= 4 embedding dimensions, got {len(m_list)}")
+    distinct = len(set(m_list))
+    if distinct < 4:
+        raise _CliError(f"--m-list: need >= 4 distinct embedding dimensions, got {distinct}")
     runs = [_run_qrip(args, m) for m in sorted(m_list)]
     slope = fit_decay(runs)
     if args.out:

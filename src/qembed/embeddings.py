@@ -43,10 +43,11 @@ __all__ = [
 HEADER_SIZE = 40
 _MAGIC = b"QEMB"
 _VERSION = 1
-# The mode/layout table: the code layout each estimator reads, and the
-# dither (and code) columns of each layout.  A code file's header stores
-# the layout as its column count.
-_MODE_LAYOUTS = {"l1": "single", "l2sq": "single", "circ": "bidither"}
+# The mode table: the code layout each estimator reads and the power p
+# of the distance ||x - x'||**p it estimates; and the dither (and code)
+# columns of each layout.  A code file's header stores the layout as its
+# column count.
+_MODES = {"l1": ("single", 1), "l2sq": ("single", 2), "circ": ("bidither", 2)}
 _LAYOUT_COLS = {"single": 1, "bidither": 2}
 _COLS_LAYOUT = {v: k for k, v in _LAYOUT_COLS.items()}
 _WIDTH_DTYPES = {0: "<i1", 1: "<i2", 2: "<i4"}
@@ -61,10 +62,10 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _BLOCK_ENTRIES = 2**15
 
 
-def _mode_layout(mode: str) -> str:
-    """The code layout that ``mode``'s estimator reads."""
+def _mode(mode: str) -> tuple[str, int]:
+    """``mode``'s (layout, power) entry of the mode table."""
     try:
-        return _MODE_LAYOUTS[mode]
+        return _MODES[mode]
     except KeyError:
         raise ValueError(f"unknown mode {mode!r}; choose l1, l2sq or circ") from None
 
@@ -219,24 +220,24 @@ def _estimate_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, mode: str, de
     arbitrary-precision Python ints; either way the accumulation is
     exact and delta scaling is applied once at the end.
     """
-    _mode_layout(mode)  # rejects an unknown mode
+    power = _mode(mode)[1]
     m = codes_a.shape[0]
     codes_a = np.asarray(codes_a, dtype=np.int64)
     codes_b = np.asarray(codes_b, dtype=np.int64)
     # max - min of two int64 values lies in [0, 2**64), so the uint64
     # difference of their bit patterns is the exact gap
     gaps = np.maximum(codes_a, codes_b).view(np.uint64) - np.minimum(codes_a, codes_b).view(np.uint64)
-    if mode == "l1":
+    if power == 1:
         peak = m * int(gaps[:, 0].max(initial=0))
         if peak < 2**62:
             total = int(np.sum(gaps[:, 0]))
         else:
             total = int(np.sum(gaps[:, 0], dtype=object))
         return delta * total / m
-    # l2sq multiplies its one column by itself, circ its two columns
+    # power 2: a single column multiplies itself, bi-dither its two columns
     g1, g2 = gaps[:, 0], gaps[:, -1]
     top = int(g1.max(initial=0))
-    peak = m * top * (top if mode == "l2sq" else int(g2.max(initial=0)))
+    peak = m * top * (top if gaps.shape[1] == 1 else int(g2.max(initial=0)))
     if peak < 2**62:
         total = int(np.dot(g1, g2))
     else:
@@ -248,8 +249,8 @@ class _PairKernel:
     """Quantize-and-estimate kernel for one measurement pair (y, y').
 
     ``trials`` runs trials of the pair, each from its own keyed generator
-    state: a trial draws a (cols, m) dither block (cols from the
-    mode/layout table), quantizes both measurements against it and
+    state: a trial draws a (cols, m) dither block (cols from the mode
+    table's layout), quantizes both measurements against it and
     yields the code-domain estimate.  The block holds, bit for bit, the
     values of ``cols`` back-to-back ``sample_dither`` calls on the
     trial's stream, and the estimate equals ``_estimate_from_codes`` on
@@ -266,7 +267,8 @@ class _PairKernel:
     """
 
     def __init__(self, y: np.ndarray, y_prime: np.ndarray, mode: str, cfg: QuantConfig):
-        self.cols = _LAYOUT_COLS[_mode_layout(mode)]
+        layout, self.power = _mode(mode)
+        self.cols = _LAYOUT_COLS[layout]
         self.mode = mode
         self.cfg = cfg
         self._block = None
@@ -343,7 +345,7 @@ class _PairKernel:
         np.subtract(a, b, out=a)
         g = np.abs(a, out=a)
         m = g.shape[-1]
-        if self.mode == "l1":
+        if self.power == 1:
             scale = delta
             sums = g[:, 0].sum(axis=1).tolist()
             bounds = [m * int(p) for p in g[:, 0].max(axis=1).tolist()]
@@ -379,7 +381,7 @@ def estimate_distance(c: CodeBlock, c_prime: CodeBlock, mode: str) -> float:
             f"(layout, m, delta) = ({c.layout}, {c.m}, {c.delta}) vs "
             f"({c_prime.layout}, {c_prime.m}, {c_prime.delta})"
         )
-    layout = _mode_layout(mode)
+    layout = _mode(mode)[0]
     if c.layout != layout:
         raise ValueError(f"mode {mode!r} requires the {layout} layout, got {c.layout!r}")
     return _estimate_from_codes(c.codes, c_prime.codes, mode, c.delta)

@@ -298,20 +298,19 @@ class ExpanderOp(LinOp):
     Each input node j connects to d distinct output nodes chosen
     uniformly from the stream keyed by (seed, "expander:nbrs", j); the n
     states come from one batched pass.  matvec accumulates in O(n*d).
-    Declared scaling makes the normalized functional
-    (mu**p / m) * ||A x||_p**p equal to (1/d**p) * ||A x||_p**p, which
-    equals ||x||_p**p exactly on nonnegative inputs for p=1.
+    The profile is (l1, l1) with mu = m / d, so the normalized functional
+    (mu / m) * ||A x||_1 is ||A x||_1 / d, which equals ||x||_1 exactly on
+    nonnegative inputs.
     """
 
     family = "expander"
 
-    def __init__(self, m, n, seed, degree, p=1.0):
+    def __init__(self, m, n, seed, degree):
         if degree < 1:
             raise ValueError(f"expander left-degree must be >= 1, got {degree}")
         if degree > m:
             raise ValueError(f"expander left-degree must be <= m, got d={degree} > m={m}")
-        # mu = m**(1/p) / d so that mu**p / m = d**(-p)
-        super().__init__(m, n, seed, mu=m ** (1.0 / p) / degree, rip_profile=(p, p))
+        super().__init__(m, n, seed, mu=m / degree, rip_profile=(1.0, 1.0))
         self.degree = int(degree)
         nbrs = np.empty((n, degree), dtype=np.int64)
         gen = np.random.default_rng(0)
@@ -398,22 +397,14 @@ class RopOp(LinOp):
         return self.kappa * rows.reshape(self.m, self.n)
 
 
-def build_rop(m: int, n1: int, n2: int, seed: int, kappa: float = 1.0, dist: str = "gaussian") -> RopOp:
-    """Build a rank-one probing operator with gaussian or +-1 probes."""
+def build_rop(m: int, n1: int, n2: int, seed: int, kappa: float = 1.0) -> RopOp:
+    """Build a rank-one probing operator with standard normal probes."""
     if m < 1 or n1 < 1 or n2 < 1:
         raise ValueError(f"dimensions must be >= 1, got m={m}, n1={n1}, n2={n2}")
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    rng_a = stream(seed, "rop:left")
-    rng_b = stream(seed, "rop:right")
-    if dist == "gaussian":
-        a = rng_a.standard_normal((m, n1))
-        b = rng_b.standard_normal((m, n2))
-    elif dist == "bernoulli":
-        a = rng_a.integers(0, 2, size=(m, n1)).astype(float) * 2.0 - 1.0
-        b = rng_b.integers(0, 2, size=(m, n2)).astype(float) * 2.0 - 1.0
-    else:
-        raise ValueError(f"unknown probe distribution {dist!r}")
+    a = stream(seed, "rop:left").standard_normal((m, n1))
+    b = stream(seed, "rop:right").standard_normal((m, n2))
     a.setflags(write=False)
     b.setflags(write=False)
     return RopOp(m, n1, n2, seed, kappa, a, b)

@@ -160,59 +160,28 @@ def _unit(v: np.ndarray, q: float) -> np.ndarray:
 def sample_point(mset: ModelSet, rng: np.random.Generator) -> np.ndarray:
     """One member of the set; structured kinds get unit l2 (or Frobenius)
     norm by default, balls are sampled uniformly."""
-    k = mset.kind
     p = mset.params
-    if k == "sparse":
-        support = rng.choice(p["n"], size=p["s"], replace=False)
-        x = np.zeros(p["n"])
-        x[support] = rng.standard_normal(p["s"])
-        return _unit(x, 2)
-    if k == "group_sparse":
-        groups = rng.choice(p["n"], size=p["s"], replace=False)
-        x = np.zeros(p["n"] * p["l"])
-        for g in groups:
-            x[g * p["l"] : (g + 1) * p["l"]] = rng.standard_normal(p["l"])
-        return _unit(x, 2)
-    if k == "low_rank":
-        g1 = rng.standard_normal((p["n1"], p["r"]))
-        g2 = rng.standard_normal((p["n2"], p["r"]))
-        u = g1 @ g2.T
-        return u / np.linalg.norm(u, "fro")
-    if k == "low_rank_joint_sparse":
-        rows = rng.choice(p["n1"], size=p["s"], replace=False)
-        g1 = rng.standard_normal((p["s"], p["r"]))
-        g2 = rng.standard_normal((p["n2"], p["r"]))
-        u = np.zeros((p["n1"], p["n2"]))
-        u[rows] = g1 @ g2.T
-        return u / np.linalg.norm(u, "fro")
-    if k == "subspace_union":
-        bases = p["bases"]
-        b = bases[rng.integers(len(bases))]
-        x = b @ rng.standard_normal(b.shape[1])
-        return _unit(x, 2)
-    if k == "ball":
+    if mset.kind == "ball":
         direction = rng.standard_normal(p["n"])
         direction /= np.linalg.norm(direction)
         return mset.radius * rng.uniform() ** (1.0 / p["n"]) * direction
-    if k == "finite_cloud":
+    if mset.kind == "finite_cloud":
         pts = p["points"]
         return pts[rng.integers(pts.shape[0])].copy()
-    if k == "dict_sparse":
-        d = p["D"]
-        support = rng.choice(d.shape[1], size=p["s"], replace=False)
-        x = d[:, support] @ rng.standard_normal(p["s"])
-        return _unit(x, 2)
-    raise ValueError(f"unknown model kind {k!r}")
+    dim, lift = _structured_frame(mset, rng)
+    return _unit(lift(rng.standard_normal(dim)), 2)
 
 
 def _structured_frame(mset: ModelSet, rng: np.random.Generator):
-    """Draw the shared structure for a pair and return functions mapping
-    low-dimensional coordinates into the ambient space.
+    """Draw one structured component (support, groups, factors, subspace)
+    and return a map from low-dimensional coordinates into it.
 
     Returns (dim, lift) where lift maps a dim-vector to a member of the
-    structured subspace.  The draws consumed here do not depend on the
-    requested distance, so a reused stream yields the same structure at
-    every distance.
+    component.  This is the one per-kind sampler: ``sample_point`` lifts
+    one Gaussian coordinate vector, ``sample_pair`` a gap direction and a
+    centre.  The draws consumed here do not depend on the requested
+    distance, so a reused stream yields the same component at every
+    distance.
     """
     k = mset.kind
     p = mset.params
@@ -277,7 +246,7 @@ def _structured_frame(mset: ModelSet, rng: np.random.Generator):
             return sub @ c
 
         return p["s"], lift
-    raise ValueError(f"pair sampling is unsupported for kind {k!r}")
+    raise ValueError(f"unknown model kind {k!r}")
 
 
 def sample_pair(
@@ -498,13 +467,20 @@ def required_m(
 
     The covering resolution is eta = delta * eps**2 for the l1-estimator
     and bi-dither routes ('p1', 'p3') and eta = delta * eps**1.5 for the
-    squared-l2 route ('p2').
+    squared-l2 route ('p2').  Raises ValueError when the requirement is
+    not a finite integer.
     """
     if prop not in ("p1", "p2", "p3"):
         raise ValueError(f"prop must be one of p1, p2, p3, got {prop!r}")
     if not (0 < epsilon < 1):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if C <= 0:
-        raise ValueError(f"C must be positive, got {C}")
+    if not (C > 0 and math.isfinite(C)):
+        raise ValueError(f"C must be positive and finite, got {C}")
     eta = cfg.delta * (epsilon**2 if prop in ("p1", "p3") else epsilon**1.5)
-    return math.ceil(C * epsilon**-2 * entropy_bound(mset, eta, q))
+    try:
+        need = C * epsilon**-2 * entropy_bound(mset, eta, q)
+    except OverflowError:
+        need = math.inf
+    if not math.isfinite(need):
+        raise ValueError(f"the required dimension at epsilon={epsilon}, C={C} is not a finite integer")
+    return math.ceil(need)

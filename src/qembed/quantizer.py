@@ -215,8 +215,8 @@ def premetric(a: np.ndarray, a_prime: np.ndarray, p: float) -> float:
     a_prime = np.asarray(a_prime, float)
     if a.shape != a_prime.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {a_prime.shape}")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not (1 <= p < math.inf):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     return float(np.mean(np.abs(a - a_prime) ** p))
 
 

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import _LAYOUT_COLS, _PairKernel, _mode_layout, quantize_with_dither
+from .embeddings import _LAYOUT_COLS, _PairKernel, _mode, quantize_with_dither
 from .linops import LinOp, build
 from .modelsets import ModelSet, sample_pair
 from .quantizer import QuantConfig, _threshold_count
@@ -87,7 +87,6 @@ __all__ = [
     "SUMMARY_COLUMNS",
 ]
 
-MODES = ("l1", "l2sq", "circ")
 RECORD_COLUMNS = "m,delta,mode,true_dist,est_dist,rel_err,pair_id,trial_id,seed"
 SUMMARY_COLUMNS = "m,mode,eps_L_hat,dist,rho_hat_max,rho_hat_median"
 
@@ -123,13 +122,6 @@ class QripFit:
     distances: np.ndarray
     rho_hat_max: np.ndarray
     rho_hat_median: np.ndarray
-    decay_slope: float | None = None
-
-    def rho_table(self) -> dict[float, tuple[float, float]]:
-        return {
-            float(s): (float(mx), float(md))
-            for s, mx, md in zip(self.distances, self.rho_hat_max, self.rho_hat_median)
-        }
 
 
 @dataclass
@@ -177,7 +169,7 @@ class _Records(Sequence):
         pair_id, rest = divmod(i % n, grid * dithers)
         trial_id, si = divmod(rest, grid)
         s = run.distances[si]
-        target = s ** _exponent(run.mode)
+        target = s ** _mode(run.mode)[1]
         est = float(run.estimates[pair_id, si, trial_id])
         return DistortionRecord(
             m=run.m,
@@ -190,14 +182,6 @@ class _Records(Sequence):
             trial_id=trial_id,
             seed=run.seed,
         )
-
-
-def _exponent(mode: str) -> int:
-    if mode == "l1":
-        return 1
-    if mode in ("l2sq", "circ"):
-        return 2
-    raise ValueError(f"unknown mode {mode!r}; choose one of {MODES}")
 
 
 def check_dither_identity(
@@ -283,14 +267,11 @@ def _qrip_task(op, mset, mode, cfg, grid, pair_state, dither_states, q):
         y = op.matvec(np.ravel(x))
         y_prime = op.matvec(np.ravel(x_prime))
         gap = y - y_prime
-        if mode == "l1":
-            linear[si] = float(np.mean(np.abs(gap)))
-        else:
-            linear[si] = float(np.mean(gap * gap))
         if kernel is None:
             kernel = _PairKernel(y, y_prime, mode, cfg)
         else:
             kernel.load(y, y_prime)
+        linear[si] = float(np.mean(np.abs(gap) if kernel.power == 1 else gap * gap))
         kernel.trials(gen, dither_states[si * dithers : (si + 1) * dithers], ests[si])
     sds = ests.std(axis=1, ddof=1) if dithers > 1 else np.zeros(len(grid))
     return ests, ests.mean(axis=1), sds, linear
@@ -342,7 +323,7 @@ def measure_qrip(
         raise ValueError("distance grid must be non-empty and positive")
     if pairs_per_distance < 1 or dithers_per_pair < 1:
         raise ValueError("pairs_per_distance and dithers_per_pair must be >= 1")
-    p_e = _exponent(mode)
+    layout, p_e = _mode(mode)
     q = op.rip_profile[1]
     pair_states = _stream_states(seed, "qrip:pair", np.arange(pairs_per_distance)[:, None])
     # rows ordered by (pair, distance, trial), keyed (pair, trial, distance)
@@ -356,7 +337,7 @@ def measure_qrip(
 
     pair_ids = list(range(pairs_per_distance))
     if threads is None:
-        threads = _default_workers(_LAYOUT_COLS[_mode_layout(mode)] * op.m, pairs_per_distance)
+        threads = _default_workers(_LAYOUT_COLS[layout] * op.m, pairs_per_distance)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(task, pair_ids))
@@ -401,22 +382,28 @@ def measure_qrip(
 
 
 def power_law_slope(ms, values) -> float:
-    """Least-squares slope of log(values) against log(ms)."""
+    """Least-squares slope of log(values) against log(ms).
+
+    Needs positive, finite ms with at least 2 distinct values and
+    positive, finite values.
+    """
     ms = np.asarray(ms, dtype=float)
     values = np.asarray(values, dtype=float)
-    if ms.size < 2 or np.any(values <= 0):
-        raise ValueError("need >= 2 positive samples for a log-log fit")
+    if np.unique(ms).size < 2 or ms.shape != values.shape:
+        raise ValueError("a log-log fit needs >= 2 distinct dimensions and one value each")
+    if not (np.isfinite(ms).all() and np.isfinite(values).all() and ms.min() > 0 and values.min() > 0):
+        raise ValueError("a log-log fit needs positive, finite dimensions and values")
     return float(np.polyfit(np.log(ms), np.log(values), 1)[0])
 
 
 def fit_decay(runs) -> float:
     """Slope of log(median additive residual) against log(m).
 
-    ``runs`` are measure_qrip outputs over >= 4 embedding dimensions with
-    matching (mode, delta); each run contributes the median over its
-    distance grid of the worst-case residual table.  Also accepts (m,
-    residual) pairs directly, which is how synthetic decay inputs are
-    fitted.
+    ``runs`` are measure_qrip outputs over >= 4 distinct embedding
+    dimensions with matching (mode, delta); each run contributes the
+    median over its distance grid of the worst-case residual table.  Also
+    accepts (m, residual) pairs directly, which is how synthetic decay
+    inputs are fitted.
     """
     pts = []
     for run in runs:
@@ -425,8 +412,9 @@ def fit_decay(runs) -> float:
         else:
             m, rho = run
             pts.append((float(m), float(rho)))
-    if len(pts) < 4:
-        raise ValueError(f"fit_decay needs >= 4 embedding dimensions, got {len(pts)}")
+    distinct = len({m for m, _ in pts})
+    if distinct < 4:
+        raise ValueError(f"fit_decay needs >= 4 distinct embedding dimensions, got {distinct}")
     ms, rhos = zip(*sorted(pts))
     return power_law_slope(ms, rhos)
 
@@ -594,7 +582,7 @@ def selftest(seed: int = 0, fast: bool = False) -> list[dict]:
 def records_csv(run: QripRun) -> str:
     """One row per record, ordered by (pair, trial, distance), formatted
     from the estimate array with the arithmetic of ``run.records``."""
-    p_e = _exponent(run.mode)
+    p_e = _mode(run.mode)[1]
     head = f"{run.m},{_fmt(run.delta)},{run.mode},"
     # texts[si][j][t] holds the distance, estimate and relative-error fields
     texts = []

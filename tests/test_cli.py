@@ -122,6 +122,17 @@ class TestEmbedDistance:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_line_exit_1(self, tmp_path, capsys):
+        vec = tmp_path / "x.txt"
+        vec.write_text("1 2\n3 4\n")
+        out = tmp_path / "o.qemb"
+        code, _, err = run_cli(
+            capsys, "embed", "--family", "gaussian", "--m", "4", "--n", "2",
+            "--input", str(vec), "--line", "-1", "--delta", "1", "--out", str(out),
+        )
+        assert code == 1 and "--line -1" in err and _one_line(err)
+        assert not out.exists()
+
     def test_vector_length_mismatch(self, tmp_path, capsys):
         vec = tmp_path / "x.txt"
         vec.write_text("1 2 3\n")
@@ -291,6 +302,13 @@ class TestRiptestQripDecay:
         assert lines[1] == "m,mode,eps_L_hat,dist,rho_hat_max,rho_hat_median"
         assert len(lines) == 2 + 4 * 3
 
+    def test_decay_counts_distinct_dimensions(self, capsys):
+        code, _, err = run_cli(
+            capsys, "decay", "--family", "gaussian", "--n", "8", "--model", "sparse:2:8", "--mode", "l1",
+            "--delta", "1", "--grid", "1", "--m-list", "16,16,32,64", "--pairs", "1", "--dithers", "1",
+        )
+        assert code == 1 and "3" in err and _one_line(err)
+
 
 _DELTA_COMMANDS = {
     "embed": ["embed", "--family", "gaussian", "--m", "8", "--n", "4", "--input", "{vec}", "--out", "{out}"],
@@ -435,6 +453,15 @@ class TestModuleEntryPoint:
         assert proc.returncode == 1
         assert _one_line(proc.stderr) and "length" in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--C", "inf"), ("--C", "nan"), ("--eps", "1e-200")])
+    def test_reqm_unbounded_requirement_exit_1(self, flag, value):
+        argv = {"--C": "1", "--eps": "0.1"}
+        argv[flag] = value
+        proc = self._run("reqm", "--prop", "p1", "--model", "sparse:4:64", "--delta", "1",
+                         *(f"{k}={v}" for k, v in argv.items()))
+        assert proc.returncode == 1
+        assert _one_line(proc.stderr) and "Traceback" not in proc.stderr + proc.stdout
 
 
 def test_import_does_not_load_scipy():

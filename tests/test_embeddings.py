@@ -15,11 +15,12 @@ from qembed import (
     embed_bidither,
     embed_rop,
     estimate_distance,
+    measure_qrip,
     sample_dither,
     serialize,
     sparse,
 )
-from qembed.embeddings import HEADER_SIZE, quantize_with_dither
+from qembed.embeddings import HEADER_SIZE, _estimate_from_codes, _PairKernel, quantize_with_dither
 from qembed.modelsets import sample_point
 from qembed.rng import stream
 
@@ -193,6 +194,21 @@ class TestEstimateDistance:
             estimate_distance(a, b, "l1")
         with pytest.raises(ValueError):
             estimate_distance(a, c, "l1")
+
+    @pytest.mark.parametrize("entry", ["measure_qrip", "estimate_distance", "_estimate_from_codes", "_PairKernel"])
+    def test_unknown_mode_message(self, entry):
+        block = CodeBlock("single", 2, 1.0, np.zeros((2, 1), dtype=int))
+        calls = {
+            "measure_qrip": lambda: measure_qrip(
+                build("gaussian", 4, 4, seed=0), sparse(1, 4), "l3", QuantConfig(1.0), [0.5], 1, 1, seed=0
+            ),
+            "estimate_distance": lambda: estimate_distance(block, block, "l3"),
+            "_estimate_from_codes": lambda: _estimate_from_codes(block.codes, block.codes, "l3", 1.0),
+            "_PairKernel": lambda: _PairKernel(np.zeros(2), np.ones(2), "l3", QuantConfig(1.0)),
+        }
+        with pytest.raises(ValueError) as err:
+            calls[entry]()
+        assert str(err.value) == "unknown mode 'l3'; choose l1, l2sq or circ"
 
     def test_wrong_layout_for_mode(self):
         single = CodeBlock("single", 2, 1.0, np.zeros((2, 1), dtype=int))

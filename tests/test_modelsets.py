@@ -88,6 +88,30 @@ class TestSamplePoint:
                 x = sample_point(mset, srng)
                 assert contains(mset, x, tol=1e-9), mset.kind
 
+    @pytest.mark.parametrize("kind", ["sparse", "subspace_union", "dict_sparse"])
+    def test_matches_the_per_kind_draws_it_replaced(self, kind):
+        # sample_point once drew these kinds itself; lifting one Gaussian
+        # coordinate vector through the pair sampler's frame consumes the
+        # stream the same way, so seeded points did not change
+        mset = {s.kind: s for s in _all_sets(stream(0, "test:membership"))}[kind]
+        p = mset.params
+
+        def old_draw(rng):
+            if kind == "sparse":
+                support = rng.choice(p["n"], size=p["s"], replace=False)
+                x = np.zeros(p["n"])
+                x[support] = rng.standard_normal(p["s"])
+            elif kind == "subspace_union":
+                b = p["bases"][rng.integers(len(p["bases"]))]
+                x = b @ rng.standard_normal(b.shape[1])
+            else:
+                support = rng.choice(p["D"].shape[1], size=p["s"], replace=False)
+                x = p["D"][:, support] @ rng.standard_normal(p["s"])
+            return x / np.linalg.norm(x)
+
+        for seed in range(50):
+            assert np.array_equal(sample_point(mset, stream(seed, "t")), old_draw(stream(seed, "t")))
+
     def test_sparse_unit_norm(self):
         mset = sparse(2, 5)
         rng = stream(2, "t")
@@ -356,3 +380,8 @@ class TestRequiredM:
             required_m("p1", sparse(2, 8), 1.5, cfg)
         with pytest.raises(ValueError):
             required_m("p1", sparse(2, 8), 0.1, cfg, C=-1)
+        for C in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="C must be"):
+                required_m("p1", sparse(2, 8), 0.1, cfg, C=C)
+        with pytest.raises(ValueError, match="not a finite integer"):
+            required_m("p1", sparse(2, 8), 1e-200, cfg)

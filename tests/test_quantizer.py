@@ -308,6 +308,11 @@ class TestPremetrics:
         x = np.arange(5.0)
         assert premetric(x, x, 3) == 0.0
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+    def test_premetric_rejects_bad_power(self, p):
+        with pytest.raises(ValueError):
+            premetric([1.0], [2.0], p)
+
     def test_premetric_length_mismatch(self):
         with pytest.raises(ValueError):
             premetric([1.0], [1.0, 2.0], 1)

@@ -190,10 +190,19 @@ class TestFitDecay:
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
             fit_decay([(128, 1.0), (256, 0.7), (512, 0.5)])
+        # a repeated dimension does not count twice
+        with pytest.raises(ValueError, match="got 3"):
+            fit_decay([(128, 1.0), (128, 0.9), (256, 0.7), (512, 0.5)])
 
     def test_power_law_slope_validation(self):
         with pytest.raises(ValueError):
             power_law_slope([1, 2], [1.0, 0.0])
+
+    @pytest.mark.parametrize("ms", [[32] * 4, [0, 32, 64], [-32, 32, 64], [32, 64, math.inf], [32, math.nan]])
+    def test_power_law_slope_rejects_bad_dimensions(self, ms, capfd):
+        with pytest.raises(ValueError):
+            power_law_slope(ms, np.arange(1.0, len(ms) + 1))
+        assert capfd.readouterr().err == ""
 
     def test_gaussian_l1_decay(self):
         runs = []
