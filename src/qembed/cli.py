@@ -8,11 +8,11 @@ configuration is echoed into CSV headers as comment lines.
 Exit codes: 0 success, 1 validation error (a one-line message on stderr;
 every ValueError raised by the library maps to it), 2 failed selftest
 assertion.
-Sweeps run their trials on one worker per usable core when a trial's
-dither block has at least 2**14 entries, else on one; set QEMB_THREADS
-to fix the worker count.  Results do not depend on it.  For sweeps, set
-OPENBLAS_NUM_THREADS=1 as well: idle OpenBLAS threads spin on the cores
-the trial workers need.
+Sweeps run their trials on one worker per usable core (the CPU affinity
+set, e.g. under taskset) when a trial's dither block has at least 2**14
+entries, else on one.  Results do not depend on the worker count.  For
+sweeps, set OPENBLAS_NUM_THREADS=1: idle OpenBLAS threads spin on the
+cores the trial workers need.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .modelsets import ModelSet, entropy_bound, mean_width_mc, required_m
 from .quantizer import QuantConfig, sample_dither
 from .rng import stream
 from .verify import (
+    SUMMARY_COLUMNS,
     estimate_rip,
     fit_decay,
     measure_qrip,
@@ -89,20 +90,6 @@ def _build_op(args, m: int) -> "LinOp":
             raise _CliError(f"--rip: expected 'p,q' integers, got {args.rip!r}")
         options["rip"] = (p, q)
     return build(args.family, m, args.n, seed=args.seed, **options)
-
-
-def _threads() -> int | None:
-    """QEMB_THREADS as a worker count, or None to let the sweep choose."""
-    raw = os.environ.get("QEMB_THREADS")
-    if raw is None:
-        return None
-    try:
-        val = int(raw)
-    except ValueError:
-        raise _CliError(f"QEMB_THREADS: expected an integer, got {raw!r}")
-    if val < 1:
-        raise _CliError(f"QEMB_THREADS: must be >= 1, got {val}")
-    return val
 
 
 def _atomic_write(path: str, data: bytes | str) -> None:
@@ -329,9 +316,7 @@ def _run_qrip(args, m: int):
     mset = parse_model(args.model, radius=args.radius)
     grid = _parse_grid(args.grid)
     cfg = QuantConfig(args.delta)
-    return measure_qrip(
-        op, mset, args.mode, cfg, grid, args.pairs, args.dithers, seed=args.seed, threads=_threads()
-    )
+    return measure_qrip(op, mset, args.mode, cfg, grid, args.pairs, args.dithers, seed=args.seed)
 
 
 def _cmd_qrip(args) -> int:
@@ -350,15 +335,14 @@ def _cmd_decay(args) -> int:
         m_list = [int(v) for v in args.m_list.split(",") if v.strip()]
     except ValueError:
         raise _CliError(f"--m-list: expected comma-separated integers, got {args.m_list!r}")
-    distinct = len(set(m_list))
-    if distinct < 4:
-        raise _CliError(f"--m-list: need >= 4 distinct embedding dimensions, got {distinct}")
-    runs = [_run_qrip(args, m) for m in sorted(m_list)]
+    m_list = sorted(set(m_list))
+    if len(m_list) < 4:
+        raise _CliError(f"--m-list: need >= 4 distinct embedding dimensions, got {len(m_list)}")
+    runs = [_run_qrip(args, m) for m in m_list]
     slope = fit_decay(runs)
     if args.out:
         keys = ("family", "n", "model", "mode", "delta", "grid", "pairs", "dithers", "seed", "m_list")
-        lines = [_config_line(args, keys).rstrip("\n")]
-        lines.append("m,mode,eps_L_hat,dist,rho_hat_max,rho_hat_median")
+        lines = [_config_line(args, keys).rstrip("\n"), SUMMARY_COLUMNS]
         for run in runs:
             lines.extend(summary_csv(run).splitlines()[1:])
         _atomic_write(args.out, "\n".join(lines) + "\n")

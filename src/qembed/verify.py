@@ -21,8 +21,9 @@ Conventions of the distortion fit (``measure_qrip``):
   zero; the per-distance table reports the max over records (worst case)
   and the median.
 
-Every trial of ``measure_qrip`` and ``check_product_concentration`` runs
-in ``embeddings._PairKernel``, the single quantize-and-estimate kernel:
+Every sweep, ``measure_qrip`` and ``check_product_concentration`` alike,
+runs its pairs through ``_qrip_task``, and every trial runs in
+``embeddings._PairKernel``, the single quantize-and-estimate kernel:
 it draws the trial's (cols, m) dither block from the trial's keyed
 stream, quantizes both measurements of the pair in float64 buffers and
 sums the cell gaps exactly.  Two guards keep the sums exact: max |y| /
@@ -39,9 +40,9 @@ The keyed streams of a sweep come from one batched pass each
 (``rng._stream_states``): all (pair, trial, distance) dither states and
 all pair states are derived up front, and each task assigns them in
 turn to one generator of its own.  A run keeps the (pairs, distances,
-dithers) estimate array; the fit and ``records_csv`` read it, and
-``QripRun.records`` builds ``DistortionRecord`` objects from it on
-access.
+dithers) estimate array and the linear pre-metrics; the fit and
+``records_csv`` read the estimates, and the per-pair dither means and
+SDs and ``QripRun.records`` are derived from them on access.
 
 The guard-band identity checks of ``selftest`` count thresholds with
 ``quantizer._threshold_count``, the counter behind ``soft_distance``,
@@ -50,15 +51,15 @@ with one t per tuple.
 Every routine is a pure function of (seed, config); trials are keyed by
 (seed, pair id, trial id), so results do not depend on execution order
 or worker count.  ``measure_qrip`` runs its pair ids on a thread pool
-when one trial's dither block is large enough for numpy to spend most
-of the trial outside the GIL (see ``_default_workers``).
+of one worker per usable core when one trial's dither block is large
+enough for numpy to spend most of the trial outside the GIL (see
+``_default_workers``).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -67,7 +68,7 @@ import numpy as np
 from .embeddings import _LAYOUT_COLS, _PairKernel, _mode, quantize_with_dither
 from .linops import LinOp, build
 from .modelsets import ModelSet, sample_pair
-from .quantizer import QuantConfig, _threshold_count
+from .quantizer import QuantConfig, _threshold_count, premetric
 from .rng import _stream_states, stream
 
 __all__ = [
@@ -119,7 +120,6 @@ class QripFit:
     """Fitted multiplicative distortion and additive residual tables."""
 
     eps_L_hat: float
-    distances: np.ndarray
     rho_hat_max: np.ndarray
     rho_hat_median: np.ndarray
 
@@ -128,60 +128,53 @@ class QripFit:
 class QripRun:
     """Full output of one distortion sweep at fixed (op, delta, mode).
 
-    ``estimates`` holds every trial's estimate; ``records`` presents them
-    as ``DistortionRecord`` objects, built on access.
+    ``estimates`` holds every trial's estimate; the per-pair dither
+    statistics and ``records`` are derived from it on access.
     """
 
     m: int
     delta: float
     mode: str
-    q: float
     distances: np.ndarray
     estimates: np.ndarray  # (pairs, distances, dithers) code-domain estimates
     fit: QripFit
-    pair_mean_est: np.ndarray  # (distances, pairs) dither-mean estimates
-    pair_sd_est: np.ndarray  # (distances, pairs) dither SD of estimates
     linear_est: np.ndarray  # (distances, pairs) same pre-metric on the raw measurements
     seed: int
 
     @property
-    def records(self) -> "_Records":
-        return _Records(self)
+    def pair_mean_est(self) -> np.ndarray:
+        """(distances, pairs) dither-mean estimates."""
+        return self.estimates.mean(axis=2).T
 
+    @property
+    def pair_sd_est(self) -> np.ndarray:
+        """(distances, pairs) dither SD of estimates; zeros for one dither."""
+        if self.estimates.shape[2] < 2:
+            return np.zeros(self.estimates.shape[1::-1])
+        return self.estimates.std(axis=2, ddof=1).T
 
-class _Records(Sequence):
-    """A run's records ordered by (pair, trial, distance), built on access."""
-
-    def __init__(self, run: QripRun):
-        self._run = run
-
-    def __len__(self) -> int:
-        return self._run.estimates.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError("record index out of range")
-        run = self._run
-        _pairs, grid, dithers = run.estimates.shape
-        pair_id, rest = divmod(i % n, grid * dithers)
-        trial_id, si = divmod(rest, grid)
-        s = run.distances[si]
-        target = s ** _mode(run.mode)[1]
-        est = float(run.estimates[pair_id, si, trial_id])
-        return DistortionRecord(
-            m=run.m,
-            delta=run.delta,
-            mode=run.mode,
-            true_dist=float(s),
-            est_dist=est,
-            rel_err=float((est - target) / target),
-            pair_id=pair_id,
-            trial_id=trial_id,
-            seed=run.seed,
-        )
+    @property
+    def records(self) -> list[DistortionRecord]:
+        """The run's records ordered by (pair, trial, distance)."""
+        p_e = _mode(self.mode)[1]
+        pairs, grid, dithers = self.estimates.shape
+        dists = [(s, s**p_e) for s in self.distances]
+        return [
+            DistortionRecord(
+                m=self.m,
+                delta=self.delta,
+                mode=self.mode,
+                true_dist=float(s),
+                est_dist=est,
+                rel_err=float((est - target) / target),
+                pair_id=j,
+                trial_id=t,
+                seed=self.seed,
+            )
+            for j in range(pairs)
+            for t in range(dithers)
+            for (s, target), est in zip(dists, self.estimates[j, :, t].tolist())
+        ]
 
 
 def check_dither_identity(
@@ -250,7 +243,8 @@ def estimate_rip(
 
 
 def _qrip_task(op, mset, mode, cfg, grid, pair_state, dither_states, q):
-    """The (grid, dithers) estimates of one pair id (pure).
+    """The (grid, dithers) estimates and the (grid,) linear pre-metrics
+    of one pair id (pure).
 
     ``pair_state`` keys the pair's sampling stream, reused at every
     distance; ``dither_states`` key its trials, ordered by (distance,
@@ -266,19 +260,17 @@ def _qrip_task(op, mset, mode, cfg, grid, pair_state, dither_states, q):
         x, x_prime = sample_pair(mset, float(s), gen, q=q)
         y = op.matvec(np.ravel(x))
         y_prime = op.matvec(np.ravel(x_prime))
-        gap = y - y_prime
         if kernel is None:
             kernel = _PairKernel(y, y_prime, mode, cfg)
         else:
             kernel.load(y, y_prime)
-        linear[si] = float(np.mean(np.abs(gap) if kernel.power == 1 else gap * gap))
+        linear[si] = premetric(y, y_prime, kernel.power)
         kernel.trials(gen, dither_states[si * dithers : (si + 1) * dithers], ests[si])
-    sds = ests.std(axis=1, ddof=1) if dithers > 1 else np.zeros(len(grid))
-    return ests, ests.mean(axis=1), sds, linear
+    return ests, linear
 
 
 def _default_workers(block: int, pairs: int) -> int:
-    """Worker count of ``measure_qrip(threads=None)``.
+    """Worker count of ``measure_qrip``.
 
     One worker per usable core, capped at the number of pair ids, when a
     trial's dither block has at least ``_PARALLEL_MIN_BLOCK`` entries;
@@ -301,7 +293,6 @@ def measure_qrip(
     pairs_per_distance: int,
     dithers_per_pair: int,
     seed: int,
-    threads: int | None = None,
 ) -> QripRun:
     """Sweep a distance grid, recording estimates and fitting distortion.
 
@@ -312,11 +303,10 @@ def measure_qrip(
     residual tables are returned (see the module docstring for the fit
     conventions).
 
-    Pair ids run on ``threads`` workers (values below 2 run serially).
-    With ``threads=None`` the sweep picks the count itself: one worker
-    per usable core, at most ``pairs_per_distance``, when one trial's
+    Pair ids run on one worker per usable core (the process's CPU
+    affinity set), at most ``pairs_per_distance``, when one trial's
     dither block (m entries, 2 * m for circ) has at least 2**14 entries,
-    else one.  Records and fit do not depend on the worker count.
+    else on one.  Records and fit do not depend on the worker count.
     """
     grid = np.sort(np.asarray(list(distance_grid), dtype=float))
     if grid.size < 1 or np.any(grid <= 0):
@@ -336,18 +326,15 @@ def measure_qrip(
         return _qrip_task(op, mset, mode, cfg, grid, pair_states[j], states, q)
 
     pair_ids = list(range(pairs_per_distance))
-    if threads is None:
-        threads = _default_workers(_LAYOUT_COLS[layout] * op.m, pairs_per_distance)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = _default_workers(_LAYOUT_COLS[layout] * op.m, pairs_per_distance)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, pair_ids))
     else:
         results = [task(j) for j in pair_ids]
 
     ests = np.stack([r[0] for r in results])  # (pairs, distances, dithers)
-    pair_mean = np.stack([r[1] for r in results], axis=1)
-    pair_sd = np.stack([r[2] for r in results], axis=1)
-    linear = np.stack([r[3] for r in results], axis=1)
+    linear = np.stack([r[1] for r in results], axis=1)
 
     # ---- distortion fit ----
     # a grid may repeat a distance; records at equal distances pool, and
@@ -365,17 +352,14 @@ def measure_qrip(
         rho_max[si] = resid.max()
         rho_med[si] = float(np.median(resid))
 
-    fit = QripFit(eps_L_hat=eps_l, distances=grid, rho_hat_max=rho_max, rho_hat_median=rho_med)
+    fit = QripFit(eps_L_hat=eps_l, rho_hat_max=rho_max, rho_hat_median=rho_med)
     return QripRun(
         m=op.m,
         delta=cfg.delta,
         mode=mode,
-        q=q,
         distances=grid,
         estimates=ests,
         fit=fit,
-        pair_mean_est=pair_mean,
-        pair_sd_est=pair_sd,
         linear_est=linear,
         seed=seed,
     )
@@ -401,17 +385,22 @@ def fit_decay(runs) -> float:
 
     ``runs`` are measure_qrip outputs over >= 4 distinct embedding
     dimensions with matching (mode, delta); each run contributes the
-    median over its distance grid of the worst-case residual table.  Also
-    accepts (m, residual) pairs directly, which is how synthetic decay
-    inputs are fitted.
+    median over its distance grid of the worst-case residual table, which
+    must be positive and finite.  Also accepts (m, residual) pairs
+    directly, which is how synthetic decay inputs are fitted.
     """
     pts = []
     for run in runs:
         if isinstance(run, QripRun):
-            pts.append((run.m, float(np.median(run.fit.rho_hat_max))))
+            m, rho = run.m, float(np.median(run.fit.rho_hat_max))
         else:
-            m, rho = run
-            pts.append((float(m), float(rho)))
+            m, rho = map(float, run)
+        if not (rho > 0 and math.isfinite(rho)):
+            cause = f"{rho:g}" if rho != 0 else "0: the fitted multiplicative distortion absorbs the additive error"
+            raise ValueError(
+                f"fit_decay: median worst-case residual at m={m:g} is {cause}; it must be positive and finite"
+            )
+        pts.append((m, rho))
     distinct = len({m for m, _ in pts})
     if distinct < 4:
         raise ValueError(f"fit_decay needs >= 4 distinct embedding dimensions, got {distinct}")
@@ -449,17 +438,14 @@ def check_product_concentration(
     if op.family == "gaussian" and op.rip_profile == (1.0, 2.0):
         extra["rip"] = (1, 2)
     sds = []
+    pair_state = stream(seed, "prodconc:pair").bit_generator.state
     keys = np.indices((len(m_list), trials)).reshape(2, -1).T
     dither_states = _stream_states(seed, "prodconc:dither", keys)
-    gen = np.random.default_rng(0)
     for mi, m in enumerate(m_list):
         op_m = build(op.family, m, op.n, seed=op.seed + 1000 * mi, **extra)
-        x, x_prime = sample_pair(mset, distance, stream(seed, "prodconc:pair"), q=op.rip_profile[1])
-        y = op_m.matvec(np.ravel(x))
-        y_prime = op_m.matvec(np.ravel(x_prime))
-        kernel = _PairKernel(y, y_prime, "circ", cfg)
-        ests = kernel.trials(gen, dither_states[mi * trials : (mi + 1) * trials], np.empty(trials))
-        sds.append(float(ests.std(ddof=1)))
+        states = dither_states[mi * trials : (mi + 1) * trials]
+        ests, _ = _qrip_task(op_m, mset, "circ", cfg, [distance], pair_state, states, op.rip_profile[1])
+        sds.append(float(ests[0].std(ddof=1)))
     slope = power_law_slope(m_list, sds)
     ratios = [sds[i + 1] / sds[i] for i in range(len(sds) - 1)]
     return {
@@ -606,6 +592,6 @@ def records_csv(run: QripRun) -> str:
 def summary_csv(run: QripRun) -> str:
     lines = [SUMMARY_COLUMNS]
     f = run.fit
-    for s, mx, md in zip(f.distances, f.rho_hat_max, f.rho_hat_median):
+    for s, mx, md in zip(run.distances, f.rho_hat_max, f.rho_hat_median):
         lines.append(f"{run.m},{run.mode},{_fmt(f.eps_L_hat)},{_fmt(s)},{_fmt(mx)},{_fmt(md)}")
     return "\n".join(lines) + "\n"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import qembed
 from qembed.cli import main, parse_model
 from qembed.embeddings import HEADER_SIZE, CodeBlock, deserialize, serialize
+from qembed.verify import SUMMARY_COLUMNS
 
 
 def run_cli(capsys, *argv):
@@ -259,21 +260,6 @@ class TestRiptestQripDecay:
         run_cli(capsys, *args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_qrip_threads_env(self, tmp_path, capsys, monkeypatch):
-        args = [
-            "qrip", "--family", "gaussian", "--m", "64", "--n", "16",
-            "--model", "sparse:2:16", "--radius", "4", "--mode", "l1", "--delta", "1",
-            "--grid", "0.5,1", "--pairs", "3", "--dithers", "2", "--seed", "5",
-        ]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(capsys, *args, "--out", str(a))
-        monkeypatch.setenv("QEMB_THREADS", "4")
-        run_cli(capsys, *args, "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
-        monkeypatch.setenv("QEMB_THREADS", "zero")
-        code, _, err = run_cli(capsys, *args, "--out", str(tmp_path / "c.csv"))
-        assert code == 1 and "QEMB_THREADS" in err
-
     def test_qrip_vanishing_quantizer_matches_linear(self, tmp_path, capsys):
         out = tmp_path / "tiny.csv"
         code, _, _ = run_cli(
@@ -301,6 +287,36 @@ class TestRiptestQripDecay:
         lines = (tmp_path / "d.csv").read_text().splitlines()
         assert lines[1] == "m,mode,eps_L_hat,dist,rho_hat_max,rho_hat_median"
         assert len(lines) == 2 + 4 * 3
+
+    def test_decay_sweeps_each_dimension_once(self, tmp_path, capsys):
+        # a repeated or unsorted --m-list sweeps each distinct m once, in
+        # sorted order: same slope and rows as the plain list
+        args = [
+            "decay", "--family", "gaussian", "--n", "32", "--model", "sparse:4:32", "--radius", "8",
+            "--mode", "l1", "--delta", "1", "--grid", "0.2,1,4", "--pairs", "3", "--dithers", "4", "--seed", "6",
+        ]
+        results = []
+        for i, m_list in enumerate(["64,128,256,512", "64,64,128,256,512", "512,128,64,256,128"]):
+            path = tmp_path / f"d{i}.csv"
+            code, out, _ = run_cli(capsys, *args, "--m-list", m_list, "--out", str(path))
+            assert code == 0
+            lines = path.read_text().splitlines()
+            assert lines[0] == f"# config: family=gaussian n=32 model=sparse:4:32 mode=l1 delta=1.0 grid=0.2,1,4 pairs=3 dithers=4 seed=6 m_list={m_list}"
+            assert lines[1] == SUMMARY_COLUMNS
+            results.append((out, lines[1:]))
+        assert results[1] == results[0] and results[2] == results[0]
+        assert [row.split(",")[0] for row in results[0][1][1:]] == ["64"] * 3 + ["128"] * 3 + ["256"] * 3 + ["512"] * 3
+
+    def test_decay_zero_residual_exit_1(self, capsys):
+        # at m=256 every l2sq estimate lies within the fitted multiplicative
+        # distortion, so the median worst-case residual is 0
+        code, _, err = run_cli(
+            capsys, "decay", "--family", "expander", "--degree", "4", "--n", "128",
+            "--model", "group_sparse:2:4:32", "--mode", "l2sq", "--delta", "0.5", "--grid", "0.5,1",
+            "--m-list", "64,128,256,512", "--pairs", "2", "--dithers", "3",
+        )
+        assert code == 1 and _one_line(err)
+        assert "median worst-case residual at m=256 is 0" in err
 
     def test_decay_counts_distinct_dimensions(self, capsys):
         code, _, err = run_cli(

@@ -15,6 +15,7 @@ from qembed import (
     selftest,
     sparse,
 )
+from qembed import verify
 from qembed.quantizer import _threshold_count
 from qembed.rng import stream
 from qembed.verify import (
@@ -133,16 +134,38 @@ class TestMeasureQrip:
         assert np.array_equal(a.fit.rho_hat_max, b.fit.rho_hat_max)
         assert [r.est_dist for r in a.records] == [r.est_dist for r in b.records]
 
-    @pytest.mark.parametrize("m, threads", [(512, None), (512, 4), (8192, None), (8192, 4)])
-    def test_threads_do_not_change_results(self, monkeypatch, m, threads):
-        # at m=8192 a circ trial's dither block has 2**14 entries, so
-        # threads=None runs the pool on the 4 cores patched in here
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        size = {} if m == 512 else {"pairs": 3, "dithers": 2}
-        a = self._run("circ", m=m, threads=1, **size)
-        b = self._run("circ", m=m, threads=threads, **size)
+    @pytest.mark.parametrize("m, cores", [(512, 2), (512, 4), (8192, 2), (8192, 4)])
+    def test_threads_do_not_change_results(self, monkeypatch, m, cores):
+        # the worker count follows the CPU affinity set patched in here; a
+        # circ trial's dither block has 2 * m entries, which is the default
+        # pool threshold at m=8192 and is made the threshold at m=512
+        size = {"pairs": 4} if m == 512 else {"pairs": 3, "dithers": 2}
+        monkeypatch.setattr(verify, "_PARALLEL_MIN_BLOCK", 2 * m)
+        runs = []
+        for n_cores in (1, cores):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n_cores: set(range(n)), raising=False)
+            assert verify._default_workers(2 * m, size["pairs"]) == min(n_cores, size["pairs"])
+            runs.append(self._run("circ", m=m, **size))
+        a, b = runs
         assert [r.est_dist for r in a.records] == [r.est_dist for r in b.records]
         assert np.array_equal(a.fit.rho_hat_max, b.fit.rho_hat_max)
+
+    @pytest.mark.parametrize("grid, dithers", [([0.05, 0.2, 1.0, 5.0, 10.0], 6), ([0.2, 1.0, 1.0, 5.0], 4), ([0.5, 2.0], 1)])
+    def test_pair_statistics_are_views_of_estimates(self, grid, dithers):
+        run = self._run("circ", grid=grid, dithers=dithers)
+        assert run.estimates.shape == (4, len(grid), dithers)
+        assert run.pair_mean_est.shape == run.pair_sd_est.shape == run.linear_est.shape == (len(grid), 4)
+        for si in range(len(grid)):
+            for j in range(4):
+                ests = run.estimates[j, si]
+                assert run.pair_mean_est[si, j] == ests.mean()
+                assert run.pair_sd_est[si, j] == (ests.std(ddof=1) if dithers > 1 else 0.0)
+        # a repeated distance resamples the same pairs under fresh dithers
+        if len(set(grid)) < len(grid):
+            assert np.array_equal(run.linear_est[1], run.linear_est[2])
+        recs = run.records
+        assert [r.est_dist for r in recs] == run.estimates.transpose(0, 2, 1).ravel().tolist()
+        assert [r.true_dist for r in recs[: len(grid)]] == sorted(grid)
 
     def test_vanishing_quantizer_collapses_residuals(self):
         grid = [0.2, 1.0, 5.0, 10.0]
@@ -194,6 +217,11 @@ class TestFitDecay:
         with pytest.raises(ValueError, match="got 3"):
             fit_decay([(128, 1.0), (128, 0.9), (256, 0.7), (512, 0.5)])
 
+    @pytest.mark.parametrize("rho", [0.0, math.inf, math.nan])
+    def test_rejects_degenerate_residual(self, rho):
+        with pytest.raises(ValueError, match="residual at m=256 is"):
+            fit_decay([(128, 1.0), (256, rho), (512, 0.7), (1024, 0.5)])
+
     def test_power_law_slope_validation(self):
         with pytest.raises(ValueError):
             power_law_slope([1, 2], [1.0, 0.0])
@@ -224,6 +252,19 @@ class TestProductConcentration:
         )
         assert rep["passed"]
         assert all(0.55 <= r <= 0.9 for r in rep["doubling_ratios"])
+
+    def test_pinned_stddevs(self):
+        # acceptance test 08's call, pinned bit for bit; the check rebuilds
+        # the family at every m, so the passed operator's own m is unused
+        op = build("gaussian", 128, 256, seed=11)
+        rep = check_product_concentration(
+            op, sparse(4, 256, radius=2.0), QuantConfig(1.0),
+            [128, 256, 512, 1024, 2048, 4096, 8192], trials=160, seed=9, distance=1.0,
+        )
+        assert rep["stddevs"] == [
+            0.054163453883917155, 0.038074675680356204, 0.02565823011485338, 0.017990256320068985,
+            0.013336720846952607, 0.009793990104682043, 0.006967063204482336,
+        ]
 
     def test_identical_points_zero_spread(self):
         op = build("gaussian", 64, 16, seed=17)
