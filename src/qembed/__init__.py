@@ -13,15 +13,12 @@ from .quantizer import (
     QuantConfig,
     SoftParam,
     quantize,
-    cell_indices,
     sample_dither,
     soft_distance,
     premetric,
-    soft_premetric_l1,
-    soft_premetric_l2,
-    premetric_circ,
+    soft_premetric,
 )
-from .linops import LinOp, RopOp, build, build_rop, fwht
+from .linops import LinOp, RopOp, build, build_rop
 from .embeddings import (
     CodeBlock,
     embed,

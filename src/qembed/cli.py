@@ -25,10 +25,10 @@ import tempfile
 import numpy as np
 
 from . import modelsets
-from .embeddings import _LAYOUT_COLS, _MODES, deserialize, embed, estimate_distance, serialize
+from .embeddings import deserialize, embed, estimate_distance, serialize
 from .linops import FAMILIES, build, build_rop
 from .modelsets import ModelSet, entropy_bound, mean_width_mc, required_m
-from .quantizer import QuantConfig, sample_dither
+from .quantizer import _LAYOUT_COLS, _MODES, QuantConfig, sample_dither
 from .rng import stream
 from .verify import (
     SUMMARY_COLUMNS,

@@ -6,6 +6,10 @@ integer accumulations scaled once by the resolution at the end, so the
 estimators carry no float accumulation error.
 
 ``embed`` is the one encoder; the dither's shape picks the layout.
+The mode table, the checked floor ``quantize_with_dither`` and the exact
+cell gap live in ``quantizer``; this module quantizes and estimates
+through them (``quantize_with_dither`` is re-exported here under its
+name).
 
 Monte Carlo sweeps quantize one measurement pair under many dithers;
 ``_PairKernel`` fuses dither sampling, quantization and estimation for
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linops import LinOp, RopOp
-from .quantizer import QuantConfig, _int64_cells
+from .quantizer import _COLS_LAYOUT, _LAYOUT_COLS, QuantConfig, _cell_gap, _mode, quantize_with_dither
 
 __all__ = [
     "CodeBlock",
@@ -43,13 +47,6 @@ __all__ = [
 HEADER_SIZE = 40
 _MAGIC = b"QEMB"
 _VERSION = 1
-# The mode table: the code layout each estimator reads and the power p
-# of the distance ||x - x'||**p it estimates; and the dither (and code)
-# columns of each layout.  A code file's header stores the layout as its
-# column count.
-_MODES = {"l1": ("single", 1), "l2sq": ("single", 2), "circ": ("bidither", 2)}
-_LAYOUT_COLS = {"single": 1, "bidither": 2}
-_COLS_LAYOUT = {v: k for k, v in _LAYOUT_COLS.items()}
 _WIDTH_DTYPES = {0: "<i1", 1: "<i2", 2: "<i4"}
 _U64 = 0xFFFFFFFFFFFFFFFF
 # ``_PairKernel.trials`` quantizes up to _BLOCK_ENTRIES // (cols * m)
@@ -60,14 +57,6 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 # interleaved in one process, 4-row blocks ran 1.15-1.28x at 8192
 # entries and 2-row blocks 1.05-1.12x at 16384.
 _BLOCK_ENTRIES = 2**15
-
-
-def _mode(mode: str) -> tuple[str, int]:
-    """``mode``'s (layout, power) entry of the mode table."""
-    try:
-        return _MODES[mode]
-    except KeyError:
-        raise ValueError(f"unknown mode {mode!r}; choose l1, l2sq or circ") from None
 
 
 @dataclass(frozen=True)
@@ -131,24 +120,6 @@ class CodeBlock:
         )
 
 
-def quantize_with_dither(values: np.ndarray, dither: np.ndarray, cfg: QuantConfig) -> np.ndarray:
-    """Cell indices floor((values + dither) / delta) as int64.
-
-    Raises ValueError when a dither entry lies outside [0, delta) or a
-    cell index is not finite or does not fit in int64 (NaN, infinite or
-    |value| >= 2**63 * delta measurements).
-    """
-    values = np.asarray(values, dtype=float)
-    dither = np.asarray(dither, dtype=float)
-    if values.shape != dither.shape:
-        raise ValueError(f"dither shape {dither.shape} does not match measurements {values.shape}")
-    if dither.size == 0:
-        return np.zeros(values.shape, dtype=np.int64)
-    if not (dither.min() >= 0 and dither.max() < cfg.delta):
-        raise ValueError("dither entries must lie in [0, delta)")
-    return _int64_cells(np.floor((values + dither) / cfg.delta))
-
-
 def embed(
     op: LinOp,
     x: np.ndarray,
@@ -156,7 +127,7 @@ def embed(
     cfg: QuantConfig,
     dither_seed: int = 0,
 ) -> CodeBlock:
-    """Codes floor((op.matvec(x) + dither) / delta), one matvec for every column.
+    """Codes ``quantize_with_dither`` of op.matvec(x), one matvec for every column.
 
     The dither's shape picks the layout: (m,) or (m, 1) gives the single
     layout, (m, 2), two independent dither columns, the bi-dither layout.
@@ -198,7 +169,7 @@ def embed_rop(
     cfg: QuantConfig,
     dither_seed: int = 0,
 ) -> CodeBlock:
-    """``embed`` of an n1-by-n2 matrix u: floor((kappa * a_i^T U b_i + xi_i)/delta).
+    """``embed`` of an n1-by-n2 matrix u: the codes of kappa * a_i^T U b_i + xi_i.
 
     Both layouts work, as in ``embed``.  Distance estimates over these
     codes approximate kappa times the Frobenius gap; dividing the
@@ -214,19 +185,15 @@ def embed_rop(
 def _estimate_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, mode: str, delta: float) -> float:
     """Shared integer-exact estimator core over (m, cols) index arrays.
 
-    The arrays have the columns of ``mode``'s layout.  Gaps are exact
-    uint64 values for every int64 index pair.  Sums run in 64-bit
+    The arrays have the columns of ``mode``'s layout.  Gaps are the exact
+    uint64 values of ``_cell_gap`` for every int64 index pair.  Sums run in 64-bit
     integers when the worst case provably fits, otherwise in
     arbitrary-precision Python ints; either way the accumulation is
     exact and delta scaling is applied once at the end.
     """
     power = _mode(mode)[1]
     m = codes_a.shape[0]
-    codes_a = np.asarray(codes_a, dtype=np.int64)
-    codes_b = np.asarray(codes_b, dtype=np.int64)
-    # max - min of two int64 values lies in [0, 2**64), so the uint64
-    # difference of their bit patterns is the exact gap
-    gaps = np.maximum(codes_a, codes_b).view(np.uint64) - np.minimum(codes_a, codes_b).view(np.uint64)
+    gaps = _cell_gap(np.asarray(codes_a, dtype=np.int64), np.asarray(codes_b, dtype=np.int64))
     if power == 1:
         peak = m * int(gaps[:, 0].max(initial=0))
         if peak < 2**62:

@@ -33,7 +33,6 @@ __all__ = [
     "build",
     "RopOp",
     "build_rop",
-    "fwht",
     "fwht_counted",
     "circular_convolve_counted",
     "FAMILIES",
@@ -92,11 +91,6 @@ def fwht_counted(x: np.ndarray) -> tuple[np.ndarray, int]:
         ops += 2 * (n // (2 * h)) * h
         h *= 2
     return y, ops
-
-
-def fwht(x: np.ndarray) -> np.ndarray:
-    """``fwht_counted`` without the tally."""
-    return fwht_counted(x)[0]
 
 
 def circular_convolve_counted(kernel_spectrum: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:

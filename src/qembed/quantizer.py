@@ -2,17 +2,30 @@
 
 The quantizer maps a real value to the centre of its cell: cell index
 ``k = floor(v / delta)`` and reconstruction value ``delta * (k + 1/2)``.
+This module is the one quantizer layer:
+
+* the mode table ``_MODES`` gives each distance mode its code layout
+  and the power p of the distance ||x - x'||**p it estimates;
+  ``embeddings``, ``verify`` and ``cli`` read it through ``_mode``;
+* ``quantize_with_dither`` is the one checked floor,
+  floor((v + dither) / delta) as int64: every cell index outside
+  ``_PairKernel``'s certified fast path comes from it, ``quantize``
+  included;
+* ``_cell_gap`` is the one exact |k - k'| over int64 cell indices, read
+  by the integer estimator, by ``soft_distance`` at t = 0 and by the
+  dither identity checks;
+* ``_threshold_count`` is the one guard-band counter.
+
 Distances between quantized scalars reduce to counting the cell
 thresholds ``k * delta`` separating the two inputs; ``soft_distance``
 generalizes that count with a guard band of half-width ``|t|`` around
 every threshold (t > 0 suppresses near-threshold counts, t < 0 admits
 them), which restores a form of continuity that the plain count lacks.
-``_threshold_count`` is the one guard-band counter: ``soft_distance``
-and ``soft_distance_array`` use it with one t, the identity self-tests
-with a t per element.
+``soft_premetric`` averages the soft distances of one mode's layout the
+way the mode's estimator averages cell gaps.
 
 Cell indices are int64.  Inputs whose indices do not fit raise a
-one-line ValueError (``_int64_cells``) instead of wrapping around.
+one-line ValueError instead of wrapping around.
 """
 
 from __future__ import annotations
@@ -26,14 +39,12 @@ __all__ = [
     "QuantConfig",
     "SoftParam",
     "quantize",
-    "cell_indices",
+    "quantize_with_dither",
     "sample_dither",
     "soft_distance",
     "soft_distance_array",
     "premetric",
-    "soft_premetric_l1",
-    "soft_premetric_l2",
-    "premetric_circ",
+    "soft_premetric",
 ]
 
 
@@ -41,13 +52,21 @@ _INT64_SPAN = 2.0**63
 # Widest guard band that _threshold_count enumerates, in cells.
 _GUARD_MAX = 2.0**10
 _OUT_OF_RANGE = "measurements must be finite with cell indices inside the int64 range"
+# The mode table: the code layout each estimator reads and the power p
+# of the distance ||x - x'||**p it estimates; and the dither (and code)
+# columns of each layout.  A code file's header stores the layout as its
+# column count.
+_MODES = {"l1": ("single", 1), "l2sq": ("single", 2), "circ": ("bidither", 2)}
+_LAYOUT_COLS = {"single": 1, "bidither": 2}
+_COLS_LAYOUT = {v: k for k, v in _LAYOUT_COLS.items()}
 
 
-def _int64_cells(cells: np.ndarray) -> np.ndarray:
-    """Float cell indices as int64; ValueError when one is NaN or does not fit."""
-    if cells.size and not (-_INT64_SPAN <= cells.min() and cells.max() < _INT64_SPAN):
-        raise ValueError(_OUT_OF_RANGE)
-    return cells.astype(np.int64)
+def _mode(mode: str) -> tuple[str, int]:
+    """``mode``'s (layout, power) entry of the mode table."""
+    try:
+        return _MODES[mode]
+    except KeyError:
+        raise ValueError(f"unknown mode {mode!r}; choose l1, l2sq or circ") from None
 
 
 @dataclass(frozen=True)
@@ -81,24 +100,42 @@ def quantize(value: float, cfg: QuantConfig) -> tuple[int, float]:
     """Quantize a scalar; returns (cell index, cell-centre value).
 
     The reconstruction value differs from the input by at most delta/2.
+    The index is ``quantize_with_dither``'s at zero dither, so the same
+    ValueError rejects non-finite inputs and indices outside int64.
     """
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValueError(f"quantize requires a finite input, got {value}")
-    k = math.floor(v / cfg.delta)
+    k = int(quantize_with_dither(float(value), 0.0, cfg))
     return k, cfg.delta * (k + 0.5)
 
 
-def cell_indices(values: np.ndarray, cfg: QuantConfig) -> np.ndarray:
-    """Vectorized cell indices floor(v/delta) as int64.
+def quantize_with_dither(values: np.ndarray, dither: np.ndarray, cfg: QuantConfig) -> np.ndarray:
+    """Cell indices floor((values + dither) / delta) as int64.
 
-    Raises ValueError for non-finite inputs and for indices outside the
-    int64 range (|v| / delta >= 2**63).
+    Raises ValueError when a dither entry lies outside [0, delta) or a
+    cell index is not finite or does not fit in int64 (NaN, infinite or
+    |value| >= 2**63 * delta measurements).
     """
-    v = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("cell_indices requires finite inputs")
-    return _int64_cells(np.floor(v / cfg.delta))
+    values = np.asarray(values, dtype=float)
+    dither = np.asarray(dither, dtype=float)
+    if values.shape != dither.shape:
+        raise ValueError(f"dither shape {dither.shape} does not match measurements {values.shape}")
+    if dither.size == 0:
+        return np.zeros(values.shape, dtype=np.int64)
+    if not (dither.min() >= 0 and dither.max() < cfg.delta):
+        raise ValueError("dither entries must lie in [0, delta)")
+    cells = np.floor((values + dither) / cfg.delta)
+    if not (-_INT64_SPAN <= cells.min() and cells.max() < _INT64_SPAN):
+        raise ValueError(_OUT_OF_RANGE)
+    return cells.astype(np.int64)
+
+
+def _cell_gap(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
+    """Exact |k - k'| as uint64 for every pair of int64 cell indices.
+
+    max - min of two int64 values lies in [0, 2**64), so the uint64
+    difference of their bit patterns is the exact gap.
+    """
+    hi = np.maximum(codes_a, codes_b).view(np.uint64)
+    return np.subtract(hi, np.minimum(codes_a, codes_b).view(np.uint64))
 
 
 def sample_dither(m: int, cfg: QuantConfig, rng: np.random.Generator) -> np.ndarray:
@@ -125,7 +162,7 @@ def _threshold_count(a: np.ndarray, a_prime: np.ndarray, t: float | np.ndarray, 
     band raises a ValueError before the candidates are allocated.
 
     The candidates are int64 cell indices.  Inputs whose cells do not
-    fit int64 raise the ValueError of ``_int64_cells``.  Inputs whose
+    fit int64 raise the int64 ValueError of ``quantize_with_dither``.  Inputs whose
     cells fit, but whose guard-banded windows reach past int64 or whose
     count could exceed it, raise a ValueError of their own; the float
     bounds below reject every such case, since rounding is monotone.
@@ -160,43 +197,19 @@ def _threshold_count(a: np.ndarray, a_prime: np.ndarray, t: float | np.ndarray, 
     return np.count_nonzero(hit & valid, axis=-1) + (second - lo - span)
 
 
-def _d0(a: np.ndarray, a_prime: np.ndarray, delta: float) -> np.ndarray:
-    """Plain quantized distance |Q(a) - Q(a')| as delta * |cell gap|.
-
-    Equivalent to counting thresholds in the half-open interval
-    (min, max], so it agrees with the quantizer on lattice boundaries.
-    """
-    ka = np.floor(np.asarray(a, float) / delta)
-    kb = np.floor(np.asarray(a_prime, float) / delta)
-    return delta * np.abs(ka - kb)
-
-
-def soft_distance(
-    a: float,
-    a_prime: float,
-    soft: SoftParam,
-    cfg: QuantConfig,
-    strict: bool = False,
-) -> float:
+def soft_distance(a: float, a_prime: float, soft: SoftParam, cfg: QuantConfig) -> float:
     """delta times the guarded threshold count between a and a'.
 
-    At t = 0 the default convention ties the count to the quantizer
-    (half-open intervals), so ``soft_distance(a, a', t=0) ==
-    |Q(a) - Q(a')|`` for every input including lattice boundaries.
-    ``strict=True`` instead applies the open-interval guard-band rule
-    verbatim at t = 0; the two differ only when an input sits exactly on
-    a threshold.  This is the 0-d case of ``soft_distance_array``.
+    At t = 0 the count is tied to the quantizer (half-open intervals),
+    so ``soft_distance(a, a', t=0) == |Q(a) - Q(a')|`` for every input
+    including lattice boundaries; the open-interval guard-band rule of
+    ``_threshold_count`` differs from it only when an input sits exactly
+    on a threshold.  This is the 0-d case of ``soft_distance_array``.
     """
-    return float(soft_distance_array(a, a_prime, soft, cfg, strict))
+    return float(soft_distance_array(a, a_prime, soft, cfg))
 
 
-def soft_distance_array(
-    a: np.ndarray,
-    a_prime: np.ndarray,
-    soft: SoftParam,
-    cfg: QuantConfig,
-    strict: bool = False,
-) -> np.ndarray:
+def soft_distance_array(a: np.ndarray, a_prime: np.ndarray, soft: SoftParam, cfg: QuantConfig) -> np.ndarray:
     """Componentwise soft_distance over equal-shape arrays."""
     a = np.asarray(a, float)
     a_prime = np.asarray(a_prime, float)
@@ -204,8 +217,9 @@ def soft_distance_array(
         raise ValueError(f"shape mismatch: {a.shape} vs {a_prime.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(a_prime))):
         raise ValueError("soft_distance requires finite inputs")
-    if soft.t == 0.0 and not strict:
-        return _d0(a, a_prime, cfg.delta)
+    if soft.t == 0.0:
+        zero = np.zeros(a.shape)
+        return cfg.delta * _cell_gap(quantize_with_dither(a, zero, cfg), quantize_with_dither(a_prime, zero, cfg))
     return cfg.delta * _threshold_count(a, a_prime, soft.t, cfg.delta)
 
 
@@ -220,33 +234,21 @@ def premetric(a: np.ndarray, a_prime: np.ndarray, p: float) -> float:
     return float(np.mean(np.abs(a - a_prime) ** p))
 
 
-def soft_premetric_l1(
-    a: np.ndarray, a_prime: np.ndarray, soft: SoftParam, cfg: QuantConfig
-) -> float:
-    """Mean of componentwise soft distances; at t=0 this is the averaged
-    l1 distance between the quantized vectors."""
-    return float(np.mean(soft_distance_array(a, a_prime, soft, cfg)))
+def soft_premetric(a: np.ndarray, a_prime: np.ndarray, soft: SoftParam, cfg: QuantConfig, mode: str) -> float:
+    """Guard-banded pre-metric of ``mode``: soft distances averaged as
+    ``mode``'s estimator averages cell gaps.
 
-
-def soft_premetric_l2(
-    a: np.ndarray, a_prime: np.ndarray, soft: SoftParam, cfg: QuantConfig
-) -> float:
-    """Mean of squared componentwise soft distances; at t=0 this is the
-    averaged squared l2 distance between the quantized vectors."""
-    d = soft_distance_array(a, a_prime, soft, cfg)
-    return float(np.mean(d * d))
-
-
-def premetric_circ(
-    a: np.ndarray, a_prime: np.ndarray, soft: SoftParam, cfg: QuantConfig
-) -> float:
-    """Row-wise product of the two columns' soft distances, averaged.
-
-    Inputs are m-by-2 arrays (one independent dither column each).
+    Power 1 averages the soft distances; power 2 averages their squares
+    in the single layout and, in the bi-dither layout, the row-wise
+    product of the two columns of m-by-2 inputs (one independent dither
+    column each).  At t = 0 this is the estimate of the quantized inputs.
     """
+    layout, power = _mode(mode)
     a = np.asarray(a, float)
     a_prime = np.asarray(a_prime, float)
-    if a.ndim != 2 or a.shape[1] != 2 or a.shape != a_prime.shape:
+    if layout == "bidither" and (a.ndim != 2 or a.shape[1] != 2 or a.shape != a_prime.shape):
         raise ValueError(f"expected matching (m, 2) arrays, got {a.shape} vs {a_prime.shape}")
-    d = soft_distance_array(a, a_prime, soft, cfg)
-    return float(np.mean(d[:, 0] * d[:, 1]))
+    d = soft_distance_array(a, a_prime, soft, cfg).reshape(-1, _LAYOUT_COLS[layout])
+    if power == 1:
+        return float(np.mean(d[:, 0]))
+    return float(np.mean(d[:, 0] * d[:, -1]))

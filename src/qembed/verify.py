@@ -46,7 +46,10 @@ SDs and ``QripRun.records`` are derived from them on access.
 
 The guard-band identity checks of ``selftest`` count thresholds with
 ``quantizer._threshold_count``, the counter behind ``soft_distance``,
-with one t per tuple.
+with one t per tuple.  The dither identity checks quantize with
+``quantize_with_dither`` and take cell gaps with ``quantizer._cell_gap``,
+the floor and the gap of the code-domain estimators, so out-of-range
+inputs raise the quantizer's one-line ValueError.
 
 Every routine is a pure function of (seed, config); trials are keyed by
 (seed, pair id, trial id), so results do not depend on execution order
@@ -65,10 +68,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import _LAYOUT_COLS, _PairKernel, _mode, quantize_with_dither
+from .embeddings import _PairKernel, quantize_with_dither
 from .linops import LinOp, build
 from .modelsets import ModelSet, sample_pair
-from .quantizer import QuantConfig, _threshold_count, premetric
+from .quantizer import _LAYOUT_COLS, QuantConfig, _cell_gap, _mode, _threshold_count, premetric
 from .rng import _stream_states, stream
 
 __all__ = [
@@ -196,9 +199,7 @@ def check_dither_identity(
     if rng is None:
         rng = stream(seed, "dither-identity")
     xi = rng.uniform(0.0, cfg.delta, size=trials)
-    gaps = cfg.delta * np.abs(
-        np.floor((a + xi) / cfg.delta) - np.floor((a_prime + xi) / cfg.delta)
-    )
+    gaps = cfg.delta * _dithered_gap(a, a_prime, xi, cfg)
     mean = float(gaps.mean())
     target = abs(a - a_prime)
     tol = 4.0 * (cfg.delta / 2.0) / math.sqrt(trials)
@@ -210,6 +211,14 @@ def check_dither_identity(
         "trials": trials,
         "passed": abs(mean - target) <= tol,
     }
+
+
+def _dithered_gap(a: float, a_prime: float, xi: np.ndarray, cfg: QuantConfig) -> np.ndarray:
+    """Cell gaps |Q(a + xi) - Q(a' + xi)| of two scalars under each dither in ``xi``."""
+    return _cell_gap(
+        quantize_with_dither(np.full(xi.shape, float(a)), xi, cfg),
+        quantize_with_dither(np.full(xi.shape, float(a_prime)), xi, cfg),
+    )
 
 
 def estimate_rip(
@@ -493,14 +502,14 @@ def selftest(seed: int = 0, fast: bool = False) -> list[dict]:
     rng = stream(seed, "selftest:lattice")
     xi = rng.uniform(0.0, 1.0, size=1000)
     a = rng.uniform(-3, 3)
-    exact = np.all(np.floor(a + 3 + xi) - np.floor(a + xi) == 3)
+    exact = np.all(_dithered_gap(a + 3, a, xi, cfg) == 3)
     add("lattice-shift-exactness", bool(exact), f"a={_fmt(a)} k=3")
 
     # small-gap second moment: E gap^2 = delta * |a - a'| when |a-a'| < delta
     rng = stream(seed, "selftest:smallgap")
     a, gap = 0.25, 0.4
     xi = rng.uniform(0.0, 1.0, size=n_mc)
-    d0 = np.abs(np.floor(a + gap + xi) - np.floor(a + xi))
+    d0 = _dithered_gap(a + gap, a, xi, cfg)
     mean_sq = float((d0 * d0).mean())
     rel = abs(mean_sq - gap) / gap
     add("small-gap-second-moment", rel <= 0.01, f"mean={_fmt(mean_sq)} target={_fmt(gap)} rel={_fmt(rel)}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qembed import QuantConfig, build, build_rop, embed_rop, linops
-from qembed.linops import LinOp, RopOp, circular_convolve_counted, fwht, fwht_counted
+from qembed.linops import LinOp, RopOp, circular_convolve_counted, fwht_counted
 from qembed.rng import stream
 
 ALL_FAMILIES = [
@@ -241,13 +241,13 @@ class TestFastTransforms:
         rng = stream(23, "test:fwht")
         for _ in range(20):
             x = rng.standard_normal(n)
-            assert np.allclose(fwht(x), h @ x, rtol=1e-12, atol=1e-9)
+            assert np.allclose(fwht_counted(x)[0], h @ x, rtol=1e-12, atol=1e-9)
 
     def test_fwht_operation_count(self):
         for n in (8, 64, 1024):
             x = stream(24, "test:fwht-count", n).standard_normal(n)
             y, ops = fwht_counted(x)
-            assert np.allclose(y, fwht(x))
+            assert np.allclose(y, fwht_counted(x)[0])
             assert ops <= 3 * n * math.log2(n)
 
     def test_convolution_count_and_value(self):

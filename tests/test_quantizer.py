@@ -1,24 +1,27 @@
+import ast
+import importlib
 import math
+import pkgutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import qembed
 from qembed import (
     QuantConfig,
     SoftParam,
     premetric,
-    premetric_circ,
     quantize,
     sample_dither,
     soft_distance,
-    soft_premetric_l1,
-    soft_premetric_l2,
+    soft_premetric,
 )
-from qembed.embeddings import quantize_with_dither
-from qembed.quantizer import _threshold_count, cell_indices, soft_distance_array
+from qembed.embeddings import _estimate_from_codes, quantize_with_dither
+from qembed.quantizer import _LAYOUT_COLS, _MODES, _threshold_count, soft_distance_array
 from qembed.rng import stream
 
 
@@ -163,10 +166,15 @@ class TestThresholdCount:
         if on_lattice:  # inputs on thresholds, and ties
             a, b = np.round(a) * delta, np.round(b) * delta
         ref = [_full_count(x, y, z, delta) for x, y, z in zip(a, b, t)]
-        # per-element t, and each tuple through the scalar entry point
+        # per-element t, and each tuple through the scalar entry point;
+        # at t = 0 soft_distance follows the quantizer instead, so the
+        # 0-d counter stands in for it there
         assert _threshold_count(a, b, t, delta).tolist() == ref
         for x, y, z, r in zip(a, b, t, ref):
-            got = soft_distance(x, y, SoftParam(z), QuantConfig(delta), strict=True)
+            if z != 0.0:
+                got = soft_distance(x, y, SoftParam(z), QuantConfig(delta))
+            else:
+                got = delta * _threshold_count(x, y, z, delta)
             assert got == delta * r
 
     def test_far_apart_inputs_exact(self):
@@ -218,14 +226,14 @@ class TestInt64Edge:
     def test_cell_indices(self, x, delta):
         cell = math.floor(x / delta)
         if -(2**63) <= cell < 2**63:
-            assert cell_indices([x], QuantConfig(delta)).tolist() == [cell]
+            assert quantize_with_dither([x], [0.0], QuantConfig(delta)).tolist() == [cell]
         else:
             with pytest.raises(ValueError, match="int64"):
-                cell_indices([x], QuantConfig(delta))
+                quantize_with_dither([x], [0.0], QuantConfig(delta))
 
     def test_cell_indices_reported_cases(self):
         with pytest.raises(ValueError, match="int64"):
-            cell_indices([1e19, -1e300, 9.3e18], QuantConfig(1.0))
+            quantize_with_dither([1e19, -1e300, 9.3e18], np.zeros(3), QuantConfig(1.0))
 
     @settings(max_examples=300, deadline=None)
     @given(x=_EDGE, t=st.floats(-4.0, 4.0, allow_nan=False), delta=st.sampled_from([1.0, 0.5, 3.0]))
@@ -234,13 +242,17 @@ class TestInt64Edge:
     @example(x=2.0**60, t=-0.5, delta=1.0)
     @example(x=3e18, t=0.1, delta=1.0)
     @example(x=-(2.0**63), t=0.1, delta=1.0)
+    @example(x=1e300, t=0.0, delta=1.0)
+    @example(x=-(2.0**63), t=0.0, delta=1.0)
     def test_soft_distance(self, x, t, delta):
-        assume(t != 0.0)
         soft, cfg = SoftParam(t), QuantConfig(delta)
         cell = math.floor(x / delta)
         if not -(2**63) <= cell < 2**63:
             with pytest.raises(ValueError, match="cell indices inside the int64 range"):
                 soft_distance(0.0, x, soft, cfg)
+            return
+        if cell == -(2**63) and t == 0.0:  # no guard band: the edge cell fits
+            assert soft_distance(0.0, x, soft, cfg) == 2.0**63 * delta
             return
         if cell == -(2**63):  # the only float cell within the guard band of the edge
             with pytest.raises(ValueError, match="threshold window leaves the int64 range"):
@@ -319,17 +331,17 @@ class TestPremetrics:
 
     def test_soft_premetric_l1_example(self):
         cfg = QuantConfig(1.0)
-        got = soft_premetric_l1([0.2, 0.8], [0.8, 1.2], SoftParam(0.0), cfg)
+        got = soft_premetric([0.2, 0.8], [0.8, 1.2], SoftParam(0.0), cfg, "l1")
         assert got == pytest.approx(0.5)
 
     def test_soft_premetric_l1_identity_and_monotone(self):
         cfg = QuantConfig(1.0)
         rng = stream(4, "test:premetric")
         a = rng.uniform(-4, 4, size=64)
-        assert soft_premetric_l1(a, a, SoftParam(0.4), cfg) == 0.0
+        assert soft_premetric(a, a, SoftParam(0.4), cfg, "l1") == 0.0
         b = rng.uniform(-4, 4, size=64)
-        assert soft_premetric_l1(a, b, SoftParam(0.5), cfg) <= soft_premetric_l1(
-            a, b, SoftParam(-0.5), cfg
+        assert soft_premetric(a, b, SoftParam(0.5), cfg, "l1") <= soft_premetric(
+            a, b, SoftParam(-0.5), cfg, "l1"
         )
 
     def test_soft_premetric_l1_matches_quantized_l1_at_zero(self):
@@ -339,16 +351,16 @@ class TestPremetrics:
         b = rng.uniform(-4, 4, size=128)
         qa = cfg.delta * (np.floor(a / cfg.delta) + 0.5)
         qb = cfg.delta * (np.floor(b / cfg.delta) + 0.5)
-        assert soft_premetric_l1(a, b, SoftParam(0.0), cfg) == pytest.approx(
+        assert soft_premetric(a, b, SoftParam(0.0), cfg, "l1") == pytest.approx(
             premetric(qa, qb, 1), rel=1e-12
         )
 
     def test_soft_premetric_l2_examples(self):
         cfg = QuantConfig(1.0)
-        assert soft_premetric_l2([0.2, 0.8], [0.8, 1.2], SoftParam(0.0), cfg) == pytest.approx(0.5)
+        assert soft_premetric([0.2, 0.8], [0.8, 1.2], SoftParam(0.0), cfg, "l2sq") == pytest.approx(0.5)
         a = np.array([0.3, 1.7])
-        assert soft_premetric_l2(a, a, SoftParam(0.0), cfg) == 0.0
-        assert soft_premetric_l2([1.9], [2.1], SoftParam(0.0), QuantConfig(2.0)) == pytest.approx(4.0)
+        assert soft_premetric(a, a, SoftParam(0.0), cfg, "l2sq") == 0.0
+        assert soft_premetric([1.9], [2.1], SoftParam(0.0), QuantConfig(2.0), "l2sq") == pytest.approx(4.0)
 
     def test_soft_premetric_l2_matches_quantized_l2_at_zero(self):
         cfg = QuantConfig(0.6)
@@ -357,17 +369,17 @@ class TestPremetrics:
         b = rng.uniform(-4, 4, size=128)
         qa = cfg.delta * (np.floor(a / cfg.delta) + 0.5)
         qb = cfg.delta * (np.floor(b / cfg.delta) + 0.5)
-        assert soft_premetric_l2(a, b, SoftParam(0.0), cfg) == pytest.approx(
+        assert soft_premetric(a, b, SoftParam(0.0), cfg, "l2sq") == pytest.approx(
             premetric(qa, qb, 2), rel=1e-12
         )
 
     def test_premetric_circ_examples(self):
         cfg = QuantConfig(1.0)
         soft = SoftParam(0.0)
-        assert premetric_circ([[0.2, 1.3]], [[1.3, 1.4]], soft, cfg) == 0.0
-        assert premetric_circ([[0.2, 0.3]], [[1.3, 1.4]], soft, cfg) == pytest.approx(1.0)
+        assert soft_premetric([[0.2, 1.3]], [[1.3, 1.4]], soft, cfg, "circ") == 0.0
+        assert soft_premetric([[0.2, 0.3]], [[1.3, 1.4]], soft, cfg, "circ") == pytest.approx(1.0)
         a = np.array([[0.4, 2.1], [1.0, -0.2]])
-        assert premetric_circ(a, a, soft, cfg) == 0.0
+        assert soft_premetric(a, a, soft, cfg, "circ") == 0.0
 
     def test_symmetry_and_permutation_invariance(self):
         cfg = QuantConfig(0.8)
@@ -376,9 +388,45 @@ class TestPremetrics:
         a = rng.uniform(-4, 4, size=50)
         b = rng.uniform(-4, 4, size=50)
         perm = rng.permutation(50)
-        for fn in (soft_premetric_l1, soft_premetric_l2):
-            assert fn(a, b, soft, cfg) == pytest.approx(fn(b, a, soft, cfg), rel=1e-12)
-            assert fn(a, b, soft, cfg) == pytest.approx(fn(a[perm], b[perm], soft, cfg), rel=1e-12)
+        for mode in ("l1", "l2sq"):
+            got = soft_premetric(a, b, soft, cfg, mode)
+            assert got == pytest.approx(soft_premetric(b, a, soft, cfg, mode), rel=1e-12)
+            assert got == pytest.approx(soft_premetric(a[perm], b[perm], soft, cfg, mode), rel=1e-12)
+
+
+class TestOneQuantizerLayer:
+    """The layers agree through the mode table, and every exported name exists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(_VALUES, _VALUES, _VALUES, _VALUES), min_size=1, max_size=16),
+        delta=_DELTAS,
+    )
+    @example(rows=[(0.0, 1.0, -1.0, 2.0)], delta=1.0)
+    def test_soft_premetric_at_zero_is_the_code_estimate(self, rows, delta):
+        cfg = QuantConfig(delta)
+        values = np.array(rows)
+        for mode, (layout, _) in _MODES.items():
+            cols = _LAYOUT_COLS[layout]
+            a, b = values[:, :cols], values[:, 2 : 2 + cols]
+            zero = np.zeros(a.shape)
+            want = _estimate_from_codes(
+                quantize_with_dither(a, zero, cfg), quantize_with_dither(b, zero, cfg), mode, delta
+            )
+            got = soft_premetric(a, b, SoftParam(0.0), cfg, mode)
+            assert math.isclose(got, want, rel_tol=1e-12), mode
+
+    def test_exported_names_resolve(self):
+        modules = [importlib.import_module(f"qembed.{info.name}") for info in pkgutil.iter_modules(qembed.__path__)]
+        assert len(modules) > 5
+        for module in modules:
+            for name in getattr(module, "__all__", []):
+                assert hasattr(module, name), f"{module.__name__}.__all__ lists {name}"
+        tree = ast.parse(Path(qembed.__file__).read_text())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+        assert imported
+        for name in imported:
+            assert hasattr(qembed, name), f"qembed/__init__.py imports {name}"
 
 
 class TestDeterministicBounds:

@@ -57,6 +57,11 @@ class TestDitherIdentityCheck:
         with pytest.raises(ValueError):
             check_dither_identity(0.0, 0.5, QuantConfig(1.0), 100)
 
+    @pytest.mark.parametrize("bad", [1e300, -1e19, math.inf, math.nan])
+    def test_unquantizable_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="cell indices inside the int64 range"):
+            check_dither_identity(0.0, bad, QuantConfig(1.0), 10**4, rng=stream(3, "t"))
+
 
 class TestEstimateRip:
     def test_identity_expander_is_exact(self):
