@@ -330,6 +330,11 @@ def _support_batch(mset: ModelSet, g: np.ndarray) -> np.ndarray:
         mags = np.abs(g)
         top = np.partition(mags, mags.shape[1] - s, axis=1)[:, -s:]
         return np.linalg.norm(top, axis=1)
+    if k == "group_sparse":
+        s = p["s"]
+        groups = np.linalg.norm(g.reshape(g.shape[0], p["n"], p["l"]), axis=2)
+        top = np.partition(groups, p["n"] - s, axis=1)[:, -s:]
+        return np.linalg.norm(top, axis=1)
     if k == "low_rank":
         out = np.empty(g.shape[0])
         for i, row in enumerate(g):
@@ -344,19 +349,18 @@ def _support_batch(mset: ModelSet, g: np.ndarray) -> np.ndarray:
     if k == "finite_cloud":
         pts = p["points"].reshape(p["points"].shape[0], -1)
         return np.abs(g @ pts.T).max(axis=1)
-    raise ValueError(
-        f"support function is unsupported for kind {k!r} "
-        "(group_sparse and dict_sparse route through their subspace-union structure)"
-    )
+    raise ValueError(f"support function is unsupported for kind {k!r}")
 
 
 def support_function(mset: ModelSet, g: np.ndarray) -> float:
     """sup of |<g, u>| over the set's unit-scale members.
 
-    sparse: l2 norm of the s largest-magnitude entries; low_rank: l2 norm
-    of the top-r singular values of the matricized input; ball: radius
-    times ||g||; subspace_union: largest projection norm; finite_cloud:
-    largest |<g, u_i>| over the stored points.
+    sparse: l2 norm of the s largest-magnitude entries; group_sparse: l2
+    norm of the s largest group norms (group j holds entries j*l to
+    j*l + l - 1); low_rank: l2 norm of the top-r singular values of the
+    matricized input; ball: radius times ||g||; subspace_union: largest
+    projection norm; finite_cloud: largest |<g, u_i>| over the stored
+    points.
     """
     g = np.asarray(g, dtype=float).ravel()
     if g.size != mset.ambient_dim:

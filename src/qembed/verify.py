@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import _PairKernel, quantize_with_dither
-from .linops import LinOp, build
+from .linops import LinOp, build, build_rop
 from .modelsets import ModelSet, sample_pair
 from .quantizer import _LAYOUT_COLS, QuantConfig, _cell_gap, _mode, _threshold_count, premetric
 from .rng import _stream_states, stream
@@ -429,9 +429,10 @@ def check_product_concentration(
     """Spread of the bi-dither product estimate as m grows.
 
     Rebuilds the operator family at every m in ``m_list`` (same input
-    dimension, derived seeds), fixes one pair at the given distance, and
-    measures the standard deviation of the product estimate over fresh
-    dither matrices; passes when the log-log slope against m lies in
+    dimension, derived seeds; rank-one probes keep their matrix shape and
+    kappa), fixes one pair at the given distance, and measures the
+    standard deviation of the product estimate over fresh dither
+    matrices; passes when the log-log slope against m lies in
     [-0.75, -0.25].
     """
     m_list = sorted(int(m) for m in m_list)
@@ -451,7 +452,11 @@ def check_product_concentration(
     keys = np.indices((len(m_list), trials)).reshape(2, -1).T
     dither_states = _stream_states(seed, "prodconc:dither", keys)
     for mi, m in enumerate(m_list):
-        op_m = build(op.family, m, op.n, seed=op.seed + 1000 * mi, **extra)
+        seed_m = op.seed + 1000 * mi
+        if op.family == "rop":
+            op_m = build_rop(m, op.n1, op.n2, seed_m, op.kappa)
+        else:
+            op_m = build(op.family, m, op.n, seed=seed_m, **extra)
         states = dither_states[mi * trials : (mi + 1) * trials]
         ests, _ = _qrip_task(op_m, mset, "circ", cfg, [distance], pair_state, states, op.rip_profile[1])
         sds.append(float(ests[0].std(ddof=1)))

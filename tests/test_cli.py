@@ -30,13 +30,11 @@ class TestParseModel:
         assert parse_model("group_sparse:2:3:6").kind == "group_sparse"
 
     def test_bad_model(self):
-        from qembed.cli import _CliError
-
-        with pytest.raises(_CliError):
+        with pytest.raises(ValueError):
             parse_model("sparse:4")
-        with pytest.raises(_CliError):
+        with pytest.raises(ValueError):
             parse_model("sparse:4:x")
-        with pytest.raises(_CliError):
+        with pytest.raises(ValueError):
             parse_model("mystery:1:2")
 
 
@@ -348,12 +346,92 @@ def test_bad_delta_exit_1(tmp_path, capsys, command, delta):
     assert not out.exists()
 
 
+_WRITE_COMMANDS = {
+    "embed": ["embed", "--family", "gaussian", "--m", "8", "--n", "4", "--input", "{vec}", "--delta", "1"],
+    "qrip": _DELTA_COMMANDS["qrip"][:-2] + ["--delta", "1"],
+    "decay": ["decay", "--family", "gaussian", "--n", "32", "--model", "sparse:4:32", "--radius", "8", "--mode", "l1",
+              "--delta", "1", "--grid", "0.2,1,4", "--m-list", "64,128,256,512", "--pairs", "3", "--dithers", "4"],
+}
+
+
+class TestWritePath:
+    """Outputs go through one write path: a temp file in the target's
+    directory, renamed over the target, created with mode 0o666 & ~umask."""
+
+    @pytest.mark.parametrize("command,target", [
+        (command, target) for command in sorted(_WRITE_COMMANDS) for target in ("missing", "directory")
+    ] + [("qrip", "summary")])
+    def test_unwritable_output_exit_1(self, tmp_path, capsys, command, target):
+        vec = tmp_path / "x.txt"
+        vec.write_text("1 2 3 4\n")
+        (tmp_path / "dir").mkdir()
+        bad = str(tmp_path / "dir") if target == "directory" else str(tmp_path / "missing" / "o.csv")
+        argv = [a.format(vec=vec) for a in _WRITE_COMMANDS[command]]
+        argv += ["--out", bad] if target != "summary" else ["--out", str(tmp_path / "r.csv"), "--summary", bad]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and _one_line(err) and "cannot write" in err
+        assert os.listdir(tmp_path / "dir") == []
+        assert sorted(os.listdir(tmp_path)) == sorted(["x.txt", "dir"] + (["r.csv"] if target == "summary" else []))
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_written_file_mode_follows_umask(self, tmp_path, capsys, umask):
+        vec = tmp_path / "x.txt"
+        vec.write_text("1 2 3 4\n")
+        out = tmp_path / "o.qemb"
+        out.write_bytes(b"old")
+        out.chmod(0o600)
+        previous = os.umask(umask)
+        try:
+            code, _, _ = run_cli(capsys, *[a.format(vec=vec) for a in _WRITE_COMMANDS["embed"]], "--out", str(out))
+        finally:
+            os.umask(previous)
+        assert code == 0 and deserialize(out.read_bytes()).m == 8
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert sorted(os.listdir(tmp_path)) == ["o.qemb", "x.txt"]
+
+
+class TestOperatorFlags:
+    @pytest.mark.parametrize("family,flag,value", [
+        ("gaussian", "--degree", "3"), ("bernoulli", "--degree", "3"), ("rop", "--degree", "3"),
+        ("bernoulli", "--rip", "1,2"), ("expander", "--rip", "1,2"), ("rop", "--rip", "1,2"),
+    ])
+    def test_option_of_another_family_exit_1(self, tmp_path, capsys, family, flag, value):
+        vec = tmp_path / "x.txt"
+        vec.write_text("1 2 3 4\n")
+        out = tmp_path / "o.qemb"
+        shape = ["--n1", "2", "--n2", "2"] if family == "rop" else ["--n", "4"]
+        extra = ["--degree", "2"] if family == "expander" else []
+        code, _, err = run_cli(capsys, "embed", "--family", family, "--m", "8", *shape, *extra, flag, value,
+                               "--input", str(vec), "--delta", "1", "--out", str(out))
+        assert code == 1 and _one_line(err) and flag.lstrip("-") in err
+        assert not out.exists()
+
+    def test_sweep_option_of_another_family_exit_1(self, capsys):
+        code, _, err = run_cli(capsys, "riptest", "--family", "bernoulli", "--m", "64", "--n", "16", "--rip", "1,2",
+                               "--model", "sparse:2:16", "--p", "2", "--q", "2")
+        assert code == 1 and _one_line(err) and "rip" in err
+
+    def test_expander_without_degree_exit_1(self, tmp_path, capsys):
+        vec = tmp_path / "x.txt"
+        vec.write_text("1 2 3 4\n")
+        code, _, err = run_cli(capsys, "embed", "--family", "expander", "--m", "8", "--n", "4",
+                               "--input", str(vec), "--delta", "1", "--out", str(tmp_path / "o.qemb"))
+        assert code == 1 and _one_line(err) and "degree" in err
+
+
 class TestMeanwidthSelftestConfig:
     def test_meanwidth(self, capsys):
         code, out, _ = run_cli(capsys, "meanwidth", "--model", "ball:1", "--trials", "100000", "--seed", "3")
         assert code == 0
         est, se = (float(v) for v in out.split())
         assert abs(est - 0.7979) <= 3 * se + 1e-3
+
+    def test_meanwidth_group_sparse(self, capsys):
+        code, out, err = run_cli(capsys, "meanwidth", "--model", "group_sparse:2:4:8", "--trials", "200")
+        assert code == 0, err
+        est, se = (float(v) for v in out.split())
+        # E||g_G|| over two fixed groups (8 entries, 2.74) <= w <= E||g|| over all 32 entries (5.61)
+        assert 2.74 < est < 5.61 and se > 0
 
     def test_selftest_byte_identical(self, capsys):
         code1, out1, _ = run_cli(capsys, "selftest", "--seed", "7", "--fast")

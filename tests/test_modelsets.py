@@ -273,10 +273,24 @@ class TestSupportFunction:
         cloud = finite_cloud(np.eye(3)[:1])
         assert support_function(cloud, [0.4, 1.0, -2.0]) == pytest.approx(0.4)
 
+    def test_group_sparse_brute_force(self):
+        # exhaustive max over all sets of s active groups (group j holds
+        # entries j*l .. j*l + l - 1), n <= 6 groups
+        rng = stream(21, "t")
+        for s, l, n in [(1, 3, 4), (2, 2, 5), (3, 2, 6), (2, 4, 2)]:
+            mset = group_sparse(s, l, n)
+            for _ in range(10):
+                g = rng.standard_normal(n * l)
+                brute = max(
+                    np.linalg.norm(np.concatenate([g[j * l : (j + 1) * l] for j in groups]))
+                    for groups in itertools.combinations(range(n), s)
+                )
+                assert support_function(mset, g) == pytest.approx(brute, abs=1e-12)
+
     def test_unsupported_kinds(self):
-        with pytest.raises(ValueError):
-            support_function(group_sparse(1, 2, 3), np.zeros(6))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unsupported for kind 'low_rank_joint_sparse'$"):
+            support_function(low_rank_joint_sparse(1, 2, 3, 2), np.zeros(6))
+        with pytest.raises(ValueError, match="unsupported for kind 'dict_sparse'$"):
             support_function(dict_sparse(np.eye(4), 2), np.zeros(4))
 
 

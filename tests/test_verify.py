@@ -7,10 +7,12 @@ import pytest
 from qembed import (
     QuantConfig,
     build,
+    build_rop,
     check_dither_identity,
     check_product_concentration,
     estimate_rip,
     fit_decay,
+    low_rank,
     measure_qrip,
     selftest,
     sparse,
@@ -270,6 +272,20 @@ class TestProductConcentration:
             0.054163453883917155, 0.038074675680356204, 0.02565823011485338, 0.017990256320068985,
             0.013336720846952607, 0.009793990104682043, 0.006967063204482336,
         ]
+
+    def test_rank_one_probes_rebuilt_with_shape_and_kappa(self):
+        # the check rebuilds rank-one probes at every m with the passed
+        # operator's matrix shape and kappa
+        reps = [
+            check_product_concentration(
+                build_rop(64, 4, 4, seed=1, kappa=kappa), low_rank(1, 4, 4), QuantConfig(1.0),
+                [64, 128, 256, 512, 1024], trials=80, seed=3, distance=1.0,
+            )
+            for kappa in (1.0, 1.0, 2.0)
+        ]
+        assert reps[0]["passed"] and reps[2]["passed"]
+        assert reps[0]["stddevs"] == reps[1]["stddevs"]
+        assert reps[0]["stddevs"] != reps[2]["stddevs"]
 
     def test_identical_points_zero_spread(self):
         op = build("gaussian", 64, 16, seed=17)
