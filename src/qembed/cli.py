@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 failed command, 2 failed selftest assertion.
 The CLI has one error type, ValueError: a bad flag (argparse's errors),
 a failed check here, a ValueError from the library and an unwritable
 output (an OSError from ``_atomic_write``) all become one, and ``main``
-prints it as one "error: ..." line on stderr and returns 1.
+prints it as one "error: ..." line on stderr and returns 1.  qrip and
+decay check that their outputs can be written before they sweep.
 Sweeps run their trials on one worker per usable core (the CPU affinity
 set, e.g. under taskset) when a trial's dither block has at least 2**14
 entries, else on one.  Results do not depend on the worker count.  For
@@ -20,6 +21,8 @@ cores the trial workers need.
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import os
 import sys
 
@@ -71,7 +74,9 @@ def parse_model(spec: str, radius: float = 1.0) -> ModelSet:
 
 def _build_op(args, m: int) -> LinOp:
     """The operator the operator flags name; ``build`` rejects a missing
-    --degree and an option its family does not take."""
+    --degree and an option its family does not take, and a flag of the
+    other operator kind (--n for rop, --n1/--n2/--kappa for a vector
+    family) is rejected here."""
     options = {}
     if args.degree is not None:
         options["degree"] = args.degree
@@ -82,11 +87,16 @@ def _build_op(args, m: int) -> LinOp:
             raise ValueError(f"--rip: expected 'p,q' integers, got {args.rip!r}")
         options["rip"] = (p, q)
     if args.family == "rop":
+        if args.n is not None:
+            raise ValueError("family rop: vector-family option: --n (the matrix shape is --n1/--n2)")
         if args.n1 is None or args.n2 is None:
             raise ValueError("family rop: missing --n1/--n2 (matrix shape)")
         if options:
             raise ValueError(f"family rop: unknown operator options: {sorted(options)}")
-        return build_rop(m, args.n1, args.n2, seed=args.seed, kappa=args.kappa)
+        return build_rop(m, args.n1, args.n2, seed=args.seed, kappa=1.0 if args.kappa is None else args.kappa)
+    rop_flags = [f"--{k}" for k in ("n1", "n2", "kappa") if getattr(args, k, None) is not None]
+    if rop_flags:
+        raise ValueError(f"family {args.family}: rop-only options: {', '.join(rop_flags)}")
     if args.n is None:
         raise ValueError(f"family {args.family}: missing --n (input dimension)")
     return build(args.family, m, args.n, seed=args.seed, **options)
@@ -108,6 +118,22 @@ def _atomic_write(path: str, data: bytes | str) -> None:
             raise
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_writable(path: str) -> None:
+    """Raise now the error ``_atomic_write`` would raise for ``path`` when
+    its directory is missing or not writable, or ``path`` is a directory.
+    Sweeps check their outputs before they run."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(folder, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _load_vector(path: str, line: int) -> np.ndarray:
@@ -170,7 +196,7 @@ def _add_op_flags(sp, need_m=True, rop=False):
     if rop:
         sp.add_argument("--n1", type=int, help="matrix rows (rop family)")
         sp.add_argument("--n2", type=int, help="matrix columns (rop family)")
-        sp.add_argument("--kappa", type=float, default=1.0, help="rop pre-quantization rescaling")
+        sp.add_argument("--kappa", type=float, help="rop pre-quantization rescaling (default 1)")
     sp.add_argument("--degree", type=int, help="expander left-degree")
     sp.add_argument("--rip", help="gaussian profile as 'p,q' (default 2,2)")
     sp.add_argument("--seed", type=int, default=0, help="operator seed (sweeps also key pairs and dithers by it)")
@@ -189,7 +215,10 @@ def _add_sweep_flags(sp):
     sp.add_argument("--dithers", type=int, default=16)
 
 
+@functools.lru_cache(maxsize=None)
 def _make_parser() -> _Parser:
+    """The argument parser, built once per process: ``parse_args`` and
+    ``_apply_config_file`` leave it as built."""
     parser = _Parser(prog="qembed", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -307,11 +336,14 @@ def _sweeps(args, m_list) -> list:
 
 
 def _cmd_qrip(args) -> int:
+    summary = args.summary or args.out + ".summary.csv"
+    _check_writable(args.out)
+    _check_writable(summary)
     (run,) = _sweeps(args, [args.m])
     keys = ("family", "m", "n", "model", "mode", "delta", "grid", "pairs", "dithers", "seed", "radius")
     header = _config_line(args, keys)
     _atomic_write(args.out, header + records_csv(run))
-    _atomic_write(args.summary or args.out + ".summary.csv", header + summary_csv(run))
+    _atomic_write(summary, header + summary_csv(run))
     print(f"eps_L_hat={format(run.fit.eps_L_hat, '.12g')} records={run.estimates.size} -> {args.out}")
     return 0
 
@@ -323,6 +355,8 @@ def _cmd_decay(args) -> int:
         raise ValueError(f"--m-list: expected comma-separated integers, got {args.m_list!r}")
     if len(m_list) < 4:
         raise ValueError(f"--m-list: need >= 4 distinct embedding dimensions, got {len(m_list)}")
+    if args.out:
+        _check_writable(args.out)
     runs = _sweeps(args, m_list)
     slope = fit_decay(runs)
     if args.out:

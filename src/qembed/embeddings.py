@@ -5,7 +5,11 @@ measurement vector.  Distances between two comparable blocks are exact
 integer accumulations scaled once by the resolution at the end, so the
 estimators carry no float accumulation error.
 
-``embed`` is the one encoder; the dither's shape picks the layout.
+``embed`` is the one encoder; the dither's shape picks the layout.  It
+takes the operator's measurements from ``LinOp._matvec_bounded``; for
+rank-one probes that is a fast value with a per-row error bound, and
+``embed`` keeps its codes only where the bound proves them equal to the
+codes of ``op.matvec(x)``, else it quantizes ``op.matvec(x)`` itself.
 The mode table, the checked floor ``quantize_with_dither`` and the exact
 cell gap live in ``quantizer``; this module quantizes and estimates
 through them (``quantize_with_dither`` is re-exported here under its
@@ -131,13 +135,26 @@ def embed(
 
     The dither's shape picks the layout: (m,) or (m, 1) gives the single
     layout, (m, 2), two independent dither columns, the bi-dither layout.
+
+    The measurements come from ``op._matvec_bounded``.  Where it returns
+    a fast y with a per-row bound e (rank-one probes), y - e and y + e
+    are quantized; the floor is monotone, so where their codes agree
+    everywhere they are the codes of every value in between, op.matvec(x)
+    included.  If any cell differs, a bound is not finite or the bracket
+    raises, the codes come from op.matvec(x) itself, as for every other
+    operator.
     """
     dither = np.asarray(dither, dtype=float)
     cols = dither.shape[1] if dither.ndim == 2 else 1
     if dither.ndim not in (1, 2) or dither.shape[0] != op.m or cols not in _COLS_LAYOUT:
         raise ValueError(f"dither must have shape ({op.m},), ({op.m}, 1) or ({op.m}, 2), got {dither.shape}")
-    y = op.matvec(x)
-    codes = quantize_with_dither(np.broadcast_to(y[:, None], (op.m, cols)), dither.reshape(op.m, cols), cfg)
+    dither = dither.reshape(op.m, cols)
+    y, err = op._matvec_bounded(x)
+    codes = None if err is None else _bracketed_codes(y, err, dither, cfg)
+    if codes is None:
+        if err is not None:
+            y = op.matvec(x)
+        codes = quantize_with_dither(np.broadcast_to(y[:, None], dither.shape), dither, cfg)
     return CodeBlock(
         layout=_COLS_LAYOUT[cols],
         m=op.m,
@@ -146,6 +163,23 @@ def embed(
         op_seed=op.seed,
         dither_seed=dither_seed,
     )
+
+
+def _bracketed_codes(y: np.ndarray, err: np.ndarray, dither: np.ndarray, cfg: QuantConfig) -> np.ndarray | None:
+    """The one code array of every value within ``err`` of ``y``, or None.
+
+    None when a bound is not finite, the bracket's two ends quantize
+    differently in some cell, or either end cannot be quantized.
+    """
+    if not math.isfinite(err.max()):
+        return None
+    with np.errstate(over="ignore"):  # an end past the largest double fails the int64 check
+        ends = (y - err, y + err)
+    try:
+        lo, hi = (quantize_with_dither(np.broadcast_to(v[:, None], dither.shape), dither, cfg) for v in ends)
+    except ValueError:
+        return None
+    return lo if np.array_equal(lo, hi) else None
 
 
 def embed_bidither(

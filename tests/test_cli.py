@@ -175,15 +175,17 @@ class TestEmbedDistance:
     def test_unquantizable_input_exit_1(self, tmp_path, capsys, entry):
         vec = tmp_path / "x.txt"
         vec.write_text(f"0.5 {entry} 1 2\n")
-        for layout in ("single", "bidither"):
-            out = tmp_path / f"{layout}.qemb"
-            code, _, err = run_cli(
-                capsys, "embed", "--family", "gaussian", "--m", "8", "--n", "4", "--input", str(vec),
-                "--delta", "1", "--layout", layout, "--out", str(out),
-            )
-            assert code == 1
-            assert "finite" in err and err.count("\n") == 1
-            assert not out.exists()
+        # rank-one probes reach the exact path through their bounded fast path
+        for op_flags in (["--family", "gaussian", "--n", "4"], ["--family", "rop", "--n1", "2", "--n2", "2"]):
+            for layout in ("single", "bidither"):
+                out = tmp_path / f"{layout}.qemb"
+                code, _, err = run_cli(
+                    capsys, "embed", *op_flags, "--m", "8", "--input", str(vec),
+                    "--delta", "1", "--layout", layout, "--out", str(out),
+                )
+                assert code == 1
+                assert "finite" in err and err.count("\n") == 1
+                assert not out.exists()
 
     @pytest.mark.parametrize("kappa", ["nan", "inf", "0"])
     def test_rop_bad_kappa_exit_1(self, tmp_path, capsys, kappa):
@@ -361,17 +363,23 @@ class TestWritePath:
     @pytest.mark.parametrize("command,target", [
         (command, target) for command in sorted(_WRITE_COMMANDS) for target in ("missing", "directory")
     ] + [("qrip", "summary")])
-    def test_unwritable_output_exit_1(self, tmp_path, capsys, command, target):
+    def test_unwritable_output_exit_1(self, tmp_path, capsys, monkeypatch, command, target):
         vec = tmp_path / "x.txt"
         vec.write_text("1 2 3 4\n")
         (tmp_path / "dir").mkdir()
         bad = str(tmp_path / "dir") if target == "directory" else str(tmp_path / "missing" / "o.csv")
         argv = [a.format(vec=vec) for a in _WRITE_COMMANDS[command]]
         argv += ["--out", bad] if target != "summary" else ["--out", str(tmp_path / "r.csv"), "--summary", bad]
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before checking the outputs")
+
+        monkeypatch.setattr(qembed.cli, "measure_qrip", no_sweep)
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and _one_line(err) and "cannot write" in err
         assert os.listdir(tmp_path / "dir") == []
-        assert sorted(os.listdir(tmp_path)) == sorted(["x.txt", "dir"] + (["r.csv"] if target == "summary" else []))
+        # qrip and decay check every output before they sweep, so none is written
+        assert sorted(os.listdir(tmp_path)) == ["dir", "x.txt"]
 
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_written_file_mode_follows_umask(self, tmp_path, capsys, umask):
@@ -394,6 +402,8 @@ class TestOperatorFlags:
     @pytest.mark.parametrize("family,flag,value", [
         ("gaussian", "--degree", "3"), ("bernoulli", "--degree", "3"), ("rop", "--degree", "3"),
         ("bernoulli", "--rip", "1,2"), ("expander", "--rip", "1,2"), ("rop", "--rip", "1,2"),
+        ("gaussian", "--n1", "2"), ("expander", "--n2", "2"), ("subsampled_hadamard", "--kappa", "2"),
+        ("rop", "--n", "4"),
     ])
     def test_option_of_another_family_exit_1(self, tmp_path, capsys, family, flag, value):
         vec = tmp_path / "x.txt"
@@ -405,6 +415,17 @@ class TestOperatorFlags:
                                "--input", str(vec), "--delta", "1", "--out", str(out))
         assert code == 1 and _one_line(err) and flag.lstrip("-") in err
         assert not out.exists()
+
+    def test_rop_kappa_defaults_to_1(self, tmp_path, capsys):
+        vec = tmp_path / "x.txt"
+        vec.write_text("1 -2 3 0.5\n")
+        outs = []
+        for kappa in ([], ["--kappa", "1"]):
+            outs.append(tmp_path / f"o{len(outs)}.qemb")
+            code, _, _ = run_cli(capsys, "embed", "--family", "rop", "--m", "8", "--n1", "2", "--n2", "2", *kappa,
+                                 "--input", str(vec), "--delta", "0.5", "--out", str(outs[-1]))
+            assert code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_sweep_option_of_another_family_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "riptest", "--family", "bernoulli", "--m", "64", "--n", "16", "--rip", "1,2",
@@ -461,6 +482,48 @@ class TestMeanwidthSelftestConfig:
         good.write_text("seed = 1\n")
         code, _, err = run_cli(capsys, "--config", str(good))
         assert code == 1 and err.count("\n") == 1
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, so no call may leave a
+    trace in the next: the same argv prints the same output and writes the
+    same bytes after a failed call and a --help call in between."""
+
+    def test_one_parser_per_process(self):
+        assert qembed.cli._make_parser() is qembed.cli._make_parser()
+
+    @pytest.mark.parametrize("scenario", ["embed", "embed-config", "qrip-config"])
+    def test_same_argv_same_result(self, tmp_path, capsys, scenario):
+        vec = tmp_path / "x.txt"
+        vec.write_text("0.5 -1 2 0.25\n3 1 -0.5 2\n")
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        if scenario == "embed":
+            argv = ["embed", "--family", "gaussian", "--m", "8", "--n", "4", "--input", str(vec), "--delta", "0.5",
+                    "--layout", "bidither", "--out", str(out)]
+        elif scenario == "embed-config":
+            cfg.write_text("family = rop\nm = 8\nn1 = 2\nn2 = 2\nkappa = 2\ndelta = 0.5\nline = 1\n")
+            argv = ["embed", "--config", str(cfg), "--input", str(vec), "--seed", "3", "--out", str(out)]
+        else:
+            cfg.write_text("family = gaussian\nm = 16\nn = 8\nmodel = sparse:2:8\nmode = l1\ndelta = 1\n")
+            argv = ["qrip", "--config", str(cfg), "--grid", "1,2", "--pairs", "2", "--dithers", "2",
+                    "--out", str(out)]
+        results = []
+        for _ in range(2):
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == 0 and err == ""
+            results.append((stdout, out.read_bytes()))
+            out.unlink()
+            # a call that fails inside argparse, one that fails in the command, and a help call
+            code, _, err = run_cli(capsys, argv[0], "--family", "gaussian", "--bogus", "1")
+            assert code == 1 and _one_line(err)
+            code, _, err = run_cli(capsys, "embed", "--family", "gaussian", "--m", "8", "--n", "4", "--kappa", "3",
+                                   "--input", str(vec), "--delta", "9", "--layout", "single", "--out", str(out))
+            assert code == 1 and _one_line(err) and not out.exists()
+            code, help_text, _ = run_cli(capsys, argv[0], "--help")
+            assert code == 0 and "usage: qembed " + argv[0] in help_text
+            results.append(help_text)
+        assert results[0] == results[2] and results[1] == results[3]
 
 
 def _one_line(err: str) -> bool:

@@ -21,6 +21,7 @@ from qembed import (
     sparse,
 )
 from qembed.embeddings import HEADER_SIZE, _estimate_from_codes, _PairKernel, quantize_with_dither
+from qembed.linops import LinOp, RopOp
 from qembed.modelsets import sample_point
 from qembed.rng import stream
 
@@ -140,9 +141,7 @@ class TestEmbedRop:
         assert np.allclose(block.values[:, 0], 0.5)
 
     def test_kappa_scales_argument(self):
-        op = build_rop(1, 1, 1, seed=12, kappa=2.0)
-        object.__setattr__(op, "probes_left", np.array([[1.0]]))
-        object.__setattr__(op, "probes_right", np.array([[1.0]]))
+        op = RopOp(1, 1, 1, seed=12, kappa=2.0, probes_left=np.array([[1.0]]), probes_right=np.array([[1.0]]))
         cfg = QuantConfig(1.0)
         block = embed_rop(op, np.array([[0.3]]), np.array([0.05]), cfg)
         assert block.codes[0, 0] == 0  # floor(2 * 0.3 + 0.05) = 0
@@ -162,6 +161,80 @@ class TestEmbedRop:
         u = stream(14, "t").standard_normal((4, 3))
         xi = sample_dither(6, cfg, stream(15, "t"))
         assert embed_rop(op, u, xi, cfg) == embed_rop(op, u, xi, cfg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n1=st.integers(1, 24),
+        n2=st.integers(1, 24),
+        m=st.integers(1, 96),
+        log_kappa=st.floats(-3, 3),
+        log_scale=st.floats(-3, 3),
+        log_delta=st.one_of(st.floats(-13, 1), st.floats(-13, -12)),
+        cols=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_codes_are_the_einsum_codes(self, n1, n2, m, log_kappa, log_scale, log_delta, cols, seed):
+        # the certified codes, or the fallback's, equal the codes of the einsum
+        # value, or both raise the same error (cells past int64 at tiny delta);
+        # delta in [1e-13, 1e-12] makes ambiguous brackets, and the fallback, common
+        op = build_rop(m, n1, n2, seed=seed, kappa=10.0**log_kappa)
+        cfg = QuantConfig(10.0**log_delta)
+        gen = stream(seed, "test:rop-differential")
+        u = gen.standard_normal((n1, n2)) * 10.0**log_scale
+        xi = sample_dither(m * cols, cfg, gen).reshape(m, cols)
+        y = op.matvec(u.ravel())
+
+        def outcome(codes):
+            try:
+                return codes().tolist()
+            except ValueError as exc:
+                return str(exc)
+
+        want = outcome(lambda: quantize_with_dither(np.broadcast_to(y[:, None], (m, cols)), xi, cfg))
+        assert outcome(lambda: embed_rop(op, u, xi, cfg).codes) == want
+
+    @pytest.mark.parametrize("delta,fallbacks", [(0.5, 0), (1e-13, 1)])
+    def test_fallback_runs_only_when_a_bracket_is_ambiguous(self, monkeypatch, delta, fallbacks):
+        calls = []
+
+        def spy(op, x):
+            calls.append(op.family)
+            return LinOp.matvec(op, x)
+
+        monkeypatch.setattr(RopOp, "matvec", spy)
+        op = build_rop(1024, 64, 64, seed=16)
+        cfg = QuantConfig(delta)
+        gen = stream(17, "test:rop-fallback")
+        u = gen.standard_normal((64, 64))
+        for cols in (1, 2):
+            calls.clear()
+            xi = sample_dither(1024 * cols, cfg, gen).reshape(1024, cols)
+            block = embed_rop(op, u, xi, cfg)
+            assert calls == ["rop"] * fallbacks
+            y = LinOp.matvec(op, u.ravel())
+            assert np.array_equal(block.codes, quantize_with_dither(np.broadcast_to(y[:, None], xi.shape), xi, cfg))
+
+    def test_bracket_past_the_int64_edge_falls_back(self):
+        # y = 2**63 - 1024 is the largest double below 2**63: its cell fits
+        # int64, y + e does not, so the exact path quantizes y itself
+        op = RopOp(1, 1, 1, seed=0, kappa=1.0, probes_left=np.array([[1.0]]), probes_right=np.array([[1.0]]))
+        block = embed_rop(op, np.array([[2.0**63 - 1024]]), np.zeros(1), QuantConfig(1.0))
+        assert block.codes.tolist() == [[2**63 - 1024]]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300])
+    def test_unquantizable_input_rejected(self, bad):
+        op = build_rop(8, 2, 3, seed=18)
+        cfg = QuantConfig(1.0)
+        u = np.ones((2, 3))
+        u[1, 2] = bad
+        for cols in (1, 2):
+            xi = np.zeros((8, cols))
+            with pytest.raises(ValueError) as want:
+                quantize_with_dither(np.broadcast_to(op.matvec(u.ravel())[:, None], xi.shape), xi, cfg)
+            with pytest.raises(ValueError) as got:
+                embed_rop(op, u, xi, cfg)
+            assert str(got.value) == str(want.value) and "finite" in str(got.value)
+            assert "\n" not in str(got.value)
 
 
 class TestEstimateDistance:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qembed import QuantConfig, build, build_rop, embed_rop, linops
 from qembed.linops import LinOp, RopOp, circular_convolve_counted, fwht_counted
@@ -375,6 +377,44 @@ class TestRankOneProbes:
             u /= np.linalg.norm(u, "fro")
             val = np.abs(op.matvec(u.ravel())).mean()
             assert 0.2 <= val <= 3.0
+
+
+class TestBoundedMatvec:
+    @pytest.mark.parametrize("family,opts", ALL_FAMILIES)
+    def test_default_is_the_exact_matvec(self, family, opts):
+        op = build(family, 16, 32, seed=35, **opts)
+        x = stream(36, "test:bounded").standard_normal(32)
+        y, err = op._matvec_bounded(x)
+        assert err is None and np.array_equal(y, op.matvec(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n1=st.integers(1, 40),
+        n2=st.integers(1, 40),
+        m=st.integers(1, 64),
+        log_kappa=st.floats(-3, 3),
+        log_scale=st.floats(-322, 150),
+        log_probe=st.one_of(st.just(0.0), st.floats(-200, 100)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rop_bound_holds(self, n1, n2, m, log_kappa, log_scale, log_probe, seed):
+        # from subnormal through huge inputs and probes, the GEMM value is
+        # within the bound of the einsum value wherever the bound is finite
+        gen = stream(seed, "test:rop-bound")
+        a = gen.standard_normal((m, n1)) * 10.0**log_probe
+        op = RopOp(m, n1, n2, seed, 10.0**log_kappa, a, gen.standard_normal((m, n2)))
+        x = gen.standard_normal(n1 * n2) * 10.0**log_scale
+        y, err = op._matvec_bounded(x)
+        exact = op.matvec(x)
+        finite = np.isfinite(err)
+        assert np.all(np.abs(y - exact)[finite] <= err[finite])
+        assert np.all(finite[np.isfinite(exact) & (np.abs(x).max() < 1e150)])
+
+    def test_rop_bound_is_not_finite_on_non_finite_input(self):
+        op = build_rop(4, 2, 2, seed=37)
+        for bad in (math.nan, math.inf, -math.inf):
+            _, err = op._matvec_bounded(np.array([1.0, bad, 0.0, 2.0]))
+            assert not np.isfinite(err).any()
 
 
 def _force_hadamard(op, rows, signs):
