@@ -53,6 +53,7 @@ from .verify import (
     check_dither_identity,
     estimate_rip,
     measure_qrip,
+    measure_decay,
     fit_decay,
     check_product_concentration,
     selftest,

@@ -13,7 +13,8 @@ prints it as one "error: ..." line on stderr and returns 1.  qrip and
 decay check that their outputs can be written before they sweep.
 Sweeps run their trials on one worker per usable core (the CPU affinity
 set, e.g. under taskset) when a trial's dither block has at least 2**14
-entries, else on one.  Results do not depend on the worker count.  For
+entries, else on one; decay runs all its dimensions as one sweep, sized
+by the largest.  Results do not depend on the worker count.  For
 sweeps, set OPENBLAS_NUM_THREADS=1: idle OpenBLAS threads spin on the
 cores the trial workers need.
 """
@@ -34,7 +35,16 @@ from .linops import FAMILIES, LinOp, build, build_rop
 from .modelsets import ModelSet, entropy_bound, mean_width_mc, required_m
 from .quantizer import _LAYOUT_COLS, _MODES, QuantConfig, sample_dither
 from .rng import stream
-from .verify import SUMMARY_COLUMNS, estimate_rip, fit_decay, measure_qrip, records_csv, selftest, summary_csv
+from .verify import (
+    SUMMARY_COLUMNS,
+    estimate_rip,
+    fit_decay,
+    measure_decay,
+    measure_qrip,
+    records_csv,
+    selftest,
+    summary_csv,
+)
 
 __all__ = ["main", "console_main", "parse_model"]
 
@@ -326,20 +336,28 @@ def _cmd_riptest(args) -> int:
     return 0
 
 
-def _sweeps(args, m_list) -> list:
-    """One ``measure_qrip`` run per m; model, grid and delta are parsed once."""
+def _sweep_config(args) -> tuple:
+    """(model set, mode, quantizer config, grid) of a sweep, parsed
+    before any operator is built."""
     mset = parse_model(args.model, radius=args.radius)
     grid = _parse_grid(args.grid)
-    cfg = QuantConfig(args.delta)
-    return [measure_qrip(_build_op(args, m), mset, args.mode, cfg, grid, args.pairs, args.dithers, seed=args.seed)
-            for m in m_list]
+    return mset, args.mode, QuantConfig(args.delta), grid
+
+
+def _decay_ops(args, m_list) -> list[LinOp]:
+    """The operators of a decay sweep over ascending ``m_list``: the
+    largest m is built and every smaller m is its leading rows where it
+    has them to share (a cached dense family), else built."""
+    top = _build_op(args, m_list[-1])
+    return [top._leading_rows(m) or _build_op(args, m) for m in m_list[:-1]] + [top]
 
 
 def _cmd_qrip(args) -> int:
     summary = args.summary or args.out + ".summary.csv"
     _check_writable(args.out)
     _check_writable(summary)
-    (run,) = _sweeps(args, [args.m])
+    config = _sweep_config(args)
+    run = measure_qrip(_build_op(args, args.m), *config, args.pairs, args.dithers, seed=args.seed)
     keys = ("family", "m", "n", "model", "mode", "delta", "grid", "pairs", "dithers", "seed", "radius")
     header = _config_line(args, keys)
     _atomic_write(args.out, header + records_csv(run))
@@ -357,7 +375,8 @@ def _cmd_decay(args) -> int:
         raise ValueError(f"--m-list: need >= 4 distinct embedding dimensions, got {len(m_list)}")
     if args.out:
         _check_writable(args.out)
-    runs = _sweeps(args, m_list)
+    config = _sweep_config(args)
+    runs = measure_decay(_decay_ops(args, m_list), *config, args.pairs, args.dithers, seed=args.seed)
     slope = fit_decay(runs)
     if args.out:
         keys = ("family", "n", "model", "mode", "delta", "grid", "pairs", "dithers", "seed", "m_list")

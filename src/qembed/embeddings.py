@@ -247,27 +247,32 @@ def _estimate_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, mode: str, de
 
 
 class _PairKernel:
-    """Quantize-and-estimate kernel for one measurement pair (y, y').
+    """Quantize-and-estimate kernel for one measurement pair (y, y'), or
+    for one pair per operator of a sweep over several.
 
-    ``trials`` runs trials of the pair, each from its own keyed generator
-    state: a trial draws a (cols, m) dither block (cols from the mode
-    table's layout), quantizes both measurements against it and
-    yields the code-domain estimate.  The block holds, bit for bit, the
-    values of ``cols`` back-to-back ``sample_dither`` calls on the
-    trial's stream, and the estimate equals ``_estimate_from_codes`` on
+    ``trials`` runs trials of the pairs, each from its own keyed generator
+    state: a trial draws a (cols, M) dither block (cols from the mode
+    table's layout, M the longest pair's length) and each pair of length
+    m reads the block's first cols * m values as its (cols, m) block,
+    quantizes both measurements against it and yields the code-domain
+    estimate.  A generator yields its doubles in order, so that block
+    holds, bit for bit, the values of ``cols`` back-to-back
+    ``sample_dither`` calls of length m on the trial's stream (for the
+    bi-dither layout too, whose (2, m) blocks are not column prefixes of
+    the (2, M) one), and the estimate equals ``_estimate_from_codes`` on
     the codes of ``quantize_with_dither``.  ``load`` points the kernel at
-    the next pair and keeps its buffers.
+    the next pairs and keeps its buffers.
 
     The arithmetic runs in float64 buffers owned by the instance, so an
     instance must not be shared between threads.  It is exact under two
-    guards: cell indices below 2**52 in magnitude (checked once, from
-    max |y| / delta) are exact doubles, and gap sums and products are
-    exact while ``m * max gap`` (l1) or ``m * max gap1 * max gap2``
+    guards: cell indices below 2**52 in magnitude (checked once per pair,
+    from max |y| / delta) are exact doubles, and gap sums and products
+    are exact while ``m * max gap`` (l1) or ``m * max gap1 * max gap2``
     (l2sq, circ) stays below 2**53 (checked per trial).  A trial that
     fails either guard takes the integer path instead.
     """
 
-    def __init__(self, y: np.ndarray, y_prime: np.ndarray, mode: str, cfg: QuantConfig):
+    def __init__(self, y, y_prime, mode: str, cfg: QuantConfig):
         layout, self.power = _mode(mode)
         self.cols = _LAYOUT_COLS[layout]
         self.mode = mode
@@ -275,41 +280,61 @@ class _PairKernel:
         self._block = None
         self.load(y, y_prime)
 
-    def load(self, y: np.ndarray, y_prime: np.ndarray) -> None:
-        """Make (y, y') the kernel's pair; the trial buffers are kept."""
-        y = np.asarray(y, dtype=float)
-        y_prime = np.asarray(y_prime, dtype=float)
-        if y.ndim != 1 or y.size < 1 or y.shape != y_prime.shape:
-            raise ValueError(f"measurement pair must be two equal-length vectors, got {y.shape} and {y_prime.shape}")
-        self.y, self.y_prime = y, y_prime
-        # NaN or inf fails the comparison, so non-finite pairs take the
-        # checked path, which rejects them.
-        peak = max(float(np.abs(y).max()), float(np.abs(y_prime).max()))
-        self._fast = peak / self.cfg.delta + 1 < 2.0**52
+    def load(self, y, y_prime) -> None:
+        """Make (y, y') the kernel's pair, or, given a list of vectors
+        each, its pairs, one per operator; the trial buffers are kept.
+
+        ``y``, ``y_prime`` and ``_fast`` hold the pair that ``_estimates``
+        and ``_checked`` work on: the first after ``load``, each in turn
+        within ``trials``.
+        """
+        ys, y_primes = (v if isinstance(v, list) else [v] for v in (y, y_prime))
+        if len(ys) != len(y_primes) or not ys:
+            raise ValueError(f"need one y' per y, got {len(ys)} and {len(y_primes)}")
+        # drop the last pairs before the guard's temporaries are allocated
+        self._pairs, self.y, self.y_prime = [], None, None
+        for y, y_prime in zip(ys, y_primes):
+            y = np.asarray(y, dtype=float)
+            y_prime = np.asarray(y_prime, dtype=float)
+            if y.ndim != 1 or y.size < 1 or y.shape != y_prime.shape:
+                raise ValueError(
+                    f"measurement pair must be two equal-length vectors, got {y.shape} and {y_prime.shape}"
+                )
+            # NaN or inf fails the comparison, so non-finite pairs take the
+            # checked path, which rejects them.
+            peak = max(float(np.abs(y).max()), float(np.abs(y_prime).max()))
+            self._pairs.append((y, y_prime, peak / self.cfg.delta + 1 < 2.0**52))
+        self.y, self.y_prime, self._fast = self._pairs[0]
 
     def trials(self, gen: np.random.Generator, states, out: np.ndarray) -> np.ndarray:
         """Estimates of a run of trials into ``out``; returns ``out``.
 
+        ``out`` is (trials,) for one pair and (pairs, trials) for several.
         Trial t draws from ``gen`` with its bit generator set to
         ``states[t]`` (see ``rng._stream_states``).  Up to
-        ``_BLOCK_ENTRIES // (cols * m)`` trials, at least one and at most
-        the run's, are quantized at a time as one (rows, cols, m) block
-        with per-trial guards; a pair that fails the 2**52 guard takes
-        the integer path trial by trial.  The block's buffers are kept
-        for the next run of the same shape.
+        ``_BLOCK_ENTRIES // (cols * M)`` trials, at least one and at most
+        the run's, are drawn at a time as one (rows, cols, M) block, and
+        each pair quantizes its rows of it with per-trial guards; a pair
+        that fails the 2**52 guard takes the integer path trial by trial.
+        The block and two scratch buffers of its size are kept for the
+        next run of the same shape and serve every pair.
         """
         delta = self.cfg.delta
-        cols, m = self.cols, self.y.size
+        cols = self.cols
+        top = max(y.size for y, _, _ in self._pairs)
         # capped at the run's trials: rows past them left the work as it
         # was but made decay sweeps, which build a kernel per task, 4-10%
         # slower at m = 512-1024
-        rows = max(1, min(_BLOCK_ENTRIES // (cols * m), len(states)))
-        if self._block is None or self._block[0].shape != (rows, cols, m):
-            self._block = tuple(np.empty((rows, cols, m)) for _ in range(3))
+        rows = max(1, min(_BLOCK_ENTRIES // (cols * top), len(states)))
+        if self._block is None or self._block[0].shape != (rows, cols, top):
+            self._block = tuple(np.empty((rows, cols, top)) for _ in range(3))
+        block = self._block[0].reshape(rows, cols * top)
+        scratch = [buf.reshape(-1) for buf in self._block[1:]]
+        per_pair = out if out.ndim == 2 else out[None]
         for t0 in range(0, len(states), rows):
             chunk = states[t0 : t0 + rows]
-            d, a, b = (buf[: len(chunk)] for buf in self._block)
-            for row, state in zip(d, chunk):
+            n = len(chunk)
+            for row, state in zip(block, chunk):
                 gen.bit_generator.state = state
                 gen.random(out=row)
             # rng.uniform(0, delta) computes 0 + delta * u from the same
@@ -318,8 +343,13 @@ class _PairKernel:
             # the range, so the range check in _estimates needs only the
             # maximum.
             if delta != 1.0:
-                np.multiply(d, delta, out=d)
-            out[t0 : t0 + len(chunk)] = self._estimates(d, a, b)
+                np.multiply(block[:n], delta, out=block[:n])
+            for k, pair in enumerate(self._pairs):
+                self.y, self.y_prime, self._fast = pair
+                shape = (n, cols, self.y.size)
+                d = block[:n, : cols * self.y.size].reshape(shape)
+                a, b = (buf[: d.size].reshape(shape) for buf in scratch)
+                per_pair[k, t0 : t0 + n] = self._estimates(d, a, b)
         return out
 
     def _estimates(self, d: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[float]:

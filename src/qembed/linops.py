@@ -16,7 +16,10 @@ on the code that ``matvec`` runs.
 
 Operators are immutable after build and matvec is reentrant.  The dense
 families draw their rows straight into one buffer, so a build holds one
-copy of the matrix.
+copy of the matrix, and a cached build hands out its first m rows as the
+operator at m over the same buffer (``_leading_rows``), bit for bit a
+build at m: a ``decay`` sweep builds only its largest m of those
+families.
 """
 
 from __future__ import annotations
@@ -149,6 +152,12 @@ class LinOp:
         """
         return self.matvec(x), None
 
+    def _leading_rows(self, m: int) -> LinOp | None:
+        """The operator of this one's first ``m`` rows sharing its storage,
+        or None where there is none to share; ``_DenseIIDOp`` overrides
+        it.  A decay sweep builds its largest m and asks for the others."""
+        return None
+
     def dense(self) -> np.ndarray:
         """Dense m-by-n materialization reproducing matvec exactly."""
         return self._dense()
@@ -177,7 +186,9 @@ class _DenseIIDOp(LinOp):
     view of one ``_row_buffer``, so building the cache, or one streamed
     slice, holds one copy of it.  One ``_rows`` call derives its block
     states in one batched pass (``rng._stream_states``) and draws them
-    through a generator of its own, so matvec stays reentrant.
+    through a generator of its own, so matvec stays reentrant.  The
+    block keys do not depend on m, so the first m rows of a cache are
+    the operator at m (``_leading_rows``).
     """
 
     _row_label = "rows"
@@ -188,6 +199,24 @@ class _DenseIIDOp(LinOp):
         if self.m * self.n <= _DENSE_CACHE_MAX:
             self._cache = self._rows(0, self.m)
             self._cache.setflags(write=False)
+
+    def _leading_rows(self, m: int) -> _DenseIIDOp | None:
+        """The same family at m rows over a read-only view of the first m
+        rows of the cache, or None for an uncached operator.
+
+        Row block b is keyed by b alone, so a build at m holds exactly
+        these rows; the view is C-contiguous and starts where a fresh
+        cache would (a mapping of its own, page-aligned), so ``matvec``
+        hands BLAS the same bytes, strides and shape.
+        """
+        if self._cache is None:
+            return None
+        if not 1 <= m <= self.m:
+            raise ValueError(f"leading rows need 1 <= m <= {self.m}, got m={m}")
+        op = object.__new__(type(self))
+        LinOp.__init__(op, m, self.n, self.seed, self.mu, self.rip_profile)
+        op._cache = self._cache[:m]
+        return op
 
     def _fill_row_block(self, rng: np.random.Generator, out: np.ndarray) -> None:
         raise NotImplementedError

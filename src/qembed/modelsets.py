@@ -329,38 +329,39 @@ def _support_batch(mset: ModelSet, g: np.ndarray) -> np.ndarray:
         s = p["s"]
         mags = np.abs(g)
         top = np.partition(mags, mags.shape[1] - s, axis=1)[:, -s:]
-        return np.linalg.norm(top, axis=1)
+        return mset.radius * np.linalg.norm(top, axis=1)
     if k == "group_sparse":
         s = p["s"]
         groups = np.linalg.norm(g.reshape(g.shape[0], p["n"], p["l"]), axis=2)
         top = np.partition(groups, p["n"] - s, axis=1)[:, -s:]
-        return np.linalg.norm(top, axis=1)
+        return mset.radius * np.linalg.norm(top, axis=1)
     if k == "low_rank":
         out = np.empty(g.shape[0])
         for i, row in enumerate(g):
             sv = np.linalg.svd(row.reshape(p["n1"], p["n2"]), compute_uv=False)
             out[i] = np.linalg.norm(sv[: p["r"]])
-        return out
+        return mset.radius * out
     if k == "ball":
         return mset.radius * np.linalg.norm(g, axis=1)
     if k == "subspace_union":
         proj = np.stack([np.linalg.norm(g @ b, axis=1) for b in p["bases"]], axis=1)
-        return proj.max(axis=1)
-    if k == "finite_cloud":
+        return mset.radius * proj.max(axis=1)
+    if k == "finite_cloud":  # its points are its members, whatever its radius
         pts = p["points"].reshape(p["points"].shape[0], -1)
         return np.abs(g @ pts.T).max(axis=1)
     raise ValueError(f"support function is unsupported for kind {k!r}")
 
 
 def support_function(mset: ModelSet, g: np.ndarray) -> float:
-    """sup of |<g, u>| over the set's unit-scale members.
+    """sup of |<g, u>| over the set's members.
 
-    sparse: l2 norm of the s largest-magnitude entries; group_sparse: l2
-    norm of the s largest group norms (group j holds entries j*l to
-    j*l + l - 1); low_rank: l2 norm of the top-r singular values of the
-    matricized input; ball: radius times ||g||; subspace_union: largest
-    projection norm; finite_cloud: largest |<g, u_i>| over the stored
-    points.
+    Every kind but finite_cloud is its radius times the value at radius
+    1, which is: sparse: l2 norm of the s largest-magnitude entries;
+    group_sparse: l2 norm of the s largest group norms (group j holds
+    entries j*l to j*l + l - 1); low_rank: l2 norm of the top-r singular
+    values of the matricized input; ball: ||g||; subspace_union: largest
+    projection norm.  finite_cloud: largest |<g, u_i>| over the stored
+    points, which are its members whatever its radius.
     """
     g = np.asarray(g, dtype=float).ravel()
     if g.size != mset.ambient_dim:

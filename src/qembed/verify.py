@@ -6,7 +6,7 @@ decomposition of the quantized estimates across a distance grid, decay
 of the additive part with the embedding dimension, and the exact
 identities that hold for dithered codes.
 
-Conventions of the distortion fit (``measure_qrip``):
+Conventions of the distortion fit (``measure_qrip``, ``measure_decay``):
 
 * one sampling stream per pair id, reused across grid distances, so a
   pair keeps its support/direction as the distance sweeps (common random
@@ -21,20 +21,33 @@ Conventions of the distortion fit (``measure_qrip``):
   zero; the per-distance table reports the max over records (worst case)
   and the median.
 
-Every sweep, ``measure_qrip`` and ``check_product_concentration`` alike,
-runs its pairs through ``_qrip_task``, and every trial runs in
+``measure_decay`` runs one sweep over several operators of one input
+dimension and profile, such as a ``decay``'s embedding dimensions, and
+``measure_qrip`` is its one-operator case.  Pairs and dithers are keyed
+by (seed, pair id, ...) and not by the operator, so the sweep samples
+each pair once per distance and runs every operator's two matvecs on
+it, and draws each trial's dithers once, at the largest m M: the
+operator at m reads the first cols * m of the trial's cols * M values,
+bit for bit the values it would draw alone.  Each operator keeps its
+own matvec: taking a smaller m's measurements from the rows of the
+largest one's would rest on BLAS computing each row independently,
+which it does not promise.
+
+Every sweep, ``measure_decay`` and ``check_product_concentration``
+alike, runs its pairs through ``_qrip_task``, and every trial runs in
 ``embeddings._PairKernel``, the single quantize-and-estimate kernel:
-it draws the trial's (cols, m) dither block from the trial's keyed
-stream, quantizes both measurements of the pair in float64 buffers and
-sums the cell gaps exactly.  Two guards keep the sums exact: max |y| /
-delta + 1 < 2**52 for the pair (checked once per pair and distance) and
-``m * max gap`` (l1) or ``m * max gap1 * max gap2`` (l2sq, circ) below
-2**53 (checked per trial).  A trial that fails a guard falls back to
+it draws the trial's dither block from the trial's keyed stream,
+quantizes both measurements of each operator's pair in float64 buffers
+and sums the cell gaps exactly.  Two guards keep the sums exact:
+max |y| / delta + 1 < 2**52 for each operator's pair (checked once per
+pair and distance) and ``m * max gap`` (l1) or ``m * max gap1 * max
+gap2`` (l2sq, circ) below 2**53 (checked per trial).  A trial that fails a guard falls back to
 ``quantize_with_dither`` and the integer estimator, so every estimate
 equals the exact integer result.  ``_PairKernel.trials`` runs a pair's
-trials at one distance together, quantizing as many trials at a time as
-fit in ``embeddings._BLOCK_ENTRIES`` dither entries (one trial for
-large m).
+trials at one distance together, drawing as many trials at a time as
+fit in ``embeddings._BLOCK_ENTRIES`` dither entries at the largest m (one
+trial for large m); one block and one pair of scratch buffers serve
+every operator.
 
 The keyed streams of a sweep come from one batched pass each
 (``rng._stream_states``): all (pair, trial, distance) dither states and
@@ -53,10 +66,10 @@ inputs raise the quantizer's one-line ValueError.
 
 Every routine is a pure function of (seed, config); trials are keyed by
 (seed, pair id, trial id), so results do not depend on execution order
-or worker count.  ``measure_qrip`` runs its pair ids on a thread pool
-of one worker per usable core when one trial's dither block is large
-enough for numpy to spend most of the trial outside the GIL (see
-``_default_workers``).
+or worker count.  A sweep runs its pair ids on a thread pool of one
+worker per usable core when one trial's dither block at the largest m
+is large enough for numpy to spend most of the trial outside the GIL
+(see ``_default_workers``).
 """
 
 from __future__ import annotations
@@ -81,6 +94,7 @@ __all__ = [
     "check_dither_identity",
     "estimate_rip",
     "measure_qrip",
+    "measure_decay",
     "fit_decay",
     "check_product_concentration",
     "power_law_slope",
@@ -251,35 +265,37 @@ def estimate_rip(
     return worst
 
 
-def _qrip_task(op, mset, mode, cfg, grid, pair_state, dither_states, q):
-    """The (grid, dithers) estimates and the (grid,) linear pre-metrics
-    of one pair id (pure).
+def _qrip_task(ops, mset, mode, cfg, grid, pair_state, dither_states, q):
+    """The (ops, grid, dithers) estimates and the (ops, grid) linear
+    pre-metrics of one pair id (pure).
 
     ``pair_state`` keys the pair's sampling stream, reused at every
     distance; ``dither_states`` key its trials, ordered by (distance,
-    trial).  One generator and one kernel serve the whole task.
+    trial).  At each distance the pair is sampled once and every operator
+    measures it; one generator and one kernel serve the whole task, and
+    the kernel draws each trial's dithers once for every operator.
     """
     dithers = len(dither_states) // len(grid)
     gen = np.random.default_rng(0)
     kernel = None
-    ests = np.empty((len(grid), dithers))
-    linear = np.empty(len(grid))
+    ests = np.empty((len(ops), len(grid), dithers))
+    linear = np.empty((len(ops), len(grid)))
     for si, s in enumerate(grid):
         gen.bit_generator.state = pair_state
-        x, x_prime = sample_pair(mset, float(s), gen, q=q)
-        y = op.matvec(np.ravel(x))
-        y_prime = op.matvec(np.ravel(x_prime))
+        x, x_prime = (np.ravel(v) for v in sample_pair(mset, float(s), gen, q=q))
+        ys = [op.matvec(x) for op in ops]
+        y_primes = [op.matvec(x_prime) for op in ops]
         if kernel is None:
-            kernel = _PairKernel(y, y_prime, mode, cfg)
+            kernel = _PairKernel(ys, y_primes, mode, cfg)
         else:
-            kernel.load(y, y_prime)
-        linear[si] = premetric(y, y_prime, kernel.power)
-        kernel.trials(gen, dither_states[si * dithers : (si + 1) * dithers], ests[si])
+            kernel.load(ys, y_primes)
+        linear[:, si] = [premetric(y, y_prime, kernel.power) for y, y_prime in zip(ys, y_primes)]
+        kernel.trials(gen, dither_states[si * dithers : (si + 1) * dithers], ests[:, si])
     return ests, linear
 
 
 def _default_workers(block: int, pairs: int) -> int:
-    """Worker count of ``measure_qrip``.
+    """Worker count of a sweep.
 
     One worker per usable core, capped at the number of pair ids, when a
     trial's dither block has at least ``_PARALLEL_MIN_BLOCK`` entries;
@@ -316,14 +332,45 @@ def measure_qrip(
     affinity set), at most ``pairs_per_distance``, when one trial's
     dither block (m entries, 2 * m for circ) has at least 2**14 entries,
     else on one.  Records and fit do not depend on the worker count.
+    This is ``measure_decay`` over the one operator.
     """
+    (run,) = measure_decay([op], mset, mode, cfg, distance_grid, pairs_per_distance, dithers_per_pair, seed)
+    return run
+
+
+def measure_decay(
+    ops,
+    mset: ModelSet,
+    mode: str,
+    cfg: QuantConfig,
+    distance_grid,
+    pairs_per_distance: int,
+    dithers_per_pair: int,
+    seed: int,
+) -> list[QripRun]:
+    """``measure_qrip`` of every operator in ``ops``, as one sweep.
+
+    The operators share n and ``rip_profile``; their runs come back in
+    the order of ``ops``, each equal to the operator's own
+    ``measure_qrip`` run.  Pairs and dithers are keyed by (seed, pair
+    id, ...) and not by the operator, so each pair is sampled once per
+    distance for every operator, and each trial's dithers are drawn once,
+    at the largest m, every smaller m reading their prefix.  The worker
+    count follows the largest m's dither block.
+    """
+    ops = list(ops)
+    if not ops:
+        raise ValueError("a sweep needs at least one operator")
+    shapes = sorted({(op.n, op.rip_profile) for op in ops})
+    if len(shapes) > 1:
+        raise ValueError(f"operators of one sweep need one (n, rip_profile), got {shapes}")
     grid = np.sort(np.asarray(list(distance_grid), dtype=float))
     if grid.size < 1 or np.any(grid <= 0):
         raise ValueError("distance grid must be non-empty and positive")
     if pairs_per_distance < 1 or dithers_per_pair < 1:
         raise ValueError("pairs_per_distance and dithers_per_pair must be >= 1")
     layout, p_e = _mode(mode)
-    q = op.rip_profile[1]
+    q = ops[0].rip_profile[1]
     pair_states = _stream_states(seed, "qrip:pair", np.arange(pairs_per_distance)[:, None])
     # rows ordered by (pair, distance, trial), keyed (pair, trial, distance)
     keys = np.indices((pairs_per_distance, grid.size, dithers_per_pair)).reshape(3, -1).T
@@ -332,24 +379,38 @@ def measure_qrip(
 
     def task(j):
         states = dither_states[j * per_pair : (j + 1) * per_pair]
-        return _qrip_task(op, mset, mode, cfg, grid, pair_states[j], states, q)
+        return _qrip_task(ops, mset, mode, cfg, grid, pair_states[j], states, q)
 
     pair_ids = list(range(pairs_per_distance))
-    workers = _default_workers(_LAYOUT_COLS[layout] * op.m, pairs_per_distance)
+    workers = _default_workers(_LAYOUT_COLS[layout] * max(op.m for op in ops), pairs_per_distance)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, pair_ids))
     else:
         results = [task(j) for j in pair_ids]
 
-    ests = np.stack([r[0] for r in results])  # (pairs, distances, dithers)
-    linear = np.stack([r[1] for r in results], axis=1)
+    runs = []
+    for k, op in enumerate(ops):
+        ests = np.stack([r[0][k] for r in results])  # (pairs, distances, dithers)
+        runs.append(QripRun(
+            m=op.m,
+            delta=cfg.delta,
+            mode=mode,
+            distances=grid,
+            estimates=ests,
+            fit=_fit(ests, grid, p_e),
+            linear_est=np.stack([r[1][k] for r in results], axis=1),
+            seed=seed,
+        ))
+    return runs
 
-    # ---- distortion fit ----
+
+def _fit(ests: np.ndarray, grid: np.ndarray, p_e: int) -> QripFit:
+    """The distortion fit of one operator's (pairs, distances, dithers) estimates."""
     # a grid may repeat a distance; records at equal distances pool, and
     # every expression below matches the per-record rel_err arithmetic
     s_max = grid[-1]
-    top = ests[:, grid == s_max, :].reshape(len(pair_ids), -1)
+    top = ests[:, grid == s_max, :].reshape(ests.shape[0], -1)
     rels = np.abs((top - s_max**p_e) / s_max**p_e)
     eps_l = float(max(float(np.median(r)) for r in rels))
 
@@ -360,18 +421,7 @@ def measure_qrip(
         resid = np.maximum(np.abs(at_s - s**p_e) - eps_l * s**p_e, 0.0)
         rho_max[si] = resid.max()
         rho_med[si] = float(np.median(resid))
-
-    fit = QripFit(eps_L_hat=eps_l, rho_hat_max=rho_max, rho_hat_median=rho_med)
-    return QripRun(
-        m=op.m,
-        delta=cfg.delta,
-        mode=mode,
-        distances=grid,
-        estimates=ests,
-        fit=fit,
-        linear_est=linear,
-        seed=seed,
-    )
+    return QripFit(eps_L_hat=eps_l, rho_hat_max=rho_max, rho_hat_median=rho_med)
 
 
 def power_law_slope(ms, values) -> float:
@@ -458,8 +508,8 @@ def check_product_concentration(
         else:
             op_m = build(op.family, m, op.n, seed=seed_m, **extra)
         states = dither_states[mi * trials : (mi + 1) * trials]
-        ests, _ = _qrip_task(op_m, mset, "circ", cfg, [distance], pair_state, states, op.rip_profile[1])
-        sds.append(float(ests[0].std(ddof=1)))
+        ests, _ = _qrip_task([op_m], mset, "circ", cfg, [distance], pair_state, states, op.rip_profile[1])
+        sds.append(float(ests[0, 0].std(ddof=1)))
     slope = power_law_slope(m_list, sds)
     ratios = [sds[i + 1] / sds[i] for i in range(len(sds) - 1)]
     return {

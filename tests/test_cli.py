@@ -375,6 +375,7 @@ class TestWritePath:
             raise AssertionError("swept before checking the outputs")
 
         monkeypatch.setattr(qembed.cli, "measure_qrip", no_sweep)
+        monkeypatch.setattr(qembed.cli, "measure_decay", no_sweep)
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and _one_line(err) and "cannot write" in err
         assert os.listdir(tmp_path / "dir") == []
@@ -453,6 +454,16 @@ class TestMeanwidthSelftestConfig:
         est, se = (float(v) for v in out.split())
         # E||g_G|| over two fixed groups (8 entries, 2.74) <= w <= E||g|| over all 32 entries (5.61)
         assert 2.74 < est < 5.61 and se > 0
+
+    @pytest.mark.parametrize("model", ["sparse:4:64", "ball:64", "lowrank:2:6:5", "group_sparse:2:4:8"])
+    def test_meanwidth_scales_with_radius(self, capsys, model):
+        values = {}
+        for radius in ("1", "5"):
+            code, out, err = run_cli(capsys, "meanwidth", "--model", model, "--radius", radius, "--trials", "300",
+                                     "--seed", "4")
+            assert code == 0, err
+            values[radius] = [float(v) for v in out.split()]
+        assert values["5"] == pytest.approx([5 * v for v in values["1"]], rel=1e-10)
 
     def test_selftest_byte_identical(self, capsys):
         code1, out1, _ = run_cli(capsys, "selftest", "--seed", "7", "--fast")

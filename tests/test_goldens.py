@@ -2,8 +2,9 @@
 
 The sha256 values pin the code file that ``qembed embed`` writes for
 every operator family and layout (rank-one probes at two kappas, and
-in the bi-dither layout at one) and the ``qembed selftest --seed 7
---fast`` report.
+in the bi-dither layout at one), the ``qembed selftest --seed 7
+--fast`` report, and the summary CSV and stdout of ``qembed decay``
+for three configurations.
 """
 
 import hashlib
@@ -43,6 +44,29 @@ ROP_GOLDENS = {
 ROP_BIDITHER_GOLDEN = "5d7def13137a9abc7c9fad8e0aa9300e1eff816e21d469a0d58829803e28f5fd"
 
 SELFTEST_GOLDEN = "b831ea0e10f4644637bdcbcbff5e3bf96199d4c32ac46b40e84178e9b7125ceb"
+
+# ``qembed decay`` flags per configuration.  Each m-list holds an m that
+# is not a multiple of 64 (the dense row-block size) and each grid
+# repeats a distance; at delta = 1e-9 every l2sq trial fails the kernel's
+# sum guard and takes the integer path.
+DECAY_ARGV = {
+    "gaussian-l1": ["--family", "gaussian", "--rip", "1,2", "--n", "32", "--model", "sparse:4:32", "--radius", "8",
+                    "--mode", "l1", "--delta", "0.5", "--grid", "0.2,1,1,4", "--m-list", "9000,100,777,3000",
+                    "--pairs", "3", "--dithers", "5", "--seed", "6"],
+    "bernoulli-l2sq-int": ["--family", "bernoulli", "--n", "24", "--model", "sparse:3:24", "--radius", "4",
+                           "--mode", "l2sq", "--delta", "1e-9", "--grid", "2,0.5,2,5", "--m-list", "48,64,100,200",
+                           "--pairs", "2", "--dithers", "3", "--seed", "8"],
+    "expander-circ": ["--family", "expander", "--degree", "4", "--n", "64", "--model", "sparse:4:64", "--radius", "20",
+                      "--mode", "circ", "--delta", "0.7", "--grid", "0.5,5,5,10", "--m-list", "32,77,128,300",
+                      "--pairs", "3", "--dithers", "4", "--seed", "13"],
+}
+
+# sha256 of the summary CSV followed by stdout
+DECAY_GOLDENS = {
+    "gaussian-l1": "c2ea5ee2fcccdd4a4ec1527dec3508af5215f301b5bee09c920a2b4a02111dd2",
+    "bernoulli-l2sq-int": "02a06830ce221074f392cd34772f9182a6caa15f86c80f36f68844066ddc1c8d",
+    "expander-circ": "a3a345ae996ae5d9ffe369dac94f48c33678560c97080161bbd727188911dd6d",
+}
 
 
 def _vector_file(tmp_path, n):
@@ -90,3 +114,11 @@ def test_selftest_report_matches_golden(capsys):
     assert main(["selftest", "--seed", "7", "--fast"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_GOLDEN
+
+
+@pytest.mark.parametrize("config", sorted(DECAY_GOLDENS))
+def test_decay_outputs_match_golden(tmp_path, capsys, config):
+    out = tmp_path / "decay.csv"
+    assert main(["decay", *DECAY_ARGV[config], "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes() + printed.encode()).hexdigest() == DECAY_GOLDENS[config]

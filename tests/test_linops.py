@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qembed import QuantConfig, build, build_rop, embed_rop, linops
+from qembed import QuantConfig, build, build_rop, cli, embed_rop, linops
 from qembed.linops import LinOp, RopOp, circular_convolve_counted, fwht_counted
 from qembed.rng import stream
 
@@ -198,6 +198,61 @@ class TestDenseBuild:
     def test_empty_row_slice(self):
         op = build("gaussian", 128, 16, seed=3)
         assert op._rows(64, 64).shape == (0, 16)
+
+
+class TestLeadingRows:
+    """A decay sweep builds its largest m and takes every smaller m of a
+    cached dense family as the leading rows of that build."""
+
+    @pytest.mark.parametrize("family,opts", [("gaussian", {}), ("gaussian", {"rip": (1, 2)}), ("bernoulli", {})])
+    @pytest.mark.parametrize("m", [1, 63, 64, 100, 300])
+    def test_bit_equal_to_a_fresh_build(self, family, opts, m):
+        parent = build(family, 300, 77, seed=5, **opts)
+        op = parent._leading_rows(m)
+        fresh = build(family, m, 77, seed=5, **opts)
+        assert type(op) is type(fresh)
+        assert (op.m, op.n, op.mu, op.rip_profile, op.seed) == (m, 77, fresh.mu, fresh.rip_profile, 5)
+        assert np.array_equal(op.dense(), fresh.dense())
+        for x in (np.linspace(-1.0, 1.0, 77), stream(6, "test:leading", m).standard_normal(77) * 1e3):
+            assert op.matvec(x).tobytes() == fresh.matvec(x).tobytes()
+        # a view of the parent's rows, read-only and laid out like a fresh cache
+        assert np.shares_memory(op._cache, parent._cache)
+        assert op._cache.flags.c_contiguous and not op._cache.flags.writeable
+        assert op._cache.ctypes.data % 4096 == fresh._cache.ctypes.data % 4096
+        with pytest.raises(ValueError):
+            op.dense()[0, 0] = 1.0
+
+    def test_out_of_range_rejected(self):
+        parent = build("gaussian", 64, 8, seed=1)
+        for m in (0, 65):
+            with pytest.raises(ValueError, match="leading rows"):
+                parent._leading_rows(m)
+
+    @pytest.mark.parametrize("make", [
+        lambda: build("subsampled_hadamard", 64, 128, seed=1),
+        lambda: build("random_convolution", 64, 128, seed=1),
+        lambda: build("expander", 64, 128, seed=1, degree=3),
+        lambda: build_rop(64, 4, 5, seed=1),
+    ], ids=["subsampled_hadamard", "random_convolution", "expander", "rop"])
+    def test_other_families_have_none(self, make):
+        assert make()._leading_rows(32) is None
+
+    def test_uncached_parent_builds_each_m(self, monkeypatch):
+        # m * n above the cache ceiling: no cache to share, so the decay
+        # sweep's operators are fresh builds
+        assert build("gaussian", linops._DENSE_CACHE_MAX + 1, 1, seed=2)._leading_rows(1) is None
+        monkeypatch.setattr(linops, "_DENSE_CACHE_MAX", 64 * 10)
+        parent = build("gaussian", 100, 10, seed=2)
+        assert parent._cache is None and parent._leading_rows(50) is None
+        args = cli._make_parser().parse_args(["decay", "--family", "gaussian", "--n", "10", "--model", "sparse:2:10",
+                                              "--mode", "l1", "--delta", "1", "--grid", "1", "--m-list", "1,2,3,4",
+                                              "--seed", "2"])
+        ops = cli._decay_ops(args, [50, 64, 100])
+        assert [op.m for op in ops] == [50, 64, 100]
+        assert [op._cache is None for op in ops] == [False, False, True]
+        assert not np.shares_memory(ops[0]._cache, ops[1]._cache)
+        for op in ops:
+            assert np.array_equal(op.dense(), build("gaussian", op.m, 10, seed=2).dense())
 
 
 class TestEnergyConcentration:

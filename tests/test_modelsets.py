@@ -287,6 +287,20 @@ class TestSupportFunction:
                 )
                 assert support_function(mset, g) == pytest.approx(brute, abs=1e-12)
 
+    def test_scales_with_radius(self):
+        # members scale with the radius; a finite cloud's members are its points
+        bases = [stream(22, "t").standard_normal((12, 2))]
+        kinds = [
+            lambda r: sparse(3, 12, radius=r), lambda r: group_sparse(2, 3, 4, radius=r),
+            lambda r: low_rank(1, 3, 4, radius=r), lambda r: ball(12, radius=r),
+            lambda r: subspace_union(bases, radius=r),
+        ]
+        g = stream(23, "t").standard_normal(12)
+        for make in kinds:
+            assert support_function(make(5.0), g) == pytest.approx(5 * support_function(make(1.0), g), rel=1e-12)
+        points = stream(24, "t").standard_normal((4, 12))
+        assert support_function(finite_cloud(points, radius=50.0), g) == support_function(finite_cloud(points), g)
+
     def test_unsupported_kinds(self):
         with pytest.raises(ValueError, match="unsupported for kind 'low_rank_joint_sparse'$"):
             support_function(low_rank_joint_sparse(1, 2, 3, 2), np.zeros(6))

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qembed import (
     QuantConfig,
@@ -13,12 +15,16 @@ from qembed import (
     estimate_rip,
     fit_decay,
     low_rank,
+    measure_decay,
     measure_qrip,
+    sample_dither,
+    sample_pair,
     selftest,
     sparse,
 )
 from qembed import verify
-from qembed.quantizer import _threshold_count
+from qembed.embeddings import _estimate_from_codes, quantize_with_dither
+from qembed.quantizer import _threshold_count, premetric
 from qembed.rng import stream
 from qembed.verify import (
     RECORD_COLUMNS,
@@ -205,6 +211,97 @@ class TestMeasureQrip:
             measure_qrip(op, mset, "l1", cfg, [-1.0], 2, 2, seed=0)
         with pytest.raises(ValueError):
             measure_qrip(op, mset, "bogus", cfg, [0.5], 2, 2, seed=0)
+
+
+# (build arguments, embedding dimensions) of every operator family at n = 32
+_DECAY_FAMILIES = {
+    "gaussian": (("gaussian",), [1, 5, 63, 64, 100, 9000]),
+    "gaussian-l1": (("gaussian", {"rip": (1, 2)}), [1, 5, 63, 64, 100, 9000]),
+    "bernoulli": (("bernoulli",), [1, 5, 63, 64, 100, 9000]),
+    "subsampled_hadamard": (("subsampled_hadamard",), [2, 5, 17, 31, 32]),
+    "random_convolution": (("random_convolution",), [2, 5, 17, 31, 32]),
+    "expander": (("expander", {"degree": 2}), [2, 5, 17, 100, 300]),
+    "rop": (("rop",), [1, 5, 17, 100, 300]),
+}
+
+
+def _fresh_op(family: str, m: int, seed: int):
+    args = _DECAY_FAMILIES[family][0]
+    if args[0] == "rop":
+        return build_rop(m, 4, 8, seed=seed)
+    return build(args[0], m, 32, seed=seed, **(args[1] if len(args) > 1 else {}))
+
+
+class TestMeasureDecay:
+    """``measure_decay`` against a per-record oracle built from the public
+    steps: the pair from its keyed stream, a freshly built operator's
+    matvec, one ``sample_dither`` per column from the trial's keyed
+    stream, ``quantize_with_dither`` and ``_estimate_from_codes``."""
+
+    @staticmethod
+    def _oracle(op, mset, mode, cfg, grid, pair, trial, si, seed):
+        """(estimate, linear pre-metric) of one record."""
+        x, x_prime = sample_pair(mset, float(grid[si]), stream(seed, "qrip:pair", pair), q=op.rip_profile[1])
+        y, y_prime = op.matvec(np.ravel(x)), op.matvec(np.ravel(x_prime))
+        drng = stream(seed, "qrip:dither", pair, trial, si)
+        xi = np.column_stack([sample_dither(op.m, cfg, drng) for _ in range(2 if mode == "circ" else 1)])
+        ca, cb = (quantize_with_dither(np.broadcast_to(v[:, None], xi.shape), xi, cfg) for v in (y, y_prime))
+        return _estimate_from_codes(ca, cb, mode, cfg.delta), premetric(y, y_prime, 1 if mode == "l1" else 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(_DECAY_FAMILIES)),
+        mode=st.sampled_from(["l1", "l2sq", "circ"]),
+        nested=st.booleans(),
+        picks=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+        delta=st.sampled_from([1.0, 0.37, 1e-9]),
+        grid=st.lists(st.sampled_from([0.05, 0.5, 2.0, 9.0, 30.0]), min_size=1, max_size=4),
+        pairs=st.integers(1, 3),
+        dithers=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    # the largest m takes 3-trial blocks; at delta = 1e-9 l2sq and circ
+    # trials take the integer path
+    @example(family="gaussian", mode="circ", nested=True, picks=[5, 2, 0], delta=1e-9, grid=[9.0, 0.5, 9.0],
+             pairs=2, dithers=4, seed=1).via("nested bi-dither prefixes")
+    @example(family="bernoulli", mode="l1", nested=True, picks=[5, 3, 4], delta=0.37, grid=[2.0, 2.0],
+             pairs=1, dithers=4, seed=2).via("partial last block")
+    def test_matches_per_record_oracle(self, family, mode, nested, picks, delta, grid, pairs, dithers, seed):
+        ms = _DECAY_FAMILIES[family][1]
+        m_list = [ms[min(i, len(ms) - 1)] for i in picks]
+        op_seeds = [7] * len(m_list) if nested else [7 + 100 * k for k in range(len(m_list))]
+        if nested:
+            # a decay sweep's operators: the largest built, the others its leading rows where it has them
+            top = _fresh_op(family, max(m_list), 7)
+            ops = [top._leading_rows(m) or _fresh_op(family, m, 7) for m in m_list]
+        else:
+            ops = [_fresh_op(family, m, s) for m, s in zip(m_list, op_seeds)]
+        mset = sparse(3, 32, radius=20.0)
+        cfg = QuantConfig(delta)
+        runs = measure_decay(ops, mset, mode, cfg, grid, pairs, dithers, seed=seed)
+        sorted_grid = sorted(grid)
+        for run, op, m, op_seed in zip(runs, ops, m_list, op_seeds):
+            fresh = _fresh_op(family, m, op_seed)
+            assert run.m == m and run.estimates.shape == (pairs, len(grid), dithers)
+            assert run.distances.tolist() == sorted_grid
+            for j in range(pairs):
+                for si in range(len(grid)):
+                    for t in range(dithers):
+                        est, linear = self._oracle(fresh, mset, mode, cfg, sorted_grid, j, t, si, seed)
+                        assert run.estimates[j, si, t] == est
+                        assert run.linear_est[si, j] == linear
+            alone = measure_qrip(fresh, mset, mode, cfg, grid, pairs, dithers, seed=seed)
+            assert records_csv(run) + summary_csv(run) == records_csv(alone) + summary_csv(alone)
+
+    def test_operators_must_share_n_and_profile(self):
+        mset = sparse(2, 16)
+        for ops in ([build("gaussian", 8, 16, seed=0), build("gaussian", 8, 32, seed=0)],
+                    [build("gaussian", 8, 16, seed=0), build("gaussian", 8, 16, seed=0, rip=(1, 2))]):
+            with pytest.raises(ValueError, match="one \\(n, rip_profile\\)") as info:
+                measure_decay(ops, mset, "l1", QuantConfig(1.0), [1.0], 1, 1, seed=0)
+            assert "\n" not in str(info.value)
+        with pytest.raises(ValueError, match="at least one operator"):
+            measure_decay([], mset, "l1", QuantConfig(1.0), [1.0], 1, 1, seed=0)
 
 
 class TestFitDecay:
