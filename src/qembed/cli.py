@@ -11,12 +11,14 @@ a failed check here, a ValueError from the library and an unwritable
 output (an OSError from ``_atomic_write``) all become one, and ``main``
 prints it as one "error: ..." line on stderr and returns 1.  qrip and
 decay check that their outputs can be written before they sweep.
-Sweeps run their trials on one worker per usable core (the CPU affinity
-set, e.g. under taskset) when a trial's dither block has at least 2**14
-entries, else on one; decay runs all its dimensions as one sweep, sized
-by the largest.  Results do not depend on the worker count.  For
-sweeps, set OPENBLAS_NUM_THREADS=1: idle OpenBLAS threads spin on the
-cores the trial workers need.
+Sweeps run their pair ids on one worker per usable core (the CPU
+affinity set, e.g. under taskset) when a trial's dither entries, summed
+over every m of the sweep (2m each for circ), reach 2**13, else on one
+(``verify._default_workers``); decay runs all its dimensions as one
+sweep, so dimensions each below 2**13 may reach it together.  Results
+do not depend on the worker count.  For sweeps, set
+OPENBLAS_NUM_THREADS=1: idle OpenBLAS threads spin on the cores the
+trial workers need.
 """
 
 from __future__ import annotations

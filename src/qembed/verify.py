@@ -66,10 +66,12 @@ inputs raise the quantizer's one-line ValueError.
 
 Every routine is a pure function of (seed, config); trials are keyed by
 (seed, pair id, trial id), so results do not depend on execution order
-or worker count.  A sweep runs its pair ids on a thread pool of one
-worker per usable core when one trial's dither block at the largest m
-is large enough for numpy to spend most of the trial outside the GIL
-(see ``_default_workers``).
+or worker count.  A sweep runs its tasks, the pair ids of
+``measure_decay`` or the dimensions of ``check_product_concentration``,
+on a thread pool of one worker per usable core when a trial's dither
+entries summed over all the sweep's operators (cols * sum of m) reach
+``_PARALLEL_MIN_BLOCK`` = 2**13, where numpy spends most of a task
+outside the GIL; below that, on one (see ``_default_workers``).
 """
 
 from __future__ import annotations
@@ -108,13 +110,29 @@ __all__ = [
 RECORD_COLUMNS = "m,delta,mode,true_dist,est_dist,rel_err,pair_id,trial_id,seed"
 SUMMARY_COLUMNS = "m,mode,eps_L_hat,dist,rho_hat_max,rho_hat_median"
 
-# Smallest dither block per trial (cols * m entries) at which
-# ``measure_qrip`` uses more than one worker by default.  Below it the
-# trial's Python and per-call overhead, which holds the GIL, dominates.
-# On 2 cores with OpenBLAS at one thread, 2 workers against 1 ran
-# 0.59-0.97x below 8192 entries, 0.76x (circ) to 1.31x (l1) at 8192,
-# and 1.27-2.11x from 16384 up.
-_PARALLEL_MIN_BLOCK = 2**14
+# The pool rule of every sweep (``_default_workers``): one worker per
+# usable core once a trial's dither entries, summed over every operator
+# of the sweep (cols * sum of m), reach this many; one worker below it,
+# where the trials' Python and per-call overhead, which holds the GIL,
+# dominates.  2 workers against 1, in-process ``measure_decay``, gaussian,
+# n = 256, 8 pairs x 16 dithers x 5 distances, 2 cores, OpenBLAS at one
+# thread, median of 7 per round, range over 4 rounds, estimates
+# bit-identical:
+#
+#   entries  shape                                  2 workers
+#   128      l1, m = 128                            0.58-0.89x
+#   512      l1, m = 512; circ, m = 256             0.59-0.74x
+#   2048     l1, m = 2048; circ, m = 1024           0.85-1.12x
+#   4096     l1, m = 4096; circ, m = 2048           1.05-1.39x
+#   8192     l1, m = 8192; circ, m = 4096           1.22-1.41x
+#   10240    l1, m = 1024, 2048, 3072, 4096         1.22-1.45x
+#   16256    l1, m = 128, 256, ..., 8192 (decay)    1.01-1.43x
+#
+# The low ends fell in spells when the two cores ran like one (a
+# two-thread np.sin ran ~1x then).  An earlier 2-core measurement of
+# the same shapes read 0.92-0.99x for l1 up to 4096 entries, so the
+# threshold sits at 8192, the smallest size that gained in both.
+_PARALLEL_MIN_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -294,19 +312,32 @@ def _qrip_task(ops, mset, mode, cfg, grid, pair_state, dither_states, q):
     return ests, linear
 
 
-def _default_workers(block: int, pairs: int) -> int:
-    """Worker count of a sweep.
+def _default_workers(entries: int, tasks: int) -> int:
+    """Worker count of a sweep of ``tasks`` independent tasks.
 
-    One worker per usable core, capped at the number of pair ids, when a
-    trial's dither block has at least ``_PARALLEL_MIN_BLOCK`` entries;
-    one worker below that.  Usable cores are the process's CPU affinity
-    set where the platform reports it, else ``os.cpu_count()``.
+    One worker per usable core, capped at ``tasks``, when a trial's
+    dither entries summed over every operator of the sweep (``entries``,
+    cols * sum of m) reach ``_PARALLEL_MIN_BLOCK``; one worker below
+    that.  Usable cores are the process's CPU affinity set where the
+    platform reports it, else ``os.cpu_count()``.
     """
-    if block < _PARALLEL_MIN_BLOCK:
+    if entries < _PARALLEL_MIN_BLOCK:
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-    return min(cores, pairs)
+    return min(cores, tasks)
+
+
+def _map_tasks(task, items, entries: int) -> list:
+    """``[task(i) for i in items]``, on ``_default_workers(entries,
+    len(items))`` threads; the results come back in the order of
+    ``items`` whatever the worker count."""
+    items = list(items)
+    workers = _default_workers(entries, len(items))
+    if workers < 2:
+        return [task(i) for i in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, items))
 
 
 def measure_qrip(
@@ -330,7 +361,7 @@ def measure_qrip(
 
     Pair ids run on one worker per usable core (the process's CPU
     affinity set), at most ``pairs_per_distance``, when one trial's
-    dither block (m entries, 2 * m for circ) has at least 2**14 entries,
+    dither block (m entries, 2 * m for circ) has at least 2**13 entries,
     else on one.  Records and fit do not depend on the worker count.
     This is ``measure_decay`` over the one operator.
     """
@@ -356,7 +387,9 @@ def measure_decay(
     id, ...) and not by the operator, so each pair is sampled once per
     distance for every operator, and each trial's dithers are drawn once,
     at the largest m, every smaller m reading their prefix.  The worker
-    count follows the largest m's dither block.
+    count follows a trial's dither entries summed over every operator,
+    the work of one task: several operators, each below the 2**13-entry
+    pool threshold, may reach it together.
     """
     ops = list(ops)
     if not ops:
@@ -381,13 +414,7 @@ def measure_decay(
         states = dither_states[j * per_pair : (j + 1) * per_pair]
         return _qrip_task(ops, mset, mode, cfg, grid, pair_states[j], states, q)
 
-    pair_ids = list(range(pairs_per_distance))
-    workers = _default_workers(_LAYOUT_COLS[layout] * max(op.m for op in ops), pairs_per_distance)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, pair_ids))
-    else:
-        results = [task(j) for j in pair_ids]
+    results = _map_tasks(task, range(pairs_per_distance), _LAYOUT_COLS[layout] * sum(op.m for op in ops))
 
     runs = []
     for k, op in enumerate(ops):
@@ -483,7 +510,9 @@ def check_product_concentration(
     kappa), fixes one pair at the given distance, and measures the
     standard deviation of the product estimate over fresh dither
     matrices; passes when the log-log slope against m lies in
-    [-0.75, -0.25].
+    [-0.75, -0.25].  Each m is an independent task, keyed by (seed, m
+    index, trial); the tasks run on the sweeps' pool under the same rule,
+    2 * sum of ``m_list`` dither entries per trial, largest m first.
     """
     m_list = sorted(int(m) for m in m_list)
     if len(m_list) < 2:
@@ -497,19 +526,22 @@ def check_product_concentration(
         extra["degree"] = op.degree
     if op.family == "gaussian" and op.rip_profile == (1.0, 2.0):
         extra["rip"] = (1, 2)
-    sds = []
     pair_state = stream(seed, "prodconc:pair").bit_generator.state
     keys = np.indices((len(m_list), trials)).reshape(2, -1).T
     dither_states = _stream_states(seed, "prodconc:dither", keys)
-    for mi, m in enumerate(m_list):
+
+    def task(mi):
         seed_m = op.seed + 1000 * mi
         if op.family == "rop":
-            op_m = build_rop(m, op.n1, op.n2, seed_m, op.kappa)
+            op_m = build_rop(m_list[mi], op.n1, op.n2, seed_m, op.kappa)
         else:
-            op_m = build(op.family, m, op.n, seed=seed_m, **extra)
+            op_m = build(op.family, m_list[mi], op.n, seed=seed_m, **extra)
         states = dither_states[mi * trials : (mi + 1) * trials]
         ests, _ = _qrip_task([op_m], mset, "circ", cfg, [distance], pair_state, states, op.rip_profile[1])
-        sds.append(float(ests[0, 0].std(ddof=1)))
+        return float(ests[0, 0].std(ddof=1))
+
+    # largest m first, so one worker takes the largest while the others share the rest
+    sds = _map_tasks(task, reversed(range(len(m_list))), _LAYOUT_COLS["bidither"] * sum(m_list))[::-1]
     slope = power_law_slope(m_list, sds)
     ratios = [sds[i + 1] / sds[i] for i in range(len(sds) - 1)]
     return {

@@ -94,29 +94,49 @@ class TestEstimateRip:
             estimate_rip(op, sparse(2, 16), 1, 2, pairs=60, rng=stream(9, "t"))
 
 
+def _pool_sizes(monkeypatch) -> list:
+    """The ``max_workers`` of every thread pool that ``verify`` opens from now on."""
+    sizes = []
+
+    class Spy(verify.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", Spy)
+    return sizes
+
+
+def _patch_cores(monkeypatch, cores: int):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
 class TestDefaultWorkers:
     @pytest.mark.parametrize(
         "cores, block, pairs, workers",
         [
+            (1, 2**13, 6, 1),
             (1, 2**14 - 1, 6, 1),
             (1, 2**14, 6, 1),
-            (4, 2**14 - 1, 6, 1),
+            (4, 2**13 - 1, 6, 1),
+            (4, 2**13, 6, 4),
+            (4, 2**14 - 1, 6, 4),
             (4, 2**14, 6, 4),
             (4, 2**14, 3, 3),
         ],
     )
     def test_affinity_cores(self, monkeypatch, cores, block, pairs, workers):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        _patch_cores(monkeypatch, cores)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert _default_workers(block, pairs) == workers
 
     def test_cpu_count_fallback(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _default_workers(2**14, 8) == 3
-        assert _default_workers(2**14 - 1, 8) == 1
+        assert _default_workers(2**13, 8) == 3
+        assert _default_workers(2**13 - 1, 8) == 1
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _default_workers(2**14, 8) == 1
+        assert _default_workers(2**13, 8) == 1
 
 
 class TestMeasureQrip:
@@ -150,13 +170,13 @@ class TestMeasureQrip:
     @pytest.mark.parametrize("m, cores", [(512, 2), (512, 4), (8192, 2), (8192, 4)])
     def test_threads_do_not_change_results(self, monkeypatch, m, cores):
         # the worker count follows the CPU affinity set patched in here; a
-        # circ trial's dither block has 2 * m entries, which is the default
-        # pool threshold at m=8192 and is made the threshold at m=512
+        # circ trial's dither block has 2 * m entries, which is made the
+        # pool threshold at both m
         size = {"pairs": 4} if m == 512 else {"pairs": 3, "dithers": 2}
         monkeypatch.setattr(verify, "_PARALLEL_MIN_BLOCK", 2 * m)
         runs = []
         for n_cores in (1, cores):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n_cores: set(range(n)), raising=False)
+            _patch_cores(monkeypatch, n_cores)
             assert verify._default_workers(2 * m, size["pairs"]) == min(n_cores, size["pairs"])
             runs.append(self._run("circ", m=m, **size))
         a, b = runs
@@ -293,6 +313,27 @@ class TestMeasureDecay:
             alone = measure_qrip(fresh, mset, mode, cfg, grid, pairs, dithers, seed=seed)
             assert records_csv(run) + summary_csv(run) == records_csv(alone) + summary_csv(alone)
 
+    def test_summed_dimensions_size_the_pool(self, monkeypatch):
+        # every m is below the pool threshold and their sum is above it:
+        # at 2 cores the sweep runs 2 workers, with outputs bit-equal to 1
+        ms = [1024, 2048, 3072, 4096]
+        assert max(ms) < verify._PARALLEL_MIN_BLOCK <= sum(ms)
+        top = build("gaussian", max(ms), 64, seed=21, rip=(1, 2))
+        ops = [top._leading_rows(m) for m in ms]
+        mset = sparse(4, 64, radius=20.0)
+        pools = _pool_sizes(monkeypatch)
+        runs = []
+        for cores in (1, 2):
+            _patch_cores(monkeypatch, cores)
+            runs.append(measure_decay(ops, mset, "l1", QuantConfig(0.7), [0.05, 1.0, 10.0], 3, 4, seed=22))
+        assert pools == [2]
+        for a, b in zip(*runs):
+            assert np.array_equal(a.estimates, b.estimates)
+            assert np.array_equal(a.linear_est, b.linear_est)
+            assert a.fit.eps_L_hat == b.fit.eps_L_hat
+            assert np.array_equal(a.fit.rho_hat_max, b.fit.rho_hat_max)
+            assert np.array_equal(a.fit.rho_hat_median, b.fit.rho_hat_median)
+
     def test_operators_must_share_n_and_profile(self):
         mset = sparse(2, 16)
         for ops in ([build("gaussian", 8, 16, seed=0), build("gaussian", 8, 32, seed=0)],
@@ -369,6 +410,21 @@ class TestProductConcentration:
             0.054163453883917155, 0.038074675680356204, 0.02565823011485338, 0.017990256320068985,
             0.013336720846952607, 0.009793990104682043, 0.006967063204482336,
         ]
+
+    def test_pool_does_not_change_results(self, monkeypatch):
+        # the per-m tasks follow the sweeps' rule: 2 * (1024 + 2048 + 4096)
+        # dither entries reach the threshold, so 2 cores run 2 workers
+        op = build("gaussian", 128, 64, seed=15)
+        pools = _pool_sizes(monkeypatch)
+        reps = []
+        for cores in (1, 2):
+            _patch_cores(monkeypatch, cores)
+            reps.append(check_product_concentration(
+                op, sparse(4, 64, radius=2.0), QuantConfig(1.0), [4096, 1024, 2048], trials=20, seed=16, distance=1.0,
+            ))
+        assert pools == [2]
+        assert reps[0] == reps[1]
+        assert reps[0]["m_list"] == [1024, 2048, 4096]
 
     def test_rank_one_probes_rebuilt_with_shape_and_kappa(self):
         # the check rebuilds rank-one probes at every m with the passed
