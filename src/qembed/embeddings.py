@@ -18,7 +18,16 @@ name).
 Monte Carlo sweeps quantize one measurement pair under many dithers;
 ``_PairKernel`` fuses dither sampling, quantization and estimation for
 that case and returns the same estimates as ``quantize_with_dither``
-followed by ``_estimate_from_codes``.  Its ``trials`` method, the one
+followed by ``_estimate_from_codes``.  As a coordinate's dither sweeps
+its cell its code steps once, at one threshold: ``_dither_thresholds``
+finds, once per pair, each coordinate's code c0 at zero dither and the
+smallest 53-bit lattice draw tau whose code is c0 + 1, and certifies it
+by evaluating the checked floor's own arithmetic at tau and at tau -
+2**-53.  A trial then compares its dither block with the thresholds, two
+compares per entry, and each estimate is a per-pair integer constant
+plus a count of the entries between a coordinate's two thresholds.  A
+pair with an uncertified coordinate, or one that fails a guard, takes
+the integer path (``_checked``) for all its trials.  ``trials``, the one
 entry point, runs a pair's trials from their keyed generator states in
 blocks of up to ``_BLOCK_ENTRIES`` dither entries, which cuts the
 per-call overhead that dominates small m; from ``_BLOCK_ENTRIES``
@@ -27,6 +36,8 @@ entries per trial up, a block holds one trial.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -61,6 +72,17 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 # interleaved in one process, 4-row blocks ran 1.15-1.28x at 8192
 # entries and 2-row blocks 1.05-1.12x at 16384.
 _BLOCK_ENTRIES = 2**15
+# Generator.random yields u = k * 2**-53, 0 <= k < 2**53: a lattice of
+# _POINTS draws spaced _LATTICE apart, the largest _U_TOP.
+_LATTICE = 2.0**-53
+_POINTS = 2.0**53
+_U_TOP = 1.0 - _LATTICE
+# lattice steps a candidate threshold may take toward its certificate
+_NUDGES = 4
+# coordinates of y and of y' per threshold-search chunk; the search's
+# temporaries are (2, _SEARCH_CHUNK) arrays held by the kernel
+_SEARCH_CHUNK = 2**11
+_EXPONENT_BITS = 0x7FF0000000000000
 
 
 @dataclass(frozen=True)
@@ -246,6 +268,153 @@ def _estimate_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, mode: str, de
     return delta * delta * total / m
 
 
+def _reaches(y, u, delta: float, n, tmp, out):
+    """Whether the code of y under the dither fl(delta * u) is at least n.
+
+    The code is floor(fl(fl(y + fl(delta * u)) / delta)), the floor of
+    ``quantize_with_dither``; for an integer n, floor(v) >= n is v >= n.
+    """
+    if delta == 1.0:
+        np.add(y, u, out=tmp)
+    else:
+        np.multiply(u, delta, out=tmp)
+        np.add(y, tmp, out=tmp)
+        np.divide(tmp, delta, out=tmp)
+    return np.greater_equal(tmp, n, out=out)
+
+
+def _step(x, toward: int, out):
+    """The doubles next to ``x`` toward +inf (``toward`` = 1) or -inf
+    (-1), into ``out``.
+
+    Doubles of one sign that are neighbours have neighbouring bit
+    patterns, which rise with the magnitude; the sign bit, shifted down,
+    is -1 below zero.  +0 toward -inf gives NaN.
+    """
+    bits = out.view(np.int64)
+    np.right_shift(x.view(np.int64), 63, out=bits)
+    bits *= 2 * toward
+    bits += toward
+    bits += x.view(np.int64)
+    return out
+
+
+def _dither_thresholds(y, delta: float, c0=None, tau=None, work=None, flags=None):
+    """Each coordinate's code c0 at zero dither and dither threshold tau; returns (c0, tau).
+
+    A draw u of ``Generator.random`` is a lattice point k * 2**-53,
+    0 <= k < 2**53, and the code of y_i under the dither fl(delta * u) is
+    floor(fl(fl(y_i + fl(delta * u)) / delta)), floor(fl(y_i + u)) at
+    delta = 1.  Every step is a monotone rounding, so the code rises with
+    u.  tau_i is the smallest lattice u whose code is c0_i + 1, and 1.0
+    where no draw reaches c0_i + 1; the code of y_i under every draw u is
+    then c0_i + (u >= tau_i).  tau_i is NaN where no candidate is
+    certified.
+
+    The candidate inverts the chain one rounding at a time.  At delta = 1,
+    fl(y + u) >= n = c0 + 1 exactly when y + u >= n - h, h half the
+    spacing below n: a tie rounds to n, an integer below 2**52 whose last
+    significand bit is 0.  h * 2**53 is 2**e for |n - 1/2| in [2**e,
+    2**(e+1)), read off its exponent bits.  With fl(n - y) and its
+    rounding error r = (n - fl(n - y)) - y, exact, k = ceil(fl(n - y) *
+    2**53) + ceil(r * 2**53 - h * 2**53): r is 0 but for 0 < y < 1/2,
+    where fl(n - y) * 2**53 is an integer; h * 2**53 is an integer from
+    n = 2 up and down from n = -1; and at n = 0, where the term reads 1/2
+    but y + u is never within h of 0 without reaching it, ceil(-1/2) is
+    0.  At other delta the candidate takes s, the least double with
+    fl(s / delta) >= n, then about the least dither with fl(y + dither)
+    >= s, then about the least lattice u with fl(delta * u) at or above
+    it.
+
+    The chain itself is the certificate: the code at tau - 2**-53 is c0,
+    and the code at tau is c0 + 1 (for tau < 1), and, at delta != 1, the
+    code at 1 - 2**-53 is at most c0 + 1.  At delta = 1 the last holds
+    for every |y| < 2**52 - 1: y <= pred(n), and fl(pred(n) + 1 - 2**-53)
+    stays below n + 1, since the spacing below n + 1 is at most twice
+    the spacing below n.  Where the certificate fails, the candidate
+    steps one lattice point toward it, up where the code at tau is still
+    c0 and down where the code at tau - 2**-53 is already c0 + 1, at most
+    ``_NUDGES`` times.
+
+    ``y`` must be finite with |y| / delta + 1 < 2**52.  ``c0`` and ``tau``
+    take y's shape, ``work`` is (3,) + y.shape float64 scratch and
+    ``flags`` (3,) + y.shape bool scratch; each is allocated when not
+    given.
+    """
+    y = np.ascontiguousarray(y, dtype=float)
+    c0 = np.empty(y.shape) if c0 is None else c0
+    tau = np.empty(y.shape) if tau is None else tau
+    n, s, v = np.empty((3,) + y.shape) if work is None else work
+    hit, below, ok = np.empty((3,) + y.shape, dtype=bool) if flags is None else flags
+    if delta == 1.0:
+        np.floor(y, out=c0)
+        np.add(c0, 1.0, out=n)
+        # s = h * 2**53; the exponent mask drops the sign bit
+        np.subtract(n, 0.5, out=s)
+        np.bitwise_and(s.view(np.int64), _EXPONENT_BITS, out=s.view(np.int64))
+        np.subtract(n, y, out=tau)
+        np.subtract(n, tau, out=v)
+        v -= y
+        v *= _POINTS
+        v -= s
+        np.ceil(v, out=v)
+        tau *= _POINTS
+        np.ceil(tau, out=tau)
+        tau += v
+    else:
+        np.divide(y, delta, out=c0)
+        np.floor(c0, out=c0)
+        np.add(c0, 1.0, out=n)
+        # s: fl(n * delta), a step up where fl(s / delta) < n, then a step
+        # down where the double below s still reaches n (none below +0,
+        # whose NaN gap fmax drops)
+        np.multiply(n, delta, out=s)
+        np.subtract(_step(s, 1, v), s, out=v)
+        np.divide(s, delta, out=tau)
+        s += np.multiply(v, np.less(tau, n, out=hit), out=v)
+        np.subtract(s, _step(s, -1, v), out=v)
+        np.fmax(v, 0.0, out=v)
+        np.subtract(s, v, out=tau)
+        tau /= delta
+        s -= np.multiply(v, np.greater_equal(tau, n, out=hit), out=v)
+        # about the least dither with fl(y + dither) >= s: s less half the
+        # gap below it, less y; then about the least index k with
+        # fl(delta * k * 2**-53) at or above it
+        np.subtract(s, _step(s, -1, v), out=v)
+        np.fmax(v, 0.0, out=v)
+        v *= 0.5
+        np.subtract(s, y, out=tau)
+        tau -= v
+        tau /= delta
+        tau *= _POINTS
+        np.ceil(tau, out=tau)
+        np.maximum(tau, 1.0, out=tau)
+        np.minimum(tau, _POINTS, out=tau)
+    tau *= _LATTICE
+    for step in range(_NUDGES + 1):
+        _reaches(y, tau, delta, n, v, hit)
+        if delta != 1.0:
+            # tau = 1 stands for "never": its code is not read, only the one below
+            hit |= np.equal(tau, 1.0, out=below)
+        np.subtract(tau, _LATTICE, out=s)
+        _reaches(y, s, delta, n, v, below)
+        # certified: reached at tau, not at tau - 2**-53
+        if np.greater(hit, below, out=ok).all() or step == _NUDGES:
+            break
+        # one lattice step toward the certificate: (1 - hit - below) * 2**-53
+        np.add(hit, below, out=s, dtype=float)
+        np.subtract(1.0, s, out=s)
+        s *= _LATTICE
+        tau += s
+    if not ok.all():
+        np.copyto(tau, np.nan, where=np.logical_not(ok, out=ok))
+    if delta != 1.0:
+        # the code at 1 - 2**-53 must not pass c0 + 1
+        np.add(n, 1.0, out=s)
+        np.copyto(tau, np.nan, where=_reaches(y, _U_TOP, delta, s, v, hit))
+    return c0, tau
+
+
 class _PairKernel:
     """Quantize-and-estimate kernel for one measurement pair (y, y'), or
     for one pair per operator of a sweep over several.
@@ -263,13 +432,27 @@ class _PairKernel:
     the codes of ``quantize_with_dither``.  ``load`` points the kernel at
     the next pairs and keeps its buffers.
 
-    The arithmetic runs in float64 buffers owned by the instance, so an
-    instance must not be shared between threads.  It is exact under two
-    guards: cell indices below 2**52 in magnitude (checked once per pair,
-    from max |y| / delta) are exact doubles, and gap sums and products
-    are exact while ``m * max gap`` (l1) or ``m * max gap1 * max gap2``
-    (l2sq, circ) stays below 2**53 (checked per trial).  A trial that
-    fails either guard takes the integer path instead.
+    ``load`` finds, once per pair, each coordinate's code c0 at zero
+    dither and its certified threshold tau (``_dither_thresholds``): the
+    code under the draw u is c0 + (u >= tau), and under the dither d =
+    fl(delta * u) it is c0 + (d >= fl(delta * tau)), the rounding being
+    monotone.  With k = c0 - c0' a cell gap is |k + a - b|, a = (d >= T)
+    and b = (d >= T'), so each estimate is a per-pair integer constant
+    plus a weighted count of dither entries between the two thresholds
+    T and T': two compares per dither entry, on bool data.  The weights
+    are float32 integers, exact in any summation order while the sum of
+    their magnitudes stays below 2**24.
+
+    A pair takes the integer path (``_checked``) for every trial when a
+    guard fails: max |y| / delta + 1 < 2**52, so that codes are exact
+    doubles; every coordinate certified, with a code that steps at most
+    once over the draws; ``m * (max |k| + 1)`` (l1) or ``m * (max |k| +
+    1)**2`` (l2sq, circ) below 2**53, a bound of every trial's sum since
+    |k| + 1 bounds every gap; the float32 weight bound.  The dither range
+    needs one check per kernel: fl(delta * (1 - 2**-53)) < delta puts
+    every dither below delta, and only a subnormal delta fails it, which
+    sends every pair to the integer path, where each dither is checked.
+    An instance owns its buffers and must not be shared between threads.
     """
 
     def __init__(self, y, y_prime, mode: str, cfg: QuantConfig):
@@ -277,22 +460,29 @@ class _PairKernel:
         self.cols = _LAYOUT_COLS[layout]
         self.mode = mode
         self.cfg = cfg
+        self._in_range = cfg.delta * _U_TOP < cfg.delta
         self._block = None
+        self._chunk = None
+        self._thr = None
         self.load(y, y_prime)
 
     def load(self, y, y_prime) -> None:
         """Make (y, y') the kernel's pair, or, given a list of vectors
-        each, its pairs, one per operator; the trial buffers are kept.
+        each, its pairs, one per operator; the buffers are kept.
 
-        ``y``, ``y_prime`` and ``_fast`` hold the pair that ``_estimates``
-        and ``_checked`` work on: the first after ``load``, each in turn
+        Every pair that passes the 2**52 guard gets its thresholds from
+        one search over all of them (``_search``), except a pair whose y
+        and y' are the leading coordinates of the longest pair's, as a
+        decay sweep's nested operators give: it reads the longest pair's
+        thresholds.  ``y`` and ``y_prime`` hold the pair that
+        ``_checked`` works on: the first after ``load``, each in turn
         within ``trials``.
         """
         ys, y_primes = (v if isinstance(v, list) else [v] for v in (y, y_prime))
         if len(ys) != len(y_primes) or not ys:
             raise ValueError(f"need one y' per y, got {len(ys)} and {len(y_primes)}")
-        # drop the last pairs before the guard's temporaries are allocated
         self._pairs, self.y, self.y_prime = [], None, None
+        pairs, fast = [], []
         for y, y_prime in zip(ys, y_primes):
             y = np.asarray(y, dtype=float)
             y_prime = np.asarray(y_prime, dtype=float)
@@ -303,8 +493,123 @@ class _PairKernel:
             # NaN or inf fails the comparison, so non-finite pairs take the
             # checked path, which rejects them.
             peak = max(float(np.abs(y).max()), float(np.abs(y_prime).max()))
-            self._pairs.append((y, y_prime, peak / self.cfg.delta + 1 < 2.0**52))
-        self.y, self.y_prime, self._fast = self._pairs[0]
+            if self._in_range and peak / self.cfg.delta + 1 < 2.0**52:
+                fast.append(len(pairs))
+            pairs.append((y, y_prime))
+        self._runs = []
+        if fast:
+            top = max(fast, key=lambda j: pairs[j][0].size)
+            ty, ty_prime = pairs[top]
+            leads = {j for j in fast if j != top and np.array_equal(ty[: pairs[j][0].size], pairs[j][0])
+                     and np.array_equal(ty_prime[: pairs[j][0].size], pairs[j][1])}
+            self._search(pairs, [top] + [j for j in fast if j != top and j not in leads], dict.fromkeys(leads, top))
+        on_runs = {j for *_, ends in self._runs for j, *_ in ends}
+        self._slow = [j for j in range(len(pairs)) if j not in on_runs]
+        self._pairs = pairs
+        self.y, self.y_prime = pairs[0]
+
+    def _search(self, pairs, roots, nested) -> None:
+        """Thresholds, weights and constants of the pairs ``roots``, laid
+        end to end in the kernel's (2, total) threshold array, and of the
+        pairs ``nested`` maps to the root they lead; a pair that fails a
+        guard stays on the integer path.
+
+        The search runs ``_SEARCH_CHUNK`` coordinates of y and of y' at a
+        time.  Per-pair sums and maxima come from pieces: the stretches
+        between the roots' bounds and the nested pairs' ends.
+        """
+        delta, power = self.cfg.delta, self.power
+        bounds = list(itertools.accumulate([pairs[r][0].size for r in roots], initial=0))
+        start = dict(zip(roots, bounds))
+        nested_ends = {j: start[r] + pairs[j][0].size for j, r in nested.items()}
+        cuts = sorted(set(bounds) | set(nested_ends.values()))
+        total = bounds[-1]
+        if self._thr is None or self._thr[0].shape[1] != total:
+            self._thr = (np.empty((2, total)), np.empty(total, dtype=np.float32) if power == 2 else None)
+        thr, weights = self._thr
+        width = 2 * min(total, _SEARCH_CHUNK)
+        if self._chunk is None or self._chunk[0].shape[1] < width:
+            self._chunk = (np.empty((6, width)), np.empty((3, width), dtype=bool))
+        # per piece: sum |k|, max |k|, sum k**2, and NaN where a
+        # threshold is uncertified
+        stats = np.zeros((4, len(cuts) - 1))
+        for a in range(0, total, _SEARCH_CHUNK):
+            b = min(a + _SEARCH_CHUNK, total)
+            # (2, b - a) rows, each contiguous
+            work, flags = (buf[:, : 2 * (b - a)].reshape(len(buf), 2, b - a) for buf in self._chunk)
+            yc, c0, tau = work[:3]
+            overlap = range(bisect.bisect_right(bounds, a) - 1, bisect.bisect_left(bounds, b))
+            for row in range(2):
+                parts = [pairs[roots[i]][row][max(a - bounds[i], 0) : b - bounds[i]] for i in overlap]
+                np.concatenate(parts, out=yc[row])
+            # measurements near the largest double overflow in the search;
+            # the chain's own arithmetic then fails their certificates
+            with np.errstate(over="ignore", invalid="ignore"):
+                _dither_thresholds(yc, delta, c0, tau, work[3:], flags)
+            here = slice(bisect.bisect_right(cuts, a) - 1, bisect.bisect_left(cuts, b))
+            local = [max(c - a, 0) for c in cuts[here]]
+            if math.isnan(tau.sum()):
+                stats[3, here] += np.add.reduceat(tau, local, axis=1).sum(axis=0)
+            k, kk, t = work[3:, 0]
+            np.subtract(c0[0], c0[1], out=k)
+            lo, hi = thr[:, a:b]
+            if power == 1:
+                # l1 counts d >= P less d >= N: (P, N) = (tau, tau') where
+                # k > 0, or k = 0 and tau < tau', else (tau', tau).  sel =
+                # clip(sign(tau' - tau) + 4k, 0, 1) is 1 there, else 0;
+                # lattice differences are exact, so P = tau' - sel * (tau'
+                # - tau) and N = tau + sel * (tau' - tau)
+                np.subtract(tau[1], tau[0], out=kk)
+                np.sign(kk, out=t)
+                t += np.multiply(k, 4.0, out=lo)
+                np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+                t *= kk
+                np.subtract(tau[1], t, out=lo)
+                np.add(tau[0], t, out=hi)
+                if delta != 1.0:
+                    thr[:, a:b] *= delta  # dither thresholds fl(delta * tau)
+            else:
+                if delta != 1.0:
+                    tau *= delta  # dither thresholds fl(delta * tau)
+                # between lo and hi the gap is |k| + sign(k * (T' - T)):
+                # circ weighs each column by V = k * sign(T' - T), l2sq
+                # weighs by 2 * V + 1
+                np.minimum(tau[0], tau[1], out=lo)
+                np.maximum(tau[0], tau[1], out=hi)
+                np.subtract(tau[1], tau[0], out=t)
+                np.sign(t, out=t)
+                t *= k
+                if self.cols == 1:
+                    t *= 2.0
+                    t += 1.0
+                np.copyto(weights[a:b], t, casting="same_kind")
+                np.multiply(k, k, out=kk)
+            np.abs(k, out=k)
+            stats[0, here] += np.add.reduceat(k, local)
+            np.maximum(stats[1, here], np.maximum.reduceat(k, local), out=stats[1, here])
+            if power == 2:
+                stats[2, here] += np.add.reduceat(kk, local)
+        ksums, kmaxes, k2sums, tsums = stats.tolist()
+        members = {r: [] for r in roots}
+        for j, end in [(r, start[r] + pairs[r][0].size) for r in roots] + list(nested_ends.items()):
+            first = start[nested.get(j, j)]
+            span = slice(cuts.index(first), cuts.index(end))
+            ksum, kmax = sum(ksums[span]), max(kmaxes[span])
+            m = pairs[j][0].size
+            exact = m * (int(kmax) + 1) ** power < 2**53
+            if power == 2:
+                exact = exact and (2 * ksum if self.cols == 2 else m + 2 * ksum) < 2**24
+            if exact and not math.isnan(sum(tsums[span])):
+                members[nested.get(j, j)].append((j, m, int(ksum if power == 1 else sum(k2sums[span]))))
+        # a run compares one stretch of the block with its thresholds and
+        # sums it piecewise, ending a pair at each piece bound; a
+        # bi-dither pair's (2, m) block is no prefix of a longer pair's
+        for r, group in members.items():
+            for part in [group] if self.cols == 1 else [[g] for g in group]:
+                if part:
+                    sizes = sorted({m for _, m, _ in part})
+                    ends = [(j, sizes.index(m), m, const) for j, m, const in part]
+                    self._runs.append((start[r], sizes[-1], [0] + sizes[:-1], ends))
 
     def trials(self, gen: np.random.Generator, states, out: np.ndarray) -> np.ndarray:
         """Estimates of a run of trials into ``out``; returns ``out``.
@@ -314,22 +619,23 @@ class _PairKernel:
         ``states[t]`` (see ``rng._stream_states``).  Up to
         ``_BLOCK_ENTRIES // (cols * M)`` trials, at least one and at most
         the run's, are drawn at a time as one (rows, cols, M) block, and
-        each pair quantizes its rows of it with per-trial guards; a pair
-        that fails the 2**52 guard takes the integer path trial by trial.
-        The block and two scratch buffers of its size are kept for the
+        each run of pairs compares its rows of it against its
+        thresholds; a pair on the integer path quantizes them trial by
+        trial.  The block and two bool masks of its size are kept for the
         next run of the same shape and serve every pair.
         """
         delta = self.cfg.delta
         cols = self.cols
-        top = max(y.size for y, _, _ in self._pairs)
+        scale = delta if self.power == 1 else delta * delta
+        top = max(y.size for y, _ in self._pairs)
         # capped at the run's trials: rows past them left the work as it
         # was but made decay sweeps, which build a kernel per task, 4-10%
         # slower at m = 512-1024
         rows = max(1, min(_BLOCK_ENTRIES // (cols * top), len(states)))
         if self._block is None or self._block[0].shape != (rows, cols, top):
-            self._block = tuple(np.empty((rows, cols, top)) for _ in range(3))
+            self._block = (np.empty((rows, cols, top)), np.empty((2, rows * cols * top), dtype=bool))
         block = self._block[0].reshape(rows, cols * top)
-        scratch = [buf.reshape(-1) for buf in self._block[1:]]
+        thr, weights = self._thr or (None, None)
         per_pair = out if out.ndim == 2 else out[None]
         for t0 in range(0, len(states), rows):
             chunk = states[t0 : t0 + rows]
@@ -339,55 +645,44 @@ class _PairKernel:
                 gen.random(out=row)
             # rng.uniform(0, delta) computes 0 + delta * u from the same
             # doubles u in [0, 1) that rng.random yields; 0 + x == x and
-            # x * 1.0 == x.  Only delta * u rounding up to delta can leave
-            # the range, so the range check in _estimates needs only the
-            # maximum.
+            # x * 1.0 == x
             if delta != 1.0:
                 np.multiply(block[:n], delta, out=block[:n])
-            for k, pair in enumerate(self._pairs):
-                self.y, self.y_prime, self._fast = pair
-                shape = (n, cols, self.y.size)
-                d = block[:n, : cols * self.y.size].reshape(shape)
-                a, b = (buf[: d.size].reshape(shape) for buf in scratch)
-                per_pair[k, t0 : t0 + n] = self._estimates(d, a, b)
+            for k in self._slow:
+                self.y, self.y_prime = self._pairs[k]
+                m = self.y.size
+                per_pair[k, t0 : t0 + n] = [self._checked(row) for row in block[:n, : cols * m].reshape(n, cols, m)]
+            for first, m, starts, ends in self._runs:
+                seg = slice(first, first + m)
+                d = block[:n, : cols * m].reshape(n, cols, m)
+                totals = self._estimates(d, thr[:, seg], None if weights is None else weights[seg], starts)
+                for k, piece, size, const in ends:
+                    per_pair[k, t0 : t0 + n] = [scale * (const + int(t)) / size for t in totals[piece]]
         return out
 
-    def _estimates(self, d: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[float]:
-        """Estimates of every dither row of the (rows, cols, m) block ``d``.
-
-        ``a`` and ``b`` are scratch of the same shape.  Under the guards
-        every row sum is an exact integer in float64, so the reduction
-        order cannot change a value; a row that fails the sum guard, and
-        every row of a pair that fails the 2**52 guard, takes the integer
-        path over its own dither row.
-        """
-        if not self._fast:
-            return [self._checked(row) for row in d]
-        delta = self.cfg.delta
-        if d.max() >= delta:
-            raise ValueError("dither entries must lie in [0, delta)")
-        np.add(self.y, d, out=a)
-        np.add(self.y_prime, d, out=b)
-        if delta != 1.0:
-            np.divide(a, delta, out=a)
-            np.divide(b, delta, out=b)
-        np.floor(a, out=a)
-        np.floor(b, out=b)
-        np.subtract(a, b, out=a)
-        g = np.abs(a, out=a)
-        m = g.shape[-1]
+    def _estimates(self, d: np.ndarray, thr: np.ndarray, weights, starts: list[int]) -> list[list]:
+        """Running sums, over the pieces that begin at ``starts``, of every
+        dither row of the (rows, cols, m) block ``d``: the count of its
+        entries at or above thr[0] less those at or above thr[1] (l1), or
+        the weighted count of those between them (l2sq, circ, one piece).
+        Each is an exact integer; ``[piece][row]``."""
+        a, b = (buf[: d.size].reshape(d.shape) for buf in self._block[1])
+        np.greater_equal(d, thr[0], out=a)
+        np.greater_equal(d, thr[1], out=b)
         if self.power == 1:
-            scale = delta
-            sums = g[:, 0].sum(axis=1).tolist()
-            bounds = [m * int(p) for p in g[:, 0].max(axis=1).tolist()]
+            e = np.subtract(a.view(np.int8), b.view(np.int8), out=a.view(np.int8))[:, 0]
+            sums = np.add.reduceat(e, starts, axis=1, dtype=np.int32 if e.shape[1] < 2**31 else np.int64)
         else:
-            scale = delta * delta
-            sums = np.einsum("ti,ti->t", g[:, 0], g[:, -1]).tolist()
-            bounds = [m * int(p[0]) * int(p[-1]) for p in g.max(axis=2).tolist()]
-        return [
-            self._checked(row) if bound >= 2**53 else scale * total / m
-            for row, total, bound in zip(d, sums, bounds)
-        ]
+            # a above b: lo <= d < hi
+            w = np.greater(a, b, out=a)
+            if self.cols == 1:
+                bounds = zip(starts, starts[1:] + [None])
+                sums = np.stack([np.dot(w[:, 0, i:j], weights[i:j]) for i, j in bounds], axis=1)
+            else:
+                both = np.logical_and(w[:, 0], w[:, 1], out=b[:, 0])
+                pair = np.add(w[:, 0].view(np.int8), w[:, 1].view(np.int8), out=b[:, 1].view(np.int8))
+                sums = np.add(np.dot(pair, weights), [np.count_nonzero(c) for c in both], dtype=float)[:, None]
+        return np.cumsum(sums, axis=1, dtype=np.int64 if self.power == 1 else float).T.tolist()
 
     def _checked(self, d: np.ndarray) -> float:
         """The integer path over one (cols, m) dither row ``d``."""

@@ -8,9 +8,12 @@ This module is the one quantizer layer:
   and the power p of the distance ||x - x'||**p it estimates;
   ``embeddings``, ``verify`` and ``cli`` read it through ``_mode``;
 * ``quantize_with_dither`` is the one checked floor,
-  floor((v + dither) / delta) as int64: every cell index outside
-  ``_PairKernel``'s certified fast path comes from it, ``quantize``
-  included;
+  floor((v + dither) / delta) as int64: every cell index comes from it,
+  ``quantize`` included, except inside ``embeddings._PairKernel``, whose
+  threshold search evaluates the same arithmetic, fl(fl(v + dither) /
+  delta), at two draws per coordinate to certify the one dither
+  threshold where the coordinate's index steps, and sends a pair with
+  any uncertified coordinate to this floor;
 * ``_cell_gap`` is the one exact |k - k'| over int64 cell indices, read
   by the integer estimator, by ``soft_distance`` at t = 0 and by the
   dither identity checks;

@@ -35,19 +35,27 @@ which it does not promise.
 
 Every sweep, ``measure_decay`` and ``check_product_concentration``
 alike, runs its pairs through ``_qrip_task``, and every trial runs in
-``embeddings._PairKernel``, the single quantize-and-estimate kernel:
-it draws the trial's dither block from the trial's keyed stream,
-quantizes both measurements of each operator's pair in float64 buffers
-and sums the cell gaps exactly.  Two guards keep the sums exact:
-max |y| / delta + 1 < 2**52 for each operator's pair (checked once per
-pair and distance) and ``m * max gap`` (l1) or ``m * max gap1 * max
-gap2`` (l2sq, circ) below 2**53 (checked per trial).  A trial that fails a guard falls back to
-``quantize_with_dither`` and the integer estimator, so every estimate
-equals the exact integer result.  ``_PairKernel.trials`` runs a pair's
-trials at one distance together, drawing as many trials at a time as
-fit in ``embeddings._BLOCK_ENTRIES`` dither entries at the largest m (one
-trial for large m); one block and one pair of scratch buffers serve
-every operator.
+``embeddings._PairKernel``, the single quantize-and-estimate kernel.
+Once per pair and distance it finds, for every operator's y and y' in
+one search, each coordinate's code c0 at zero dither and its dither
+threshold tau, the smallest 53-bit lattice draw whose code is c0 + 1,
+certified by the quantizer's own arithmetic at tau and tau - 2**-53.  A
+trial draws its dither block from its keyed stream and compares it with
+the thresholds; with k = c0 - c0' every cell gap is |k + a - b| for the
+two compares a and b, so each estimate is a per-pair integer constant
+plus an exact count.  The guards are checked once per pair and
+distance: max |y| / delta + 1 < 2**52, every coordinate certified with
+a code that steps once, ``m * (max |k| + 1)`` (l1) or ``m * (max |k| +
+1)**2`` (l2sq, circ) below 2**53, since |k| + 1 bounds every gap, and
+the float32 weights' magnitudes summing below 2**24.  A pair that fails
+one takes ``quantize_with_dither`` and the integer estimator for all its
+trials, so every estimate equals the exact integer result.
+``_PairKernel.trials`` runs a pair's trials at one distance together,
+drawing as many trials at a time as fit in ``embeddings._BLOCK_ENTRIES``
+dither entries at the largest m (one trial for large m); one block and
+one pair of bool masks serve every operator, and a decay sweep's
+smaller operators, whose measurements lead the largest one's, share its
+thresholds and compares.
 
 The keyed streams of a sweep come from one batched pass each
 (``rng._stream_states``): all (pair, trial, distance) dither states and

@@ -1,4 +1,5 @@
-"""The fused quantize-and-estimate kernel and the exact integer estimator.
+"""The fused quantize-and-estimate kernel, its threshold search and the
+exact integer estimator.
 
 The golden hashes were taken from the per-trial loop that the kernel
 replaced (separate dither draws, ``quantize_with_dither`` and
@@ -11,11 +12,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qembed import QuantConfig, build, measure_qrip, sample_dither, sparse
-from qembed.embeddings import _BLOCK_ENTRIES, _estimate_from_codes, _PairKernel
+from qembed.embeddings import (
+    _BLOCK_ENTRIES,
+    _dither_thresholds,
+    _estimate_from_codes,
+    _PairKernel,
+    quantize_with_dither,
+)
 from qembed.rng import _stream_states, stream
 from qembed.verify import records_csv, summary_csv
 
@@ -105,19 +112,19 @@ def test_kernel_reaches_both_paths(monkeypatch):
     calls = []
     checked = _PairKernel._checked
     monkeypatch.setattr(_PairKernel, "_checked", lambda self, d: calls.append(1) or checked(self, d))
-    cfg = QuantConfig(1.0)
     rng = np.random.default_rng(0)
     small = rng.standard_normal(64)
     cases = [
-        (small, -small, "circ", False),  # fast path
-        (np.array([2.0**52 - 8]), np.zeros(1), "l1", False),  # fast path at the 2**52 edge
-        (np.full(4, 2.0**52), np.zeros(4), "l1", True),  # pair guard
-        (np.full(4, 2.0**30), np.zeros(4), "l2sq", True),  # per-trial guard: 4 * 2**60 >= 2**53
+        (small, -small, "circ", 1.0, False),  # fast path
+        (np.array([2.0**52 - 8]), np.zeros(1), "l1", 1.0, False),  # fast path at the 2**52 edge
+        (np.full(4, 2.0**52), np.zeros(4), "l1", 1.0, True),  # pair guard
+        (np.full(4, 2.0**30), np.zeros(4), "l2sq", 1.0, True),  # sum guard: 4 * (2**30 + 1)**2 >= 2**53
+        (np.array([6 * 0.7, 1.0]), np.zeros(2), "l1", 0.7, True),  # a code that steps twice: uncertified
     ]
-    for y, y_prime, mode, fallback in cases:
+    for y, y_prime, mode, delta, fallback in cases:
         before = len(calls)
-        kernel = _PairKernel(y, y_prime, mode, cfg)
-        assert _one_trial(kernel, 1) == _reference_estimate(y, y_prime, mode, 1.0, 1)[0]
+        kernel = _PairKernel(y, y_prime, mode, QuantConfig(delta))
+        assert _one_trial(kernel, 1) == _reference_estimate(y, y_prime, mode, delta, 1)[0]
         assert (len(calls) > before) == fallback
 
 
@@ -153,31 +160,111 @@ def test_trials_match_reference_across_block_sizes(mode, entries):
 @pytest.mark.parametrize(
     "mode,m,gap", [("l1", 4096, 2**41), ("l1", 8192, 2**40), ("l2sq", 2048, 2**21), ("circ", 2048, 2**21)]
 )
-def test_block_row_takes_the_sum_guard_fallback(monkeypatch, mode, m, gap):
-    # coordinate 0 has cell gap gap - 1 when its dither is below 1/2 and
-    # gap when above; the sum guard fails exactly at gap (m * gap = 2**53
-    # for l1, m * gap**2 = 2**53 otherwise), so the block mixes rows that
-    # pass it with rows that fall back to ``_checked``
-    y = np.zeros(m)
-    y[0] = gap - 0.5
+def test_pair_guard_sends_every_trial_to_the_integer_path(monkeypatch, mode, m, gap):
+    # coordinate 0 has code gap - 1 at zero dither, so k = gap - 1 bounds
+    # every trial's sum by m * gap (l1) or m * gap**2; at gap that bound is
+    # 2**53 and the pair takes the integer path for all its trials, at
+    # gap / 2 it keeps the threshold path
     trials = 16
     states = _stream_states(5, "test:guard", np.arange(trials)[:, None])
-    reference = _PairKernel(y, np.zeros(m), mode, QuantConfig(1.0))
-    shape = (reference.cols, m)
-    want = [reference._checked(stream(5, "test:guard", t).random(shape)) for t in range(trials)]
     calls = []
     checked = _PairKernel._checked
-    monkeypatch.setattr(_PairKernel, "_checked", lambda self, d: calls.append(1) or checked(self, d))
-    kernel = _PairKernel(y, np.zeros(m), mode, QuantConfig(1.0))
-    got = kernel.trials(np.random.default_rng(0), states, np.empty(trials))
-    rows = kernel._block[0].shape[0]
-    assert rows > 1  # several trials per block
-    assert got.tolist() == want
-    assert 0 < len(calls) < trials
-    # some block holds both a row that passes the guard and one that does
-    # not; a row fails when coordinate 0 draws 1/2 or more in every column
-    fell_back = [bool((stream(5, "test:guard", t).random(shape)[:, 0] >= 0.5).all()) for t in range(trials)]
-    assert any(0 < sum(fell_back[t0 : t0 + rows]) < rows for t0 in range(0, trials, rows))
+    for g, fallback in ((gap, True), (gap // 2, False)):
+        y = np.zeros(m)
+        y[0] = g - 0.5
+        reference = _PairKernel(y, np.zeros(m), mode, QuantConfig(1.0))
+        shape = (reference.cols, m)
+        want = [reference._checked(stream(5, "test:guard", t).random(shape)) for t in range(trials)]
+        monkeypatch.setattr(_PairKernel, "_checked", lambda self, d: calls.append(1) or checked(self, d))
+        kernel = _PairKernel(y, np.zeros(m), mode, QuantConfig(1.0))
+        got = kernel.trials(np.random.default_rng(0), states, np.empty(trials))
+        monkeypatch.undo()
+        assert kernel._block[0].shape[0] > 1  # several trials per block
+        assert got.tolist() == want
+        assert len(calls) == (trials if fallback else 0)
+        calls.clear()
+
+
+def _code(y, u, delta):
+    """The code of y under the draw u, through the checked floor."""
+    return int(quantize_with_dither(np.array([y]), np.array([delta * u]), QuantConfig(delta))[0])
+
+
+@st.composite
+def _search_inputs(draw):
+    delta = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+    near = st.integers(-(2**20), 2**20).map(float)
+    kind = draw(st.sampled_from(["low half", "integer", "below integer", "negative", "guard"]))
+    if kind == "low half":
+        unit = draw(st.floats(0.0, 0.5, exclude_max=True))
+    elif kind == "integer":
+        unit = draw(near)
+    elif kind == "below integer":
+        unit = np.nextafter(draw(near), -np.inf)
+    elif kind == "negative":
+        unit = -draw(st.floats(0.0, 2.0**30))
+    else:
+        unit = draw(st.sampled_from([1.0, -1.0])) * (2.0**52 - draw(st.floats(1.0 + 2.0**-40, 2.0**12)))
+    y = unit * delta
+    assume(abs(y) / delta + 1 < 2.0**52)
+    return y, delta
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_search_inputs())
+@example(case=(0.2, 1.0))
+@example(case=(1e-300, 1.0))
+@example(case=(np.nextafter(3.0, -np.inf), 1.0))
+@example(case=(-0.0, 1.0))
+@example(case=(6 * 0.7, 0.7))
+@example(case=(2.0**52 - 2.0, 1.0))
+def test_certified_thresholds_step_once_at_tau(case):
+    y, delta = case
+    c0, tau = (float(v[0]) for v in _dither_thresholds(np.array([y]), delta))
+    assert c0 == _code(y, 0.0, delta)
+    if math.isnan(tau):
+        assert delta != 1.0  # the closed form at delta = 1 is exact
+        return  # uncertified: the kernel sends the pair to the integer path
+    assert tau * 2.0**53 == int(tau * 2.0**53) and 2.0**-53 <= tau <= 1.0
+    assert _code(y, tau - 2.0**-53, delta) == c0
+    if tau < 1.0:
+        assert _code(y, tau, delta) == c0 + 1
+        assert _code(y, 1.0 - 2.0**-53, delta) == c0 + 1
+
+
+def test_only_codes_that_step_twice_go_uncertified():
+    # a coordinate is left uncertified only where its code steps twice
+    # over the draws; at delta = 1 no code does below the guard
+    rng = np.random.default_rng(4)
+    for delta in (1.0, 0.7, 3.3, 1e-3):
+        y = rng.standard_normal(4096) * delta * 5
+        c0, tau = _dither_thresholds(y, delta)
+        twice = [_code(v, 1.0 - 2.0**-53, delta) - c for v, c in zip(y[np.isnan(tau)], c0[np.isnan(tau)])]
+        assert all(g >= 2 for g in twice)
+        if delta == 1.0:
+            assert not twice
+
+
+@pytest.mark.parametrize("mode", ["l1", "l2sq", "circ"])
+@pytest.mark.parametrize("delta", [1.0, 0.7])
+def test_nested_pairs_read_the_longest_pairs_thresholds(mode, delta):
+    # the measurements of a decay sweep's smaller operators lead the
+    # largest one's; their estimates equal those of each pair on its own
+    rng = np.random.default_rng(8)
+    sizes = [16, 100, 300, 1000]
+    y, y_prime = rng.standard_normal((2, sizes[-1])) * 4
+    ys, y_primes = [y[:m].copy() for m in sizes], [y_prime[:m].copy() for m in sizes]
+    ys.append(rng.standard_normal(50))  # a root of its own
+    y_primes.append(rng.standard_normal(50))
+    kernel = _PairKernel(ys, y_primes, mode, QuantConfig(delta))
+    assert kernel._thr[0].shape[1] == sizes[-1] + 50
+    assert not kernel._slow
+    assert len(kernel._runs) == (2 if mode != "circ" else len(ys))
+    states = _stream_states(3, "test:nested", np.arange(5)[:, None])
+    got = kernel.trials(np.random.default_rng(0), states, np.empty((len(ys), 5)))
+    for k, (v, v_prime) in enumerate(zip(ys, y_primes)):
+        alone = _PairKernel(v, v_prime, mode, QuantConfig(delta))
+        assert got[k].tolist() == alone.trials(np.random.default_rng(0), states, np.empty(5)).tolist()
 
 
 def test_load_keeps_buffers_and_retargets():
