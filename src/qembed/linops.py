@@ -14,12 +14,23 @@ and ``circular_convolve_counted`` (convolution); both return an
 operation tally next to the result, so the O(n log n) cost is counted
 on the code that ``matvec`` runs.
 
+``matvecs(X)`` applies the operator to the k rows of X at once, bit for
+bit the stacked ``matvec`` of each; only the dense families override the
+stacked default.
+
 Operators are immutable after build and matvec is reentrant.  The dense
 families draw their rows straight into one buffer, so a build holds one
 copy of the matrix, and a cached build hands out its first m rows as the
 operator at m over the same buffer (``_leading_rows``), bit for bit a
 build at m: a ``decay`` sweep builds only its largest m of those
-families.
+families.  Their product has one definition (``_blocked_product``): one
+GEMV per 64-row block of the build, the last block taking the 0..63-row
+remainder, with every input run against a block while it is in cache.
+At one OpenBLAS thread each row has the bits of one GEMV over all m
+rows, and at two the same bits.  An operator at m whose blocks are
+blocks of its parent's reads the parent's product rows in a sweep
+(``_prefix_of``): where m is a multiple of 64 and ends before the
+parent's last block, or is the parent's m.
 """
 
 from __future__ import annotations
@@ -52,6 +63,10 @@ FAMILIES = (
 # Dense-cache ceiling: 2**24 float64 entries (128 MiB).  Larger dense
 # families stream their rows per matvec from the same keyed generators.
 _DENSE_CACHE_MAX = 1 << 24
+# rows of a dense build's keyed row block, and of its product's block
+_BLOCK_ROWS = 64
+# float64 entries of a dense product's block-major scratch (64 KiB)
+_PRODUCT_SCRATCH = 2**13
 
 
 def _row_buffer(rows: int, n: int) -> np.ndarray:
@@ -65,6 +80,49 @@ def _row_buffer(rows: int, n: int) -> np.ndarray:
     """
     buf = mmap.mmap(-1, max(rows * n * 8, 8))  # a mapping cannot be empty
     return np.frombuffer(buf, dtype=float, count=rows * n).reshape(rows, n)
+
+
+def _blocked_product(rows: np.ndarray, xs: np.ndarray, out: np.ndarray) -> None:
+    """``out[j] = rows @ xs[j]`` for every input j, GEMVs over row blocks,
+    every input run against a block while it is in cache.
+
+    The blocks are the build's 64-row blocks, the last one taking the
+    0..63-row remainder (all m rows when m < 64).  Each full block goes
+    through the same GEMV for every caller, so an operator whose blocks
+    are blocks of another one's reads that one's rows of the output
+    (``LinOp._prefix_of``).  A slab of full blocks is one stacked
+    ``matmul`` into a block-major scratch of at most
+    ``_PRODUCT_SCRATCH`` entries: blocks outermost, so each block meets
+    every input in turn, and one call per slab, so the GIL is released
+    for the slab's whole BLAS work.
+    """
+    m, n = rows.shape
+    k = xs.shape[0]
+    full = m // _BLOCK_ROWS
+    if m % _BLOCK_ROWS and full:
+        full -= 1  # the last block takes the remainder
+    head = full * _BLOCK_ROWS
+    if head:
+        blocks = rows[:head].reshape(full, 1, _BLOCK_ROWS, n)
+        vecs = xs[None, :, :, None]
+        per_slab = max(1, _PRODUCT_SCRATCH // (k * _BLOCK_ROWS))
+        scratch = np.empty((min(per_slab, full), k, _BLOCK_ROWS, 1))
+        dest = out[:, :head].reshape(k, full, _BLOCK_ROWS)
+        for b0 in range(0, full, per_slab):
+            b1 = min(b0 + per_slab, full)
+            part = scratch[: b1 - b0]
+            np.matmul(blocks[b0:b1], vecs, out=part)
+            dest[:, b0:b1] = part[..., 0].transpose(1, 0, 2)
+    # the last block goes in pieces of 8j rows, then one or two of 4-7
+    # rows: a BLAS on two threads splits each piece at a 4-row group, as
+    # it does a full block, so every row gets the GEMV kernel of a
+    # one-thread product over all m rows
+    a = head
+    while a < m:
+        left = m - a
+        b = a + (left if left < 8 else 4 if left < 12 else (left - 4) // 8 * 8)
+        np.matmul(rows[a:b], xs[:, :, None], out=out[:, a:b, None])
+        a = b
 
 
 def _is_pow2(n: int) -> bool:
@@ -124,6 +182,10 @@ class LinOp:
     """
 
     family: str = "abstract"
+    # the operator whose ``matvecs`` rows lead this one's, computed by the
+    # same BLAS calls on the same rows, so a sweep over both may read them
+    # (``_DenseIIDOp._leading_rows`` sets it); None computes its own
+    _prefix_of: LinOp | None = None
 
     def __init__(self, m: int, n: int, seed: int, mu: float, rip_profile: tuple[float, float]):
         if m < 1 or n < 1:
@@ -136,6 +198,17 @@ class LinOp:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._matvec(self._input(x))
+
+    def matvecs(self, xs) -> np.ndarray:
+        """The (k, m) array whose row j is ``matvec(xs[j])``, bit for bit,
+        for k >= 1 inputs of length n."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[0] < 1 or xs.shape[1] != self.n:
+            raise ValueError(f"expected (k, {self.n}) inputs with k >= 1, got shape {xs.shape}")
+        return self._matvecs(xs)
+
+    def _matvecs(self, xs: np.ndarray) -> np.ndarray:
+        return np.stack([self._matvec(x) for x in xs])
 
     def _input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -216,6 +289,9 @@ class _DenseIIDOp(LinOp):
         op = object.__new__(type(self))
         LinOp.__init__(op, m, self.n, self.seed, self.mu, self.rip_profile)
         op._cache = self._cache[:m]
+        blk = _BLOCK_ROWS
+        if m == self.m or (m % blk == 0 and m <= blk * (self.m // blk - 1)):
+            op._prefix_of = self
         return op
 
     def _fill_row_block(self, rng: np.random.Generator, out: np.ndarray) -> None:
@@ -230,7 +306,7 @@ class _DenseIIDOp(LinOp):
         # ms against 146-248 ms serial on a shared 2-core machine: the
         # gain depends on the second core being free, so a threaded
         # build needs alternating benchmark pairs before it lands
-        blk = 64
+        blk = _BLOCK_ROWS
         first = (start // blk) * blk
         last = min(self.m, -(-stop // blk) * blk)
         full = _row_buffer(last - first, self.n)
@@ -243,13 +319,17 @@ class _DenseIIDOp(LinOp):
         return full[start - first : stop - first]
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
+        return self._matvecs(x[None])[0]
+
+    def _matvecs(self, xs: np.ndarray) -> np.ndarray:
+        out = np.empty((xs.shape[0], self.m))
         if self._cache is not None:
-            return self._cache @ x
-        out = np.empty(self.m)
+            _blocked_product(self._cache, xs, out)
+            return out
         step = max(1, _DENSE_CACHE_MAX // self.n)
         for r0 in range(0, self.m, step):
             r1 = min(r0 + step, self.m)
-            out[r0:r1] = self._rows(r0, r1) @ x
+            _blocked_product(self._rows(r0, r1), xs, out[:, r0:r1])
         return out
 
     def _dense(self) -> np.ndarray:

@@ -25,13 +25,17 @@ Conventions of the distortion fit (``measure_qrip``, ``measure_decay``):
 dimension and profile, such as a ``decay``'s embedding dimensions, and
 ``measure_qrip`` is its one-operator case.  Pairs and dithers are keyed
 by (seed, pair id, ...) and not by the operator, so the sweep samples
-each pair once per distance and runs every operator's two matvecs on
-it, and draws each trial's dithers once, at the largest m M: the
-operator at m reads the first cols * m of the trial's cols * M values,
-bit for bit the values it would draw alone.  Each operator keeps its
-own matvec: taking a smaller m's measurements from the rows of the
-largest one's would rest on BLAS computing each row independently,
-which it does not promise.
+each pair once per distance and draws each trial's dithers once, at the
+largest m M: the operator at m reads the first cols * m of the trial's
+cols * M values, bit for bit the values it would draw alone.  A pair
+id's task samples its pair at every distance first, then measures all
+2 * |grid| vectors with one ``LinOp.matvecs`` call per operator, which
+for a dense family runs every vector against a 64-row block of the
+matrix while the block is in cache.  An operator that
+``_leading_rows`` marks as a prefix (``LinOp._prefix_of``), one whose
+product blocks are blocks of the larger operator's, reads that
+operator's leading output rows: the same BLAS calls on the same rows,
+so the same bits.  Every other operator computes its own.
 
 Every sweep, ``measure_decay`` and ``check_product_concentration``
 alike, runs its pairs through ``_qrip_task``, and every trial runs in
@@ -297,20 +301,30 @@ def _qrip_task(ops, mset, mode, cfg, grid, pair_state, dither_states, q):
 
     ``pair_state`` keys the pair's sampling stream, reused at every
     distance; ``dither_states`` key its trials, ordered by (distance,
-    trial).  At each distance the pair is sampled once and every operator
-    measures it; one generator and one kernel serve the whole task, and
-    the kernel draws each trial's dithers once for every operator.
+    trial).  The pair is sampled at every distance first, and each
+    operator measures all of them in one ``matvecs`` call, or reads the
+    leading rows of the operator it is a prefix of; one generator and
+    one kernel serve the whole task, and the kernel draws each trial's
+    dithers once for every operator.
     """
     dithers = len(dither_states) // len(grid)
     gen = np.random.default_rng(0)
+    xs = np.empty((2 * len(grid), ops[0].n))
+    for si, s in enumerate(grid):
+        gen.bit_generator.state = pair_state
+        xs[2 * si], xs[2 * si + 1] = (np.ravel(v) for v in sample_pair(mset, float(s), gen, q=q))
+    # one pass per operator over every input; an operator whose rows lead
+    # another's of the sweep reads that one's output, computed first
+    outs = {}
+    for op in sorted(ops, key=lambda op: (-op.m, op._prefix_of is not None)):
+        lead = outs.get(op._prefix_of)
+        outs[op] = op.matvecs(xs) if lead is None else lead[:, : op.m]
     kernel = None
     ests = np.empty((len(ops), len(grid), dithers))
     linear = np.empty((len(ops), len(grid)))
-    for si, s in enumerate(grid):
-        gen.bit_generator.state = pair_state
-        x, x_prime = (np.ravel(v) for v in sample_pair(mset, float(s), gen, q=q))
-        ys = [op.matvec(x) for op in ops]
-        y_primes = [op.matvec(x_prime) for op in ops]
+    for si in range(len(grid)):
+        ys = [outs[op][2 * si] for op in ops]
+        y_primes = [outs[op][2 * si + 1] for op in ops]
         if kernel is None:
             kernel = _PairKernel(ys, y_primes, mode, cfg)
         else:

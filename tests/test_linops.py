@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -253,6 +257,101 @@ class TestLeadingRows:
         assert not np.shares_memory(ops[0]._cache, ops[1]._cache)
         for op in ops:
             assert np.array_equal(op.dense(), build("gaussian", op.m, 10, seed=2).dense())
+
+
+DENSE_FAMILIES = [("gaussian", {}), ("gaussian", {"rip": (1, 2)}), ("bernoulli", {})]
+
+# m in [1, 300], often one of the 0..3 rows past a multiple of the 64-row block
+_ROWS = st.one_of(st.integers(1, 300), st.builds(lambda b, r: max(64 * b + r, 1), st.integers(0, 4), st.integers(0, 3)))
+
+
+class TestMatvecs:
+    """``matvecs(X)`` is the stacked ``matvec`` of its rows, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        family=st.sampled_from(range(len(DENSE_FAMILIES))),
+        m=_ROWS,
+        n=st.integers(1, 300),
+        k=st.integers(1, 12),
+        streamed=st.booleans(),
+        data=st.data(),
+    )
+    def test_dense_matches_stacked_matvec(self, family, m, n, k, streamed, data):
+        name, opts = DENSE_FAMILIES[family]
+        # a ceiling below m * n streams the rows in slices of ceiling // n
+        # rows (at least one), here at most about 16 slices
+        ceiling = data.draw(st.integers(m * n // 16, m * n - 1), label="ceiling") if streamed else linops._DENSE_CACHE_MAX
+        xs = stream(data.draw(st.integers(0, 2**16), label="seed"), "test:matvecs").standard_normal((k, n)) * 10.0
+        with mock.patch.object(linops, "_DENSE_CACHE_MAX", ceiling):
+            op = build(name, m, n, seed=3, **opts)
+            assert (op._cache is None) == streamed
+            got = op.matvecs(xs)
+            want = np.stack([op.matvec(x) for x in xs])
+            dense = op.dense()
+        assert got.shape == (k, m)
+        assert got.tobytes() == want.tobytes()
+        assert np.allclose(got, xs @ dense.T, rtol=1e-12, atol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        make=st.sampled_from([
+            lambda m, p: build("subsampled_hadamard", min(m, 2**p), 2**p, seed=1),
+            lambda m, p: build("random_convolution", min(m, 2**p), 2**p, seed=1),
+            lambda m, p: build("expander", m, 2**p, seed=1, degree=min(m, 3)),
+            lambda m, p: build_rop(m, 2 ** (p // 2), 2 ** (p - p // 2), seed=1),
+        ]),
+        m=st.integers(1, 80),
+        p=st.integers(0, 7),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_other_families_default_to_stacked_matvec(self, make, m, p, k, seed):
+        op = make(m, p)
+        xs = stream(seed, "test:matvecs").standard_normal((k, op.n))
+        got = op.matvecs(xs)
+        assert got.shape == (k, op.m)
+        assert got.tobytes() == np.stack([op.matvec(x) for x in xs]).tobytes()
+
+    def test_input_shape_checked(self):
+        op = build("gaussian", 70, 5, seed=1)
+        for bad in (np.zeros(5), np.zeros((2, 4)), np.zeros((0, 5)), np.zeros((1, 2, 5))):
+            with pytest.raises(ValueError, match="inputs"):
+                op.matvecs(bad)
+
+    # shapes whose ``dense() @ x`` changed bits from one OpenBLAS thread to
+    # two, on a 2-core x86-64 machine; the last two also changed when the
+    # last block of ``matvecs`` was one GEMV of its 64-127 rows
+    THREAD_SHAPES = [(130, 4096), (300, 4096), (4097, 256), (4897, 227), (579, 1648), (3314, 256),
+                     (1705, 955), (180, 3993), (187, 3932)]
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # one process per thread count: OpenBLAS reads it at load
+        code = (
+            "import hashlib, sys\n"
+            "import numpy as np\n"
+            "from qembed import build\n"
+            "from qembed.rng import stream\n"
+            "digest, gemv = hashlib.sha256(), True\n"
+            f"for m, n in {self.THREAD_SHAPES}:\n"
+            "    op = build('gaussian', m, n, seed=m + n)\n"
+            "    xs = stream(m, 'test:threads', n).standard_normal((3, n))\n"
+            "    ys = op.matvecs(xs)\n"
+            "    digest.update(ys.tobytes())\n"
+            "    gemv = gemv and all(np.array_equal(y, op.dense() @ x) for x, y in zip(xs, ys))\n"
+            "print(digest.hexdigest(), gemv)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(linops.__file__)))
+        out = {}
+        for threads in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            out[threads] = proc.stdout.split()
+        assert out[1][0] == out[2][0]
+        # at one thread every row is the GEMV's over all m rows
+        assert out[1][1] == "True"
 
 
 class TestEnergyConcentration:

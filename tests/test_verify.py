@@ -22,7 +22,8 @@ from qembed import (
     selftest,
     sparse,
 )
-from qembed import verify
+from qembed import cli, verify
+from qembed.linops import LinOp
 from qembed.embeddings import _estimate_from_codes, quantize_with_dither
 from qembed.quantizer import _threshold_count, premetric
 from qembed.rng import stream
@@ -343,6 +344,60 @@ class TestMeasureDecay:
             assert "\n" not in str(info.value)
         with pytest.raises(ValueError, match="at least one operator"):
             measure_decay([], mset, "l1", QuantConfig(1.0), [1.0], 1, 1, seed=0)
+
+
+def _spy_matvecs(monkeypatch) -> list:
+    """The operators of every ``LinOp.matvecs`` call from now on, in call
+    order; ``LinOp.matvec`` calls fail the test."""
+    calls = []
+    matvecs = LinOp.matvecs
+    monkeypatch.setattr(LinOp, "matvecs", lambda op, xs: calls.append(op) or matvecs(op, xs))
+    monkeypatch.setattr(LinOp, "matvec", lambda op, x: pytest.fail("a sweep called matvec"))
+    return calls
+
+
+class TestNestedReads:
+    """A sweep computes each operator's measurements in one ``matvecs``
+    pass, except an operator whose product blocks are blocks of another
+    one's of the sweep: it reads that one's leading rows."""
+
+    # the m of ``_leading_rows(m)`` that read the parent's rows, per M:
+    # a multiple of 64 whose blocks end before the parent's last block
+    # (64..127 rows), or M itself
+    NESTED = {8192: {64, 128, 8128, 8192}, 8193: {64, 128, 8193}, 8255: {64, 128, 8255}}
+
+    @pytest.mark.parametrize("M", sorted(NESTED))
+    def test_sweep_reads_the_prefix_where_blocks_nest(self, M, monkeypatch):
+        parent = build("gaussian", M, 8, seed=3, rip=(1, 2))
+        xs = stream(4, "test:nested", M).standard_normal((4, 8))
+        mset = sparse(2, 8, radius=4.0)
+        cfg = QuantConfig(0.5)
+        for m in (1, 63, 64, 65, 128, M - 64, 8192, M):
+            op = parent._leading_rows(m)
+            nested = m in self.NESTED[M]
+            assert (op._prefix_of is parent) == nested
+            if nested:
+                assert parent.matvecs(xs)[:, :m].tobytes() == op.matvecs(xs).tobytes()
+            calls = _spy_matvecs(monkeypatch)
+            run, _ = measure_decay([op, parent], mset, "l1", cfg, [0.5, 2.0], 2, 2, seed=5)
+            monkeypatch.undo()
+            # one call per pair id and operator computed, in any order across workers
+            assert (calls.count(parent), calls.count(op), len(calls)) == ((2, 0, 2) if nested else (2, 2, 4))
+            alone = measure_qrip(build("gaussian", m, 8, seed=3, rip=(1, 2)), mset, "l1", cfg, [0.5, 2.0], 2, 2, seed=5)
+            assert np.array_equal(run.estimates, alone.estimates)
+            assert np.array_equal(run.linear_est, alone.linear_est)
+
+    def test_one_matvecs_call_per_task_on_the_decay_benchmark(self, monkeypatch):
+        # the benchmark's decay_l1 sweep: every smaller m reads the largest one's rows
+        args = cli._make_parser().parse_args(["decay", "--family", "gaussian", "--rip", "1,2", "--n", "256",
+                                              "--model", "sparse:4:256", "--mode", "l1", "--delta", "1",
+                                              "--grid", "1", "--m-list", "128,256,512,1024", "--seed", "3"])
+        ops = cli._decay_ops(args, [128, 256, 512, 1024, 2048, 4096, 8192])
+        calls = _spy_matvecs(monkeypatch)
+        runs = measure_decay(ops, sparse(4, 256, radius=20.0), "l1", QuantConfig(1.0), [0.05, 0.2, 1.0, 5.0, 10.0],
+                             8, 16, seed=3)
+        assert calls == [ops[-1]] * 8
+        assert [run.estimates.shape for run in runs] == [(8, 5, 16)] * 7
 
 
 class TestFitDecay:
