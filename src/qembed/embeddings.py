@@ -18,20 +18,7 @@ name).
 Monte Carlo sweeps quantize one measurement pair under many dithers;
 ``_PairKernel`` fuses dither sampling, quantization and estimation for
 that case and returns the same estimates as ``quantize_with_dither``
-followed by ``_estimate_from_codes``.  As a coordinate's dither sweeps
-its cell its code steps once, at one threshold: ``_dither_thresholds``
-finds, once per pair, each coordinate's code c0 at zero dither and the
-smallest 53-bit lattice draw tau whose code is c0 + 1, and certifies it
-by evaluating the checked floor's own arithmetic at tau and at tau -
-2**-53.  A trial then compares its dither block with the thresholds, two
-compares per entry, and each estimate is a per-pair integer constant
-plus a count of the entries between a coordinate's two thresholds.  A
-pair with an uncertified coordinate, or one that fails a guard, takes
-the integer path (``_checked``) for all its trials.  ``trials``, the one
-entry point, runs a pair's trials from their keyed generator states in
-blocks of up to ``_BLOCK_ENTRIES`` dither entries, which cuts the
-per-call overhead that dominates small m; from ``_BLOCK_ENTRIES``
-entries per trial up, a block holds one trial.
+followed by ``_estimate_from_codes``; the class docstring says how.
 """
 
 from __future__ import annotations
@@ -416,32 +403,34 @@ def _dither_thresholds(y, delta: float, c0=None, tau=None, work=None, flags=None
 
 
 class _PairKernel:
-    """Quantize-and-estimate kernel for one measurement pair (y, y'), or
-    for one pair per operator of a sweep over several.
+    """Quantize-and-estimate kernel for a sweep's measurement pairs (y,
+    y'), one per operator.
 
-    ``trials`` runs trials of the pairs, each from its own keyed generator
-    state: a trial draws a (cols, M) dither block (cols from the mode
-    table's layout, M the longest pair's length) and each pair of length
-    m reads the block's first cols * m values as its (cols, m) block,
-    quantizes both measurements against it and yields the code-domain
-    estimate.  A generator yields its doubles in order, so that block
-    holds, bit for bit, the values of ``cols`` back-to-back
-    ``sample_dither`` calls of length m on the trial's stream (for the
-    bi-dither layout too, whose (2, m) blocks are not column prefixes of
-    the (2, M) one), and the estimate equals ``_estimate_from_codes`` on
-    the codes of ``quantize_with_dither``.  ``load`` points the kernel at
-    the next pairs and keeps its buffers.
+    ``load`` points the kernel at the pairs and keeps its buffers;
+    ``trials`` runs trials of every pair, each from its own keyed
+    generator state.  A trial draws a (cols, M) block of
+    ``Generator.random`` draws u (cols from the mode table's layout, M the
+    longest pair's length) and each pair of length m reads the block's
+    first cols * m values as its (cols, m) block.  A generator yields its
+    doubles in order, so the dithers fl(delta * u) of that block are, bit
+    for bit, ``cols`` back-to-back ``sample_dither`` calls of length m on
+    the trial's stream (for the bi-dither layout too, whose (2, m) blocks
+    are not column prefixes of the (2, M) one), and every estimate equals
+    ``_estimate_from_codes`` on the codes of ``quantize_with_dither``.
 
     ``load`` finds, once per pair, each coordinate's code c0 at zero
-    dither and its certified threshold tau (``_dither_thresholds``): the
-    code under the draw u is c0 + (u >= tau), and under the dither d =
-    fl(delta * u) it is c0 + (d >= fl(delta * tau)), the rounding being
-    monotone.  With k = c0 - c0' a cell gap is |k + a - b|, a = (d >= T)
-    and b = (d >= T'), so each estimate is a per-pair integer constant
-    plus a weighted count of dither entries between the two thresholds
-    T and T': two compares per dither entry, on bool data.  The weights
-    are float32 integers, exact in any summation order while the sum of
-    their magnitudes stays below 2**24.
+    dither and its certified threshold tau (``_dither_thresholds``), the
+    least lattice draw whose code is c0 + 1: the code under the draw u is
+    c0 + (u >= tau).  So a trial compares its raw draws u with tau at
+    every delta and never forms the dithers fl(delta * u): u >= tau is the
+    test fl(delta * u) >= fl(delta * tau), because the rounding is
+    monotone and a draw below tau with tau's dither would have tau's code.
+    With k = c0 - c0' a cell gap is |k + a - b|, a = (u >= tau) and b = (u
+    >= tau'), so each estimate is a per-pair integer constant plus a
+    weighted count of the draws between the two thresholds: two compares
+    per draw, on bool data.  The weights are float32 integers, exact in
+    any summation order while the sum of their magnitudes stays below
+    2**24.
 
     A pair takes the integer path (``_checked``) for every trial when a
     guard fails: max |y| / delta + 1 < 2**52, so that codes are exact
@@ -455,7 +444,7 @@ class _PairKernel:
     An instance owns its buffers and must not be shared between threads.
     """
 
-    def __init__(self, y, y_prime, mode: str, cfg: QuantConfig):
+    def __init__(self, mode: str, cfg: QuantConfig):
         layout, self.power = _mode(mode)
         self.cols = _LAYOUT_COLS[layout]
         self.mode = mode
@@ -464,24 +453,19 @@ class _PairKernel:
         self._block = None
         self._chunk = None
         self._thr = None
-        self.load(y, y_prime)
 
-    def load(self, y, y_prime) -> None:
-        """Make (y, y') the kernel's pair, or, given a list of vectors
-        each, its pairs, one per operator; the buffers are kept.
+    def load(self, ys: list, y_primes: list) -> None:
+        """Make (ys[k], y_primes[k]) the kernel's pairs, one per operator;
+        the buffers are kept.
 
         Every pair that passes the 2**52 guard gets its thresholds from
         one search over all of them (``_search``), except a pair whose y
         and y' are the leading coordinates of the longest pair's, as a
         decay sweep's nested operators give: it reads the longest pair's
-        thresholds.  ``y`` and ``y_prime`` hold the pair that
-        ``_checked`` works on: the first after ``load``, each in turn
-        within ``trials``.
+        thresholds.
         """
-        ys, y_primes = (v if isinstance(v, list) else [v] for v in (y, y_prime))
         if len(ys) != len(y_primes) or not ys:
             raise ValueError(f"need one y' per y, got {len(ys)} and {len(y_primes)}")
-        self._pairs, self.y, self.y_prime = [], None, None
         pairs, fast = [], []
         for y, y_prime in zip(ys, y_primes):
             y = np.asarray(y, dtype=float)
@@ -503,10 +487,9 @@ class _PairKernel:
             leads = {j for j in fast if j != top and np.array_equal(ty[: pairs[j][0].size], pairs[j][0])
                      and np.array_equal(ty_prime[: pairs[j][0].size], pairs[j][1])}
             self._search(pairs, [top] + [j for j in fast if j != top and j not in leads], dict.fromkeys(leads, top))
-        on_runs = {j for *_, ends in self._runs for j, *_ in ends}
+        on_runs = {j for *_, (ks, *_) in self._runs for j in ks.tolist()}
         self._slow = [j for j in range(len(pairs)) if j not in on_runs]
         self._pairs = pairs
-        self.y, self.y_prime = pairs[0]
 
     def _search(self, pairs, roots, nested) -> None:
         """Thresholds, weights and constants of the pairs ``roots``, laid
@@ -554,7 +537,7 @@ class _PairKernel:
             np.subtract(c0[0], c0[1], out=k)
             lo, hi = thr[:, a:b]
             if power == 1:
-                # l1 counts d >= P less d >= N: (P, N) = (tau, tau') where
+                # l1 counts u >= P less u >= N: (P, N) = (tau, tau') where
                 # k > 0, or k = 0 and tau < tau', else (tau', tau).  sel =
                 # clip(sign(tau' - tau) + 4k, 0, 1) is 1 there, else 0;
                 # lattice differences are exact, so P = tau' - sel * (tau'
@@ -566,12 +549,8 @@ class _PairKernel:
                 t *= kk
                 np.subtract(tau[1], t, out=lo)
                 np.add(tau[0], t, out=hi)
-                if delta != 1.0:
-                    thr[:, a:b] *= delta  # dither thresholds fl(delta * tau)
             else:
-                if delta != 1.0:
-                    tau *= delta  # dither thresholds fl(delta * tau)
-                # between lo and hi the gap is |k| + sign(k * (T' - T)):
+                # between lo and hi the gap is |k| + sign(k * (tau' - tau)):
                 # circ weighs each column by V = k * sign(T' - T), l2sq
                 # weighs by 2 * V + 1
                 np.minimum(tau[0], tau[1], out=lo)
@@ -602,27 +581,29 @@ class _PairKernel:
             if exact and not math.isnan(sum(tsums[span])):
                 members[nested.get(j, j)].append((j, m, int(ksum if power == 1 else sum(k2sums[span]))))
         # a run compares one stretch of the block with its thresholds and
-        # sums it piecewise, ending a pair at each piece bound; a
-        # bi-dither pair's (2, m) block is no prefix of a longer pair's
+        # sums it piecewise, ending a pair at each piece bound; its ends are
+        # the int64 rows (pair, piece, m, constant); a bi-dither pair's (2,
+        # m) block is no prefix of a longer pair's
         for r, group in members.items():
             for part in [group] if self.cols == 1 else [[g] for g in group]:
                 if part:
                     sizes = sorted({m for _, m, _ in part})
-                    ends = [(j, sizes.index(m), m, const) for j, m, const in part]
+                    ends = np.array([(j, sizes.index(m), m, const) for j, m, const in part]).T
                     self._runs.append((start[r], sizes[-1], [0] + sizes[:-1], ends))
 
     def trials(self, gen: np.random.Generator, states, out: np.ndarray) -> np.ndarray:
-        """Estimates of a run of trials into ``out``; returns ``out``.
+        """Estimates of a run of trials into the (pairs, trials) ``out``;
+        returns ``out``.
 
-        ``out`` is (trials,) for one pair and (pairs, trials) for several.
         Trial t draws from ``gen`` with its bit generator set to
         ``states[t]`` (see ``rng._stream_states``).  Up to
         ``_BLOCK_ENTRIES // (cols * M)`` trials, at least one and at most
         the run's, are drawn at a time as one (rows, cols, M) block, and
         each run of pairs compares its rows of it against its
-        thresholds; a pair on the integer path quantizes them trial by
-        trial.  The block and two bool masks of its size are kept for the
-        next run of the same shape and serve every pair.
+        thresholds; then, if a pair is on the integer path, the block is
+        scaled into dithers, which that pair quantizes trial by trial.
+        The block and two bool masks of its size are kept for the next
+        run of the same shape and serve every pair.
         """
         delta = self.cfg.delta
         cols = self.cols
@@ -636,36 +617,33 @@ class _PairKernel:
             self._block = (np.empty((rows, cols, top)), np.empty((2, rows * cols * top), dtype=bool))
         block = self._block[0].reshape(rows, cols * top)
         thr, weights = self._thr or (None, None)
-        per_pair = out if out.ndim == 2 else out[None]
         for t0 in range(0, len(states), rows):
             chunk = states[t0 : t0 + rows]
             n = len(chunk)
             for row, state in zip(block, chunk):
                 gen.bit_generator.state = state
                 gen.random(out=row)
-            # rng.uniform(0, delta) computes 0 + delta * u from the same
-            # doubles u in [0, 1) that rng.random yields; 0 + x == x and
-            # x * 1.0 == x
-            if delta != 1.0:
-                np.multiply(block[:n], delta, out=block[:n])
-            for k in self._slow:
-                self.y, self.y_prime = self._pairs[k]
-                m = self.y.size
-                per_pair[k, t0 : t0 + n] = [self._checked(row) for row in block[:n, : cols * m].reshape(n, cols, m)]
-            for first, m, starts, ends in self._runs:
+            for first, m, starts, (ks, pieces, sizes, consts) in self._runs:
                 seg = slice(first, first + m)
                 d = block[:n, : cols * m].reshape(n, cols, m)
                 totals = self._estimates(d, thr[:, seg], None if weights is None else weights[seg], starts)
-                for k, piece, size, const in ends:
-                    per_pair[k, t0 : t0 + n] = [scale * (const + int(t)) / size for t in totals[piece]]
+                # every sum is an integer below 2**53, exact as a double
+                out[ks, t0 : t0 + n] = scale * (consts[:, None] + totals[:, pieces].T) / sizes[:, None]
+            if self._slow:
+                # the dithers of ``sample_dither``, now that every run has read the draws
+                np.multiply(block[:n], delta, out=block[:n])
+                for k in self._slow:
+                    m = self._pairs[k][0].size
+                    dithers = block[:n, : cols * m].reshape(n, cols, m)
+                    out[k, t0 : t0 + n] = [self._checked(self._pairs[k], d) for d in dithers]
         return out
 
-    def _estimates(self, d: np.ndarray, thr: np.ndarray, weights, starts: list[int]) -> list[list]:
+    def _estimates(self, d: np.ndarray, thr: np.ndarray, weights, starts: list[int]) -> np.ndarray:
         """Running sums, over the pieces that begin at ``starts``, of every
-        dither row of the (rows, cols, m) block ``d``: the count of its
+        draw row of the (rows, cols, m) block ``d``: the count of its
         entries at or above thr[0] less those at or above thr[1] (l1), or
         the weighted count of those between them (l2sq, circ, one piece).
-        Each is an exact integer; ``[piece][row]``."""
+        Each is an exact integer; (rows, pieces)."""
         a, b = (buf[: d.size].reshape(d.shape) for buf in self._block[1])
         np.greater_equal(d, thr[0], out=a)
         np.greater_equal(d, thr[1], out=b)
@@ -673,7 +651,7 @@ class _PairKernel:
             e = np.subtract(a.view(np.int8), b.view(np.int8), out=a.view(np.int8))[:, 0]
             sums = np.add.reduceat(e, starts, axis=1, dtype=np.int32 if e.shape[1] < 2**31 else np.int64)
         else:
-            # a above b: lo <= d < hi
+            # a above b: lo <= u < hi
             w = np.greater(a, b, out=a)
             if self.cols == 1:
                 bounds = zip(starts, starts[1:] + [None])
@@ -682,14 +660,12 @@ class _PairKernel:
                 both = np.logical_and(w[:, 0], w[:, 1], out=b[:, 0])
                 pair = np.add(w[:, 0].view(np.int8), w[:, 1].view(np.int8), out=b[:, 1].view(np.int8))
                 sums = np.add(np.dot(pair, weights), [np.count_nonzero(c) for c in both], dtype=float)[:, None]
-        return np.cumsum(sums, axis=1, dtype=np.int64 if self.power == 1 else float).T.tolist()
+        return np.cumsum(sums, axis=1, dtype=np.int64 if self.power == 1 else float)
 
-    def _checked(self, d: np.ndarray) -> float:
-        """The integer path over one (cols, m) dither row ``d``."""
-        cfg = self.cfg
-        ca = quantize_with_dither(np.broadcast_to(self.y, d.shape), d, cfg)
-        cb = quantize_with_dither(np.broadcast_to(self.y_prime, d.shape), d, cfg)
-        return _estimate_from_codes(ca.T, cb.T, self.mode, cfg.delta)
+    def _checked(self, pair: tuple, d: np.ndarray) -> float:
+        """The integer path of ``pair`` = (y, y') over one (cols, m) dither row ``d``."""
+        ca, cb = (quantize_with_dither(np.broadcast_to(v, d.shape), d, self.cfg) for v in pair)
+        return _estimate_from_codes(ca.T, cb.T, self.mode, self.cfg.delta)
 
 
 def estimate_distance(c: CodeBlock, c_prime: CodeBlock, mode: str) -> float:

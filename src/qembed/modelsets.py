@@ -260,12 +260,15 @@ def sample_pair(
     Both points live in one structured component (shared support /
     shared factors), so their difference keeps the model structure.  The
     midpoint is drawn at a feasible norm so both endpoints stay within
-    the declared radius; requires distance <= 2 * radius.
+    the declared radius; requires distance <= 2 * radius and, for q = 2,
+    a radius whose square is finite.
     """
     if distance < 0 or not math.isfinite(distance):
         raise ValueError(f"distance must be finite and >= 0, got {distance}")
     if distance > 2 * mset.radius:
         raise ValueError(f"distance {distance} is infeasible within diameter {2 * mset.radius}")
+    if q == 2 and not math.isfinite(mset.radius * mset.radius):
+        raise ValueError(f"radius {mset.radius:g} is too large for l2 pairs: its square overflows")
     if mset.kind == "finite_cloud":
         pts = mset.params["points"]
         if distance == 0:

@@ -145,7 +145,7 @@ def sample_dither(m: int, cfg: QuantConfig, rng: np.random.Generator) -> np.ndar
     """m i.i.d. uniform draws on [0, delta), deterministic given the stream."""
     if m < 1:
         raise ValueError(f"dither length must be >= 1, got {m}")
-    return rng.uniform(0.0, cfg.delta, size=int(m))
+    return cfg.delta * rng.random(int(m))
 
 
 def _threshold_count(a: np.ndarray, a_prime: np.ndarray, t: float | np.ndarray, delta: float) -> np.ndarray:

@@ -39,27 +39,8 @@ so the same bits.  Every other operator computes its own.
 
 Every sweep, ``measure_decay`` and ``check_product_concentration``
 alike, runs its pairs through ``_qrip_task``, and every trial runs in
-``embeddings._PairKernel``, the single quantize-and-estimate kernel.
-Once per pair and distance it finds, for every operator's y and y' in
-one search, each coordinate's code c0 at zero dither and its dither
-threshold tau, the smallest 53-bit lattice draw whose code is c0 + 1,
-certified by the quantizer's own arithmetic at tau and tau - 2**-53.  A
-trial draws its dither block from its keyed stream and compares it with
-the thresholds; with k = c0 - c0' every cell gap is |k + a - b| for the
-two compares a and b, so each estimate is a per-pair integer constant
-plus an exact count.  The guards are checked once per pair and
-distance: max |y| / delta + 1 < 2**52, every coordinate certified with
-a code that steps once, ``m * (max |k| + 1)`` (l1) or ``m * (max |k| +
-1)**2`` (l2sq, circ) below 2**53, since |k| + 1 bounds every gap, and
-the float32 weights' magnitudes summing below 2**24.  A pair that fails
-one takes ``quantize_with_dither`` and the integer estimator for all its
-trials, so every estimate equals the exact integer result.
-``_PairKernel.trials`` runs a pair's trials at one distance together,
-drawing as many trials at a time as fit in ``embeddings._BLOCK_ENTRIES``
-dither entries at the largest m (one trial for large m); one block and
-one pair of bool masks serve every operator, and a decay sweep's
-smaller operators, whose measurements lead the largest one's, share its
-thresholds and compares.
+``embeddings._PairKernel``, the single quantize-and-estimate kernel,
+whose docstring describes its threshold compares and guards.
 
 The keyed streams of a sweep come from one batched pass each
 (``rng._stream_states``): all (pair, trial, distance) dither states and
@@ -98,7 +79,7 @@ import numpy as np
 from .embeddings import _PairKernel, quantize_with_dither
 from .linops import LinOp, build, build_rop
 from .modelsets import ModelSet, sample_pair
-from .quantizer import _LAYOUT_COLS, QuantConfig, _cell_gap, _mode, _threshold_count, premetric
+from .quantizer import _LAYOUT_COLS, QuantConfig, _cell_gap, _mode, _threshold_count, premetric, sample_dither
 from .rng import _stream_states, stream
 
 __all__ = [
@@ -242,7 +223,7 @@ def check_dither_identity(
         raise ValueError(f"need trials >= 10000, got {trials}")
     if rng is None:
         rng = stream(seed, "dither-identity")
-    xi = rng.uniform(0.0, cfg.delta, size=trials)
+    xi = sample_dither(trials, cfg, rng)
     gaps = cfg.delta * _dithered_gap(a, a_prime, xi, cfg)
     mean = float(gaps.mean())
     target = abs(a - a_prime)
@@ -319,16 +300,13 @@ def _qrip_task(ops, mset, mode, cfg, grid, pair_state, dither_states, q):
     for op in sorted(ops, key=lambda op: (-op.m, op._prefix_of is not None)):
         lead = outs.get(op._prefix_of)
         outs[op] = op.matvecs(xs) if lead is None else lead[:, : op.m]
-    kernel = None
+    kernel = _PairKernel(mode, cfg)
     ests = np.empty((len(ops), len(grid), dithers))
     linear = np.empty((len(ops), len(grid)))
     for si in range(len(grid)):
         ys = [outs[op][2 * si] for op in ops]
         y_primes = [outs[op][2 * si + 1] for op in ops]
-        if kernel is None:
-            kernel = _PairKernel(ys, y_primes, mode, cfg)
-        else:
-            kernel.load(ys, y_primes)
+        kernel.load(ys, y_primes)
         linear[:, si] = [premetric(y, y_prime, kernel.power) for y, y_prime in zip(ys, y_primes)]
         kernel.trials(gen, dither_states[si * dithers : (si + 1) * dithers], ests[:, si])
     return ests, linear
@@ -425,6 +403,13 @@ def measure_decay(
     if pairs_per_distance < 1 or dithers_per_pair < 1:
         raise ValueError("pairs_per_distance and dithers_per_pair must be >= 1")
     layout, p_e = _mode(mode)
+    with np.errstate(over="ignore", under="ignore"):
+        targets = grid**p_e
+    for s, target in zip(grid, targets):
+        if not (0 < target < math.inf):
+            raise ValueError(
+                f"grid distance {s:g} has {mode} target s**{p_e} = {target:g}; it must be positive and finite"
+            )
     q = ops[0].rip_profile[1]
     pair_states = _stream_states(seed, "qrip:pair", np.arange(pairs_per_distance)[:, None])
     # rows ordered by (pair, distance, trial), keyed (pair, trial, distance)
@@ -609,7 +594,7 @@ def selftest(seed: int = 0, fast: bool = False) -> list[dict]:
 
     # lattice-aligned gaps are recovered exactly for every dither draw
     rng = stream(seed, "selftest:lattice")
-    xi = rng.uniform(0.0, 1.0, size=1000)
+    xi = sample_dither(1000, cfg, rng)
     a = rng.uniform(-3, 3)
     exact = np.all(_dithered_gap(a + 3, a, xi, cfg) == 3)
     add("lattice-shift-exactness", bool(exact), f"a={_fmt(a)} k=3")
@@ -617,7 +602,7 @@ def selftest(seed: int = 0, fast: bool = False) -> list[dict]:
     # small-gap second moment: E gap^2 = delta * |a - a'| when |a-a'| < delta
     rng = stream(seed, "selftest:smallgap")
     a, gap = 0.25, 0.4
-    xi = rng.uniform(0.0, 1.0, size=n_mc)
+    xi = sample_dither(n_mc, cfg, rng)
     d0 = _dithered_gap(a + gap, a, xi, cfg)
     mean_sq = float((d0 * d0).mean())
     rel = abs(mean_sq - gap) / gap
@@ -653,7 +638,7 @@ def selftest(seed: int = 0, fast: bool = False) -> list[dict]:
     # guarded-mean bound: |E d^t(a+xi, a'+xi) - |a-a'|| <= 4|t| (+ MC margin)
     rng = stream(seed, "selftest:guardmean")
     a0, b0, t0 = 0.3, 1.1, 0.2
-    xi = rng.uniform(0.0, 1.0, size=n_mc // 10)
+    xi = sample_dither(n_mc // 10, cfg, rng)
     vals = _threshold_count(a0 + xi, b0 + xi, t0, 1.0)
     margin = 4.0 * float(vals.std()) / math.sqrt(xi.size)
     dev = abs(float(vals.mean()) - abs(a0 - b0))

@@ -348,6 +348,37 @@ def test_bad_delta_exit_1(tmp_path, capsys, command, delta):
     assert not out.exists()
 
 
+_Q2_COMMANDS = {
+    "riptest": ["riptest", "--family", "gaussian", "--m", "16", "--n", "8", "--model", "sparse:2:8", "--p", "2",
+                "--q", "2", "--pairs", "50"],
+    "qrip": _DELTA_COMMANDS["qrip"] + ["--delta", "1"],
+    "decay": _DELTA_COMMANDS["decay"] + ["--delta", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_Q2_COMMANDS))
+def test_l2_radius_whose_square_overflows_exit_1(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    argv = [a.format(out=out) for a in _Q2_COMMANDS[command]]
+    code, _, err = run_cli(capsys, *argv, "--radius", "1e200")
+    assert code == 1
+    assert _one_line(err) and "square overflows" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["qrip", "decay"])
+@pytest.mark.parametrize("mode,grid", [("l2sq", "1e-300"), ("circ", "1,1e-200"), ("l2sq", "1e160")])
+def test_grid_target_not_positive_and_finite_exit_1(tmp_path, capsys, command, mode, grid):
+    out = tmp_path / "out.csv"
+    argv = [a.format(out=out) for a in _DELTA_COMMANDS[command]]
+    argv[argv.index("--mode") + 1] = mode
+    argv[argv.index("--grid") + 1] = grid
+    code, _, err = run_cli(capsys, *argv, "--radius", "1e200", "--delta", "1")
+    assert code == 1
+    assert _one_line(err) and "grid distance" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 _WRITE_COMMANDS = {
     "embed": ["embed", "--family", "gaussian", "--m", "8", "--n", "4", "--input", "{vec}", "--delta", "1"],
     "qrip": _DELTA_COMMANDS["qrip"][:-2] + ["--delta", "1"],

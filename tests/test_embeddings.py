@@ -277,7 +277,7 @@ class TestEstimateDistance:
             ),
             "estimate_distance": lambda: estimate_distance(block, block, "l3"),
             "_estimate_from_codes": lambda: _estimate_from_codes(block.codes, block.codes, "l3", 1.0),
-            "_PairKernel": lambda: _PairKernel(np.zeros(2), np.ones(2), "l3", QuantConfig(1.0)),
+            "_PairKernel": lambda: _PairKernel("l3", QuantConfig(1.0)),
         }
         with pytest.raises(ValueError) as err:
             calls[entry]()

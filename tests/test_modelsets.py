@@ -183,6 +183,13 @@ class TestSamplePair:
         with pytest.raises(ValueError):
             sample_pair(sparse(2, 5, radius=1.0), 2.5, stream(10, "t"))
 
+    def test_l2_radius_whose_square_overflows(self):
+        # 1e200**2 overflows a double: the l2 geometry cannot be formed
+        with pytest.raises(ValueError, match="square overflows"):
+            sample_pair(sparse(2, 8, radius=1e200), 1.0, stream(10, "t"))
+        x, x_prime = sample_pair(sparse(2, 8, radius=1e150), 1e150, stream(10, "t"))
+        assert np.linalg.norm(x - x_prime) == pytest.approx(1e150, rel=1e-10)
+
     def test_group_sparse_pair_shares_groups(self):
         mset = group_sparse(2, 3, 6)
         rng = stream(30, "t")

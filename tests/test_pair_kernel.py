@@ -69,10 +69,17 @@ def _reference_estimate(y, y_prime, mode, delta, seed):
     return delta * delta * sum(g * h for g, h in zip(gaps[0], gaps[-1])) / m, dithers
 
 
+def _kernel(ys, y_primes, mode, delta):
+    """A kernel loaded with the pairs (ys[k], y_primes[k])."""
+    kernel = _PairKernel(mode, QuantConfig(delta))
+    kernel.load(ys, y_primes)
+    return kernel
+
+
 def _one_trial(kernel, seed):
-    """The kernel's estimate for one trial drawn from ``default_rng(seed)``."""
+    """The kernel's estimate for one trial of its one pair drawn from ``default_rng(seed)``."""
     state = np.random.default_rng(seed).bit_generator.state
-    return kernel.trials(np.random.default_rng(0), [state], np.empty(1))[0]
+    return kernel.trials(np.random.default_rng(0), [state], np.empty((1, 1)))[0, 0]
 
 
 # |y| / delta spans small values, the 2**52 fast-path limit and beyond,
@@ -101,17 +108,20 @@ def _pairs(draw):
 @example(pair=(np.array([2.0**52]), np.array([0.0]), 1.0), mode="l2sq", seed=3)
 def test_kernel_matches_python_int_reference(pair, mode, seed):
     y, y_prime, delta = pair
-    kernel = _PairKernel(y, y_prime, mode, QuantConfig(delta))
+    kernel = _kernel([y], [y_prime], mode, delta)
     got = _one_trial(kernel, seed)
     want, dithers = _reference_estimate(y, y_prime, mode, delta, seed)
-    assert np.array_equal(kernel._block[0][0], np.stack(dithers))
+    # the block keeps the draws u, scaled into the dithers delta * u only
+    # for a pair on the integer path
+    draws = kernel._block[0][0] if kernel._slow else delta * kernel._block[0][0]
+    assert np.array_equal(draws, np.stack(dithers))
     assert got == want
 
 
 def test_kernel_reaches_both_paths(monkeypatch):
     calls = []
     checked = _PairKernel._checked
-    monkeypatch.setattr(_PairKernel, "_checked", lambda self, d: calls.append(1) or checked(self, d))
+    monkeypatch.setattr(_PairKernel, "_checked", lambda self, pair, d: calls.append(1) or checked(self, pair, d))
     rng = np.random.default_rng(0)
     small = rng.standard_normal(64)
     cases = [
@@ -123,7 +133,7 @@ def test_kernel_reaches_both_paths(monkeypatch):
     ]
     for y, y_prime, mode, delta, fallback in cases:
         before = len(calls)
-        kernel = _PairKernel(y, y_prime, mode, QuantConfig(delta))
+        kernel = _kernel([y], [y_prime], mode, delta)
         assert _one_trial(kernel, 1) == _reference_estimate(y, y_prime, mode, delta, 1)[0]
         assert (len(calls) > before) == fallback
 
@@ -133,9 +143,9 @@ def test_kernel_reaches_both_paths(monkeypatch):
 def test_trials_match_per_trial_calls(pair, mode, seed, trials):
     # blocked for these small m; states[t] keys the stream of trial t
     y, y_prime, delta = pair
-    kernel = _PairKernel(y, y_prime, mode, QuantConfig(delta))
+    kernel = _kernel([y], [y_prime], mode, delta)
     states = _stream_states(seed, "test:trials", np.arange(trials)[:, None])
-    got = kernel.trials(np.random.default_rng(0), states, np.empty(trials))
+    got = kernel.trials(np.random.default_rng(0), states, np.empty((1, trials)))[0]
     want = [_reference_estimate(y, y_prime, mode, delta, stream(seed, "test:trials", t))[0] for t in range(trials)]
     assert got.tolist() == want
 
@@ -149,9 +159,9 @@ def test_trials_match_reference_across_block_sizes(mode, entries):
     rng = np.random.default_rng(entries)
     y, y_prime = rng.standard_normal((2, m)) * 3
     trials = 6
-    kernel = _PairKernel(y, y_prime, mode, QuantConfig(0.7))
+    kernel = _kernel([y], [y_prime], mode, 0.7)
     states = _stream_states(9, "test:sizes", np.arange(trials)[:, None])
-    got = kernel.trials(np.random.default_rng(0), states, np.empty(trials))
+    got = kernel.trials(np.random.default_rng(0), states, np.empty((1, trials)))[0]
     assert kernel._block[0].shape[0] == max(1, min(_BLOCK_ENTRIES // entries, trials))
     want = [_reference_estimate(y, y_prime, mode, 0.7, stream(9, "test:sizes", t))[0] for t in range(trials)]
     assert got.tolist() == want
@@ -172,12 +182,12 @@ def test_pair_guard_sends_every_trial_to_the_integer_path(monkeypatch, mode, m, 
     for g, fallback in ((gap, True), (gap // 2, False)):
         y = np.zeros(m)
         y[0] = g - 0.5
-        reference = _PairKernel(y, np.zeros(m), mode, QuantConfig(1.0))
+        reference = _PairKernel(mode, QuantConfig(1.0))
         shape = (reference.cols, m)
-        want = [reference._checked(stream(5, "test:guard", t).random(shape)) for t in range(trials)]
-        monkeypatch.setattr(_PairKernel, "_checked", lambda self, d: calls.append(1) or checked(self, d))
-        kernel = _PairKernel(y, np.zeros(m), mode, QuantConfig(1.0))
-        got = kernel.trials(np.random.default_rng(0), states, np.empty(trials))
+        want = [reference._checked((y, np.zeros(m)), stream(5, "test:guard", t).random(shape)) for t in range(trials)]
+        monkeypatch.setattr(_PairKernel, "_checked", lambda self, pair, d: calls.append(1) or checked(self, pair, d))
+        kernel = _kernel([y], [np.zeros(m)], mode, 1.0)
+        got = kernel.trials(np.random.default_rng(0), states, np.empty((1, trials)))[0]
         monkeypatch.undo()
         assert kernel._block[0].shape[0] > 1  # several trials per block
         assert got.tolist() == want
@@ -256,35 +266,39 @@ def test_nested_pairs_read_the_longest_pairs_thresholds(mode, delta):
     ys, y_primes = [y[:m].copy() for m in sizes], [y_prime[:m].copy() for m in sizes]
     ys.append(rng.standard_normal(50))  # a root of its own
     y_primes.append(rng.standard_normal(50))
-    kernel = _PairKernel(ys, y_primes, mode, QuantConfig(delta))
-    assert kernel._thr[0].shape[1] == sizes[-1] + 50
-    assert not kernel._slow
-    assert len(kernel._runs) == (2 if mode != "circ" else len(ys))
+    if delta != 1.0:
+        # a code that steps twice: this pair takes the integer path, and
+        # must not see the draws scaled before the runs have read them
+        ys.append(np.array([6 * delta, 1.0]))
+        y_primes.append(np.zeros(2))
+    kernel = _kernel(ys, y_primes, mode, delta)
+    assert kernel._thr[0].shape[1] == sum(v.size for v in ys[len(sizes) - 1 :])  # the roots, end to end
+    assert kernel._slow == ([] if delta == 1.0 else [len(ys) - 1])
+    assert len(kernel._runs) == (2 if mode != "circ" else len(sizes) + 1)
     states = _stream_states(3, "test:nested", np.arange(5)[:, None])
     got = kernel.trials(np.random.default_rng(0), states, np.empty((len(ys), 5)))
     for k, (v, v_prime) in enumerate(zip(ys, y_primes)):
-        alone = _PairKernel(v, v_prime, mode, QuantConfig(delta))
-        assert got[k].tolist() == alone.trials(np.random.default_rng(0), states, np.empty(5)).tolist()
+        alone = _kernel([v], [v_prime], mode, delta)
+        assert got[k].tolist() == alone.trials(np.random.default_rng(0), states, np.empty((1, 5)))[0].tolist()
 
 
 def test_load_keeps_buffers_and_retargets():
-    cfg = QuantConfig(1.0)
     rng = np.random.default_rng(3)
     y, y_prime = rng.standard_normal((2, 32)) * 5
-    kernel = _PairKernel(np.zeros(32), np.zeros(32), "circ", cfg)
+    kernel = _kernel([np.zeros(32)], [np.zeros(32)], "circ", 1.0)
     _one_trial(kernel, 4)
     buffers = kernel._block
-    kernel.load(y, y_prime)
-    assert _one_trial(kernel, 4) == _one_trial(_PairKernel(y, y_prime, "circ", cfg), 4)
+    kernel.load([y], [y_prime])
+    assert _one_trial(kernel, 4) == _one_trial(_kernel([y], [y_prime], "circ", 1.0), 4)
     assert kernel._block is buffers
     with pytest.raises(ValueError):
-        kernel.load(np.zeros(3), np.zeros(4))
+        kernel.load([np.zeros(3)], [np.zeros(4)])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**64])
 def test_kernel_rejects_unquantizable_measurements(bad):
     y = np.array([0.0, bad])
-    kernel = _PairKernel(y, np.zeros(2), "l1", QuantConfig(1.0))
+    kernel = _kernel([y], [np.zeros(2)], "l1", 1.0)
     with pytest.raises(ValueError, match="finite"):
         _one_trial(kernel, 0)
 
@@ -292,11 +306,11 @@ def test_kernel_rejects_unquantizable_measurements(bad):
 def test_kernel_input_validation():
     cfg = QuantConfig(1.0)
     with pytest.raises(ValueError):
-        _PairKernel(np.zeros(3), np.zeros(3), "l3", cfg)
-    with pytest.raises(ValueError):
-        _PairKernel(np.zeros(3), np.zeros(4), "l1", cfg)
-    with pytest.raises(ValueError):
-        _PairKernel(np.zeros(0), np.zeros(0), "l1", cfg)
+        _PairKernel("l3", cfg)
+    kernel = _PairKernel("l1", cfg)
+    for ys, y_primes in (([np.zeros(3)], [np.zeros(4)]), ([np.zeros(0)], [np.zeros(0)]), ([], []), ([np.zeros(3)], [])):
+        with pytest.raises(ValueError):
+            kernel.load(ys, y_primes)
 
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)

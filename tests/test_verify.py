@@ -233,6 +233,16 @@ class TestMeasureQrip:
         with pytest.raises(ValueError):
             measure_qrip(op, mset, "bogus", cfg, [0.5], 2, 2, seed=0)
 
+    @pytest.mark.parametrize(
+        "mode,s", [("l2sq", 1e-300), ("circ", 1e-170), ("l2sq", 1e155), ("l1", math.inf), ("l1", math.nan)]
+    )
+    def test_grid_target_must_be_positive_and_finite(self, mode, s):
+        # s**p of 0 or inf would make every rel_err and the fit NaN
+        op = build("gaussian", 16, 8, seed=12)
+        with pytest.raises(ValueError, match="grid distance") as err:
+            measure_decay([op], sparse(2, 8, radius=1e160), mode, QuantConfig(1.0), [1.0, s], 1, 2, seed=0)
+        assert "\n" not in str(err.value)
+
 
 # (build arguments, embedding dimensions) of every operator family at n = 32
 _DECAY_FAMILIES = {
