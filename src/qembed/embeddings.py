@@ -23,7 +23,6 @@ followed by ``_estimate_from_codes``; the class docstring says how.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import struct
@@ -437,9 +436,10 @@ class _PairKernel:
     doubles; every coordinate certified, with a code that steps at most
     once over the draws; ``m * (max |k| + 1)`` (l1) or ``m * (max |k| +
     1)**2`` (l2sq, circ) below 2**53, a bound of every trial's sum since
-    |k| + 1 bounds every gap; the float32 weight bound.  The dither range
-    needs one check per kernel: fl(delta * (1 - 2**-53)) < delta puts
-    every dither below delta, and only a subnormal delta fails it, which
+    |k| + 1 bounds every gap; the float32 weight bound (all but the first
+    read off the pair's own slice of ``_search``'s arrays).  The dither
+    range needs one check per kernel: fl(delta * (1 - 2**-53)) < delta
+    puts every dither below delta; only a subnormal delta fails it, which
     sends every pair to the integer path, where each dither is checked.
     An instance owns its buffers and must not be shared between threads.
     """
@@ -486,53 +486,43 @@ class _PairKernel:
             ty, ty_prime = pairs[top]
             leads = {j for j in fast if j != top and np.array_equal(ty[: pairs[j][0].size], pairs[j][0])
                      and np.array_equal(ty_prime[: pairs[j][0].size], pairs[j][1])}
-            self._search(pairs, [top] + [j for j in fast if j != top and j not in leads], dict.fromkeys(leads, top))
+            self._search(pairs, [top] + [j for j in fast if j != top and j not in leads], leads)
         on_runs = {j for *_, (ks, *_) in self._runs for j in ks.tolist()}
         self._slow = [j for j in range(len(pairs)) if j not in on_runs]
         self._pairs = pairs
 
-    def _search(self, pairs, roots, nested) -> None:
+    def _search(self, pairs, roots, leads) -> None:
         """Thresholds, weights and constants of the pairs ``roots``, laid
         end to end in the kernel's (2, total) threshold array, and of the
-        pairs ``nested`` maps to the root they lead; a pair that fails a
-        guard stays on the integer path.
+        pairs ``leads``, whose coordinates lead the first root's; a pair
+        that fails a guard stays on the integer path.
 
         The search runs ``_SEARCH_CHUNK`` coordinates of y and of y' at a
-        time.  Per-pair sums and maxima come from pieces: the stretches
-        between the roots' bounds and the nested pairs' ends.
+        time and writes per-coordinate data only: thresholds, weights and
+        |k|.  A pair's guards and constant are reductions over its own
+        slice of them; both threshold forms carry a NaN tau into thr[0].
         """
         delta, power = self.cfg.delta, self.power
-        bounds = list(itertools.accumulate([pairs[r][0].size for r in roots], initial=0))
-        start = dict(zip(roots, bounds))
-        nested_ends = {j: start[r] + pairs[j][0].size for j, r in nested.items()}
-        cuts = sorted(set(bounds) | set(nested_ends.values()))
-        total = bounds[-1]
+        *bounds, total = itertools.accumulate([pairs[r][0].size for r in roots], initial=0)
         if self._thr is None or self._thr[0].shape[1] != total:
-            self._thr = (np.empty((2, total)), np.empty(total, dtype=np.float32) if power == 2 else None)
-        thr, weights = self._thr
+            weights = np.empty(total, dtype=np.float32) if power == 2 else None
+            self._thr = (np.empty((2, total)), weights, np.empty(total))
+        thr, weights, kabs = self._thr
         width = 2 * min(total, _SEARCH_CHUNK)
         if self._chunk is None or self._chunk[0].shape[1] < width:
             self._chunk = (np.empty((6, width)), np.empty((3, width), dtype=bool))
-        # per piece: sum |k|, max |k|, sum k**2, and NaN where a
-        # threshold is uncertified
-        stats = np.zeros((4, len(cuts) - 1))
         for a in range(0, total, _SEARCH_CHUNK):
             b = min(a + _SEARCH_CHUNK, total)
             # (2, b - a) rows, each contiguous
             work, flags = (buf[:, : 2 * (b - a)].reshape(len(buf), 2, b - a) for buf in self._chunk)
             yc, c0, tau = work[:3]
-            overlap = range(bisect.bisect_right(bounds, a) - 1, bisect.bisect_left(bounds, b))
             for row in range(2):
-                parts = [pairs[roots[i]][row][max(a - bounds[i], 0) : b - bounds[i]] for i in overlap]
+                parts = [pairs[r][row][max(a - s, 0) : max(b - s, 0)] for r, s in zip(roots, bounds)]
                 np.concatenate(parts, out=yc[row])
             # measurements near the largest double overflow in the search;
             # the chain's own arithmetic then fails their certificates
             with np.errstate(over="ignore", invalid="ignore"):
                 _dither_thresholds(yc, delta, c0, tau, work[3:], flags)
-            here = slice(bisect.bisect_right(cuts, a) - 1, bisect.bisect_left(cuts, b))
-            local = [max(c - a, 0) for c in cuts[here]]
-            if math.isnan(tau.sum()):
-                stats[3, here] += np.add.reduceat(tau, local, axis=1).sum(axis=0)
             k, kk, t = work[3:, 0]
             np.subtract(c0[0], c0[1], out=k)
             lo, hi = thr[:, a:b]
@@ -562,34 +552,27 @@ class _PairKernel:
                     t *= 2.0
                     t += 1.0
                 np.copyto(weights[a:b], t, casting="same_kind")
-                np.multiply(k, k, out=kk)
-            np.abs(k, out=k)
-            stats[0, here] += np.add.reduceat(k, local)
-            np.maximum(stats[1, here], np.maximum.reduceat(k, local), out=stats[1, here])
-            if power == 2:
-                stats[2, here] += np.add.reduceat(kk, local)
-        ksums, kmaxes, k2sums, tsums = stats.tolist()
-        members = {r: [] for r in roots}
-        for j, end in [(r, start[r] + pairs[r][0].size) for r in roots] + list(nested_ends.items()):
-            first = start[nested.get(j, j)]
-            span = slice(cuts.index(first), cuts.index(end))
-            ksum, kmax = sum(ksums[span]), max(kmaxes[span])
+            np.abs(k, out=kabs[a:b])
+        members = {}
+        for j, first in [*zip(roots, bounds), *((j, 0) for j in leads)]:
             m = pairs[j][0].size
+            k = kabs[first : first + m]
+            # integers: below the 2**53 guard their sums are exact in any order
+            kmax, ksum = k.max(), k.sum()
             exact = m * (int(kmax) + 1) ** power < 2**53
             if power == 2:
                 exact = exact and (2 * ksum if self.cols == 2 else m + 2 * ksum) < 2**24
-            if exact and not math.isnan(sum(tsums[span])):
-                members[nested.get(j, j)].append((j, m, int(ksum if power == 1 else sum(k2sums[span]))))
+            if exact and not np.isnan(thr[0, first : first + m]).any():
+                members.setdefault(first, []).append((j, m, int(ksum if power == 1 else np.dot(k, k))))
         # a run compares one stretch of the block with its thresholds and
         # sums it piecewise, ending a pair at each piece bound; its ends are
         # the int64 rows (pair, piece, m, constant); a bi-dither pair's (2,
         # m) block is no prefix of a longer pair's
-        for r, group in members.items():
+        for first, group in members.items():
             for part in [group] if self.cols == 1 else [[g] for g in group]:
-                if part:
-                    sizes = sorted({m for _, m, _ in part})
-                    ends = np.array([(j, sizes.index(m), m, const) for j, m, const in part]).T
-                    self._runs.append((start[r], sizes[-1], [0] + sizes[:-1], ends))
+                sizes = sorted({m for _, m, _ in part})
+                ends = np.array([(j, sizes.index(m), m, const) for j, m, const in part]).T
+                self._runs.append((first, sizes[-1], [0] + sizes[:-1], ends))
 
     def trials(self, gen: np.random.Generator, states, out: np.ndarray) -> np.ndarray:
         """Estimates of a run of trials into the (pairs, trials) ``out``;
@@ -616,7 +599,7 @@ class _PairKernel:
         if self._block is None or self._block[0].shape != (rows, cols, top):
             self._block = (np.empty((rows, cols, top)), np.empty((2, rows * cols * top), dtype=bool))
         block = self._block[0].reshape(rows, cols * top)
-        thr, weights = self._thr or (None, None)
+        thr, weights, _ = self._thr or (None, None, None)
         for t0 in range(0, len(states), rows):
             chunk = states[t0 : t0 + rows]
             n = len(chunk)

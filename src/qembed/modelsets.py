@@ -255,13 +255,14 @@ def sample_pair(
     rng: np.random.Generator,
     q: float = 2.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two members whose l_q gap equals ``distance`` exactly.
+    """Two members whose l_q gap is ``distance``, to a relative 1e-6.
 
     Both points live in one structured component (shared support /
     shared factors), so their difference keeps the model structure.  The
     midpoint is drawn at a feasible norm so both endpoints stay within
     the declared radius; requires distance <= 2 * radius and, for q = 2,
-    a radius whose square is finite.
+    a radius whose square is finite.  A pair whose gap is lost to
+    rounding against a midpoint much larger than the distance raises.
     """
     if distance < 0 or not math.isfinite(distance):
         raise ValueError(f"distance must be finite and >= 0, got {distance}")
@@ -317,6 +318,9 @@ def sample_pair(
         c = (centre_frac * gamma_max / c_q) * c
     x = c + half * u
     x_prime = c - half * u
+    gap = np.linalg.norm((x - x_prime).ravel(), ord=q)
+    if not abs(gap - distance) <= 1e-6 * distance:
+        raise ValueError(f"distance {distance:g} is lost to rounding at radius {mset.radius:g}: (gap {gap:g})")
     return x, x_prime
 
 

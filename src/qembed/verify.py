@@ -262,6 +262,7 @@ def estimate_rip(
     """
     if (p, q) != op.rip_profile:
         raise ValueError(f"operator profile {op.rip_profile} does not match requested ({p}, {q})")
+    _check_dim(op.n, mset)
     if pairs < 50:
         raise ValueError(f"need pairs >= 50 for a meaningful supremum, got {pairs}")
     scale = op.mu**p / op.m
@@ -274,6 +275,12 @@ def estimate_rip(
         val = scale * float(np.sum(np.abs(op.matvec(u)) ** p))
         worst = max(worst, abs(val - 1.0))
     return worst
+
+
+def _check_dim(n: int, mset: ModelSet) -> None:
+    """Reject a model set whose points are not the operator's inputs."""
+    if mset.ambient_dim != n:
+        raise ValueError(f"model dimension {mset.ambient_dim} does not match the operator's input dimension n = {n}")
 
 
 def _qrip_task(ops, mset, mode, cfg, grid, pair_state, dither_states, q):
@@ -397,6 +404,7 @@ def measure_decay(
     shapes = sorted({(op.n, op.rip_profile) for op in ops})
     if len(shapes) > 1:
         raise ValueError(f"operators of one sweep need one (n, rip_profile), got {shapes}")
+    _check_dim(ops[0].n, mset)
     grid = np.sort(np.asarray(list(distance_grid), dtype=float))
     if grid.size < 1 or np.any(grid <= 0):
         raise ValueError("distance grid must be non-empty and positive")
@@ -482,10 +490,11 @@ def fit_decay(runs) -> float:
     must be positive and finite.  Also accepts (m, residual) pairs
     directly, which is how synthetic decay inputs are fitted.
     """
-    pts = []
+    pts, settings = [], set()
     for run in runs:
         if isinstance(run, QripRun):
             m, rho = run.m, float(np.median(run.fit.rho_hat_max))
+            settings.add((run.mode, run.delta))
         else:
             m, rho = map(float, run)
         if not (rho > 0 and math.isfinite(rho)):
@@ -494,6 +503,8 @@ def fit_decay(runs) -> float:
                 f"fit_decay: median worst-case residual at m={m:g} is {cause}; it must be positive and finite"
             )
         pts.append((m, rho))
+    if len(settings) > 1:
+        raise ValueError(f"fit_decay needs runs of one (mode, delta), got {sorted(settings)}")
     distinct = len({m for m, _ in pts})
     if distinct < 4:
         raise ValueError(f"fit_decay needs >= 4 distinct embedding dimensions, got {distinct}")
@@ -526,6 +537,7 @@ def check_product_concentration(
         raise ValueError("need at least two embedding dimensions")
     if trials < 2:
         raise ValueError("need trials >= 2")
+    _check_dim(op.n, mset)
     if distance is None:
         distance = mset.radius
     extra = {}

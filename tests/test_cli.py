@@ -366,6 +366,28 @@ def test_l2_radius_whose_square_overflows_exit_1(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", sorted(_Q2_COMMANDS))
+def test_model_dimension_not_n_exit_1(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    argv = [a.format(out=out) for a in _Q2_COMMANDS[command]]
+    argv[argv.index("--model") + 1] = "sparse:2:32"
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert _one_line(err) and "model dimension 32" in err and "n = 8" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["qrip", "decay"])
+def test_distance_lost_to_rounding_exit_1(tmp_path, capsys, command):
+    # at radius 1e17 the pair's midpoint swallows a gap of 1
+    out = tmp_path / "out.csv"
+    argv = [a.format(out=out) for a in _DELTA_COMMANDS[command]]
+    code, _, err = run_cli(capsys, *argv, "--radius", "1e17", "--delta", "1e3")
+    assert code == 1
+    assert _one_line(err) and "lost to rounding" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["qrip", "decay"])
 @pytest.mark.parametrize("mode,grid", [("l2sq", "1e-300"), ("circ", "1,1e-200"), ("l2sq", "1e160")])
 def test_grid_target_not_positive_and_finite_exit_1(tmp_path, capsys, command, mode, grid):

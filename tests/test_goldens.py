@@ -4,7 +4,7 @@ The sha256 values pin the code file that ``qembed embed`` writes for
 every operator family and layout (rank-one probes at two kappas, and
 in the bi-dither layout at one), the ``qembed selftest --seed 7
 --fast`` report, and the summary CSV and stdout of ``qembed decay``
-for three configurations.
+for four configurations.
 """
 
 import hashlib
@@ -48,7 +48,9 @@ SELFTEST_GOLDEN = "b831ea0e10f4644637bdcbcbff5e3bf96199d4c32ac46b40e84178e9b7125
 # ``qembed decay`` flags per configuration.  Each m-list holds an m that
 # is not a multiple of 64 (the dense row-block size) and each grid
 # repeats a distance; at delta = 1e-9 every l2sq trial fails the kernel's
-# sum guard and takes the integer path.
+# sum guard and takes the integer path.  The subsampled Hadamard
+# operators share no rows, so the kernel searches four roots end to end,
+# all in one chunk.
 DECAY_ARGV = {
     "gaussian-l1": ["--family", "gaussian", "--rip", "1,2", "--n", "32", "--model", "sparse:4:32", "--radius", "8",
                     "--mode", "l1", "--delta", "0.5", "--grid", "0.2,1,1,4", "--m-list", "9000,100,777,3000",
@@ -59,6 +61,9 @@ DECAY_ARGV = {
     "expander-circ": ["--family", "expander", "--degree", "4", "--n", "64", "--model", "sparse:4:64", "--radius", "20",
                       "--mode", "circ", "--delta", "0.7", "--grid", "0.5,5,5,10", "--m-list", "32,77,128,300",
                       "--pairs", "3", "--dithers", "4", "--seed", "13"],
+    "hadamard-l2sq": ["--family", "subsampled_hadamard", "--n", "512", "--model", "sparse:4:512", "--radius", "10",
+                      "--mode", "l2sq", "--delta", "0.7", "--grid", "0.5,2,2,6", "--m-list", "32,100,256,512",
+                      "--pairs", "3", "--dithers", "4", "--seed", "21"],
 }
 
 # sha256 of the summary CSV followed by stdout
@@ -66,6 +71,7 @@ DECAY_GOLDENS = {
     "gaussian-l1": "c2ea5ee2fcccdd4a4ec1527dec3508af5215f301b5bee09c920a2b4a02111dd2",
     "bernoulli-l2sq-int": "02a06830ce221074f392cd34772f9182a6caa15f86c80f36f68844066ddc1c8d",
     "expander-circ": "a3a345ae996ae5d9ffe369dac94f48c33678560c97080161bbd727188911dd6d",
+    "hadamard-l2sq": "581b37f9ae0c454c04a0401910c6d00f317b1ff484a773234a7b66d6039b9489",
 }
 
 

@@ -190,6 +190,15 @@ class TestSamplePair:
         x, x_prime = sample_pair(sparse(2, 8, radius=1e150), 1e150, stream(10, "t"))
         assert np.linalg.norm(x - x_prime) == pytest.approx(1e150, rel=1e-10)
 
+    def test_gap_lost_to_rounding(self):
+        # a midpoint of norm ~1e20 swallows a gap of 1: x and x' round to one point
+        with pytest.raises(ValueError, match="lost to rounding"):
+            sample_pair(sparse(2, 8, radius=1e20), 1.0, stream(10, "t"))
+        with pytest.raises(ValueError, match="lost to rounding"):
+            sample_pair(sparse(2, 8, radius=1e200), 1.0, stream(10, "t"), q=1.0)
+        x, x_prime = sample_pair(sparse(2, 8, radius=1e8), 1.0, stream(10, "t"))
+        assert np.linalg.norm(x - x_prime) == pytest.approx(1.0, rel=1e-6)
+
     def test_group_sparse_pair_shares_groups(self):
         mset = group_sparse(2, 3, 6)
         rng = stream(30, "t")

@@ -282,6 +282,36 @@ def test_nested_pairs_read_the_longest_pairs_thresholds(mode, delta):
         assert got[k].tolist() == alone.trials(np.random.default_rng(0), states, np.empty((1, 5)))[0].tolist()
 
 
+@pytest.mark.parametrize("mode", ["l1", "l2sq", "circ"])
+@pytest.mark.parametrize("delta", [1.0, 0.7])
+def test_nested_pairs_take_guards_from_their_own_slice(mode, delta):
+    # a guard that fails past a shorter pair's end sends only the longer
+    # pairs to the integer path: |k| = 2**23 at index 50 breaks the
+    # float32 weight bound of l2sq and circ, |k| = 2**45 the 2**53 sum
+    # bound of l1 from m = 256 on, and at delta = 0.7 a code that steps
+    # twice at index 20 leaves a threshold uncertified
+    rng = np.random.default_rng(9)
+    sizes = [16, 40, 100, 300]
+    y, y_prime = rng.standard_normal((2, sizes[-1])) * 4
+    assert not _kernel([y[:m] for m in sizes], [y_prime[:m] for m in sizes], mode, delta)._slow
+    y[50], y_prime[50] = (2.0**45 if mode == "l1" else 2.0**23) * delta, 0.0
+    limit = 256 if mode == "l1" else 50
+    if delta != 1.0:
+        y[20], y_prime[20] = 6 * delta, 0.0
+        assert math.isnan(_dither_thresholds(y[20:21], delta)[1][0])
+        limit = 20
+    ys, y_primes = [y[:m].copy() for m in sizes], [y_prime[:m].copy() for m in sizes]
+    kernel = _kernel(ys, y_primes, mode, delta)
+    assert kernel._thr[0].shape[1] == sizes[-1]
+    assert kernel._slow == [k for k, m in enumerate(sizes) if m > limit]
+    states = _stream_states(3, "test:guards", np.arange(5)[:, None])
+    got = kernel.trials(np.random.default_rng(0), states, np.empty((len(ys), 5)))
+    for k, (v, v_prime) in enumerate(zip(ys, y_primes)):
+        alone = _kernel([v], [v_prime], mode, delta)
+        assert alone._slow == ([0] if k in kernel._slow else [])
+        assert got[k].tolist() == alone.trials(np.random.default_rng(0), states, np.empty((1, 5)))[0].tolist()
+
+
 def test_load_keeps_buffers_and_retargets():
     rng = np.random.default_rng(3)
     y, y_prime = rng.standard_normal((2, 32)) * 5

@@ -94,6 +94,11 @@ class TestEstimateRip:
         with pytest.raises(ValueError):
             estimate_rip(op, sparse(2, 16), 1, 2, pairs=60, rng=stream(9, "t"))
 
+    def test_model_dimension_must_match(self):
+        op = build("gaussian", 64, 16, seed=8)
+        with pytest.raises(ValueError, match="model dimension 32 does not match .* n = 16"):
+            estimate_rip(op, sparse(2, 32), 2, 2, pairs=60, rng=stream(9, "t"))
+
 
 def _pool_sizes(monkeypatch) -> list:
     """The ``max_workers`` of every thread pool that ``verify`` opens from now on."""
@@ -232,6 +237,12 @@ class TestMeasureQrip:
             measure_qrip(op, mset, "l1", cfg, [-1.0], 2, 2, seed=0)
         with pytest.raises(ValueError):
             measure_qrip(op, mset, "bogus", cfg, [0.5], 2, 2, seed=0)
+
+    def test_model_dimension_must_match(self):
+        ops = [build("gaussian", m, 8, seed=12) for m in (16, 32)]
+        for mset in (sparse(2, 16), sparse(2, 4)):
+            with pytest.raises(ValueError, match=f"model dimension {mset.ambient_dim} does not match .* n = 8"):
+                measure_decay(ops, mset, "l1", QuantConfig(1.0), [1.0], 1, 2, seed=0)
 
     @pytest.mark.parametrize(
         "mode,s", [("l2sq", 1e-300), ("circ", 1e-170), ("l2sq", 1e155), ("l1", math.inf), ("l1", math.nan)]
@@ -427,6 +438,16 @@ class TestFitDecay:
         with pytest.raises(ValueError, match="got 3"):
             fit_decay([(128, 1.0), (128, 0.9), (256, 0.7), (512, 0.5)])
 
+    @pytest.mark.parametrize("other", [("l2sq", 1.0), ("l1", 0.5)])
+    def test_rejects_runs_of_different_mode_or_delta(self, other):
+        op = build("gaussian", 16, 8, seed=12)
+        mset = sparse(2, 8, radius=4.0)
+        runs = [measure_qrip(op, mset, "l1", QuantConfig(1.0), [0.5, 1.0], 2, 2, seed=0) for _ in range(3)]
+        mode, delta = other
+        runs.append(measure_qrip(op, mset, mode, QuantConfig(delta), [0.5, 1.0], 2, 2, seed=0))
+        with pytest.raises(ValueError, match="one \\(mode, delta\\)"):
+            fit_decay(runs)
+
     @pytest.mark.parametrize("rho", [0.0, math.inf, math.nan])
     def test_rejects_degenerate_residual(self, rho):
         with pytest.raises(ValueError, match="residual at m=256 is"):
@@ -454,6 +475,11 @@ class TestFitDecay:
 
 
 class TestProductConcentration:
+    def test_model_dimension_must_match(self):
+        op = build("gaussian", 16, 8, seed=15)
+        with pytest.raises(ValueError, match="model dimension 64 does not match .* n = 8"):
+            check_product_concentration(op, sparse(4, 64), QuantConfig(1.0), [16, 32], trials=2)
+
     def test_slope_and_ratios(self):
         op = build("gaussian", 128, 64, seed=15)
         rep = check_product_concentration(
