@@ -583,10 +583,10 @@ class _PairKernel:
         ``_BLOCK_ENTRIES // (cols * M)`` trials, at least one and at most
         the run's, are drawn at a time as one (rows, cols, M) block, and
         each run of pairs compares its rows of it against its
-        thresholds; then, if a pair is on the integer path, the block is
-        scaled into dithers, which that pair quantizes trial by trial.
-        The block and two bool masks of its size are kept for the next
-        run of the same shape and serve every pair.
+        thresholds; a pair on the integer path quantizes trial by trial
+        with the dithers delta * u of its rows.  The block and two bool
+        masks of its size are kept for the next run of the same shape
+        and serve every pair.
         """
         delta = self.cfg.delta
         cols = self.cols
@@ -612,13 +612,10 @@ class _PairKernel:
                 totals = self._estimates(d, thr[:, seg], None if weights is None else weights[seg], starts)
                 # every sum is an integer below 2**53, exact as a double
                 out[ks, t0 : t0 + n] = scale * (consts[:, None] + totals[:, pieces].T) / sizes[:, None]
-            if self._slow:
-                # the dithers of ``sample_dither``, now that every run has read the draws
-                np.multiply(block[:n], delta, out=block[:n])
-                for k in self._slow:
-                    m = self._pairs[k][0].size
-                    dithers = block[:n, : cols * m].reshape(n, cols, m)
-                    out[k, t0 : t0 + n] = [self._checked(self._pairs[k], d) for d in dithers]
+            for k in self._slow:
+                m = self._pairs[k][0].size
+                draws = block[:n, : cols * m].reshape(n, cols, m)
+                out[k, t0 : t0 + n] = [self._checked(self._pairs[k], u) for u in draws]
         return out
 
     def _estimates(self, d: np.ndarray, thr: np.ndarray, weights, starts: list[int]) -> np.ndarray:
@@ -645,8 +642,10 @@ class _PairKernel:
                 sums = np.add(np.dot(pair, weights), [np.count_nonzero(c) for c in both], dtype=float)[:, None]
         return np.cumsum(sums, axis=1, dtype=np.int64 if self.power == 1 else float)
 
-    def _checked(self, pair: tuple, d: np.ndarray) -> float:
-        """The integer path of ``pair`` = (y, y') over one (cols, m) dither row ``d``."""
+    def _checked(self, pair: tuple, u: np.ndarray) -> float:
+        """The integer path of ``pair`` = (y, y') over one (cols, m) draw row
+        ``u``, whose dithers are ``sample_dither``'s delta * u."""
+        d = self.cfg.delta * u
         ca, cb = (quantize_with_dither(np.broadcast_to(v, d.shape), d, self.cfg) for v in pair)
         return _estimate_from_codes(ca.T, cb.T, self.mode, self.cfg.delta)
 

@@ -378,23 +378,27 @@ def support_function(mset: ModelSet, g: np.ndarray) -> float:
 
 def mean_width_mc(mset: ModelSet, trials: int, rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the support function over
-    i.i.d. standard normal directions."""
+    i.i.d. standard normal directions.  Raises ValueError when either
+    overflows float64."""
     if trials < 100:
         raise ValueError(f"mean_width_mc needs trials >= 100, got {trials}")
     batch = 4096
     total = 0.0
     total_sq = 0.0
     done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        g = rng.standard_normal((b, mset.ambient_dim))
-        vals = _support_batch(mset, g)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += b
+    with np.errstate(over="ignore"):  # an overflow leaves a non-finite moment, rejected below
+        while done < trials:
+            b = min(batch, trials - done)
+            g = rng.standard_normal((b, mset.ambient_dim))
+            vals = _support_batch(mset, g)
+            total += float(vals.sum())
+            total_sq += float((vals * vals).sum())
+            done += b
     mean = total / trials
     var = max(total_sq / trials - mean * mean, 0.0)
     stderr = math.sqrt(var / trials)
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise ValueError(f"the mean width of {mset.kind} at radius {mset.radius:g} or its error overflows float64")
     return mean, stderr
 
 
@@ -428,6 +432,8 @@ def entropy_bound(mset: ModelSet, eta: float, q: float) -> float:
       low_rank_joint_s.  (r*(s+n2) + s*ln(n1/s)) * ln(1+radius/eta) q = 2
       ball               (width / eta)**2  (exact Gaussian width)   q = 2
       finite_cloud       ln(T)                                      q >= 1
+
+    Raises ValueError when the bound overflows float64.
     """
     if eta <= 0 or not math.isfinite(eta):
         raise ValueError(f"eta must be positive and finite, got {eta}")
@@ -454,11 +460,16 @@ def entropy_bound(mset: ModelSet, eta: float, q: float) -> float:
     elif k == "ball":
         _require_q2(k, q)
         width = r * ball_mean_width_exact(p["n"])
-        base = (width / eta) ** 2
+        try:
+            base = (width / eta) ** 2
+        except OverflowError:
+            base = math.inf
     elif k == "finite_cloud":
         base = math.log(p["points"].shape[0])
     else:
         raise ValueError(f"no covering formula for kind {k!r} at q={q}")
+    if not math.isfinite(base):
+        raise ValueError(f"the covering bound of {k} at radius {r:g}, eta={eta:g} overflows float64")
     return base + (math.log(mset.pieces) if mset.pieces > 1 else 0.0)
 
 

@@ -125,7 +125,8 @@ def quantize_with_dither(values: np.ndarray, dither: np.ndarray, cfg: QuantConfi
         return np.zeros(values.shape, dtype=np.int64)
     if not (dither.min() >= 0 and dither.max() < cfg.delta):
         raise ValueError("dither entries must lie in [0, delta)")
-    cells = np.floor((values + dither) / cfg.delta)
+    with np.errstate(over="ignore"):  # an infinite cell fails the range check
+        cells = np.floor((values + dither) / cfg.delta)
     if not (-_INT64_SPAN <= cells.min() and cells.max() < _INT64_SPAN):
         raise ValueError(_OUT_OF_RANGE)
     return cells.astype(np.int64)

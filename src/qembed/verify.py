@@ -61,10 +61,7 @@ Every routine is a pure function of (seed, config); trials are keyed by
 (seed, pair id, trial id), so results do not depend on execution order
 or worker count.  A sweep runs its tasks, the pair ids of
 ``measure_decay`` or the dimensions of ``check_product_concentration``,
-on a thread pool of one worker per usable core when a trial's dither
-entries summed over all the sweep's operators (cols * sum of m) reach
-``_PARALLEL_MIN_BLOCK`` = 2**13, where numpy spends most of a task
-outside the GIL; below that, on one (see ``_default_workers``).
+on the thread pool that ``_default_workers`` sizes.
 """
 
 from __future__ import annotations
@@ -366,11 +363,9 @@ def measure_qrip(
     residual tables are returned (see the module docstring for the fit
     conventions).
 
-    Pair ids run on one worker per usable core (the process's CPU
-    affinity set), at most ``pairs_per_distance``, when one trial's
-    dither block (m entries, 2 * m for circ) has at least 2**13 entries,
-    else on one.  Records and fit do not depend on the worker count.
-    This is ``measure_decay`` over the one operator.
+    Pair ids run on the sweeps' pool (``_default_workers``); records and
+    fit do not depend on the worker count.  This is ``measure_decay``
+    over the one operator.
     """
     (run,) = measure_decay([op], mset, mode, cfg, distance_grid, pairs_per_distance, dithers_per_pair, seed)
     return run
@@ -393,10 +388,8 @@ def measure_decay(
     ``measure_qrip`` run.  Pairs and dithers are keyed by (seed, pair
     id, ...) and not by the operator, so each pair is sampled once per
     distance for every operator, and each trial's dithers are drawn once,
-    at the largest m, every smaller m reading their prefix.  The worker
-    count follows a trial's dither entries summed over every operator,
-    the work of one task: several operators, each below the 2**13-entry
-    pool threshold, may reach it together.
+    at the largest m, every smaller m reading their prefix.  Pair ids run
+    on the sweeps' pool (``_default_workers``).
     """
     ops = list(ops)
     if not ops:
@@ -529,8 +522,9 @@ def check_product_concentration(
     standard deviation of the product estimate over fresh dither
     matrices; passes when the log-log slope against m lies in
     [-0.75, -0.25].  Each m is an independent task, keyed by (seed, m
-    index, trial); the tasks run on the sweeps' pool under the same rule,
-    2 * sum of ``m_list`` dither entries per trial, largest m first.
+    index, trial); the tasks, largest m first, run on the sweeps' pool
+    (``_default_workers``) with 2 * sum of ``m_list`` dither entries per
+    trial.
     """
     m_list = sorted(int(m) for m in m_list)
     if len(m_list) < 2:

@@ -1,9 +1,10 @@
 """Check batched keyed-stream states against numpy's SeedSequence.
 
 ``rng._stream_states`` re-derives ``SeedSequence``'s hash mix and PCG64's
-set-seed step.  This script draws random keys of every word-count
-class (seeds and indices of 0, below 2**32, of 2**32 or more, of 2**64
-or more, and negative, which fold into 64 bits) and compares each
+set-seed step.  This script draws random keys, with seeds of every
+word-count class (0, below 2**32, of 2**32 or more, of 2**64 or more,
+and negative, which fold into 64 bits) and indices of 0, below 1000 and
+below 2**32, the one-word values the batch accepts, and compares each
 batched state with ``default_rng(SeedSequence(key))``.  pytest does not
 collect this file; ``test_rng.py`` runs a smaller version of it.
 
@@ -24,8 +25,8 @@ _U64 = 2**64 - 1
 _LABELS = ("qrip:dither", "qrip:pair", "gaussian:rows", "expander:nbrs", "")
 
 
-def _value(rng: np.random.Generator) -> int:
-    """An int from a random word-count class."""
+def _seed(rng: np.random.Generator) -> int:
+    """A seed from a random word-count class."""
     cls = int(rng.integers(6))
     if cls == 0:
         return 0
@@ -40,20 +41,26 @@ def _value(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 1000))
 
 
+def _index(rng: np.random.Generator) -> int:
+    """An index of 0, below 1000 or below 2**32."""
+    cls = int(rng.integers(3))
+    return 0 if cls == 0 else int(rng.integers(0, 1000 if cls == 1 else 2**32))
+
+
 def check(keys: int, seed: int = 0, batch: int = 1000) -> tuple[int, int]:
     """Compare ``keys`` batched states with SeedSequence; returns (keys, mismatches)."""
     rng = np.random.default_rng(seed)
     done = bad = 0
     while done < keys:
         rows = min(batch, keys - done)
-        key_seed = _value(rng)
+        key_seed = _seed(rng)
         label = _LABELS[int(rng.integers(len(_LABELS)))]
         k = int(rng.integers(5))
-        # a list of Python ints: mixes word-count classes within one call
-        indices = [[_value(rng) for _ in range(k)] for _ in range(rows)]
+        # a list of Python ints: mixes value classes within one call
+        indices = [[_index(rng) for _ in range(k)] for _ in range(rows)]
         got = _stream_states(key_seed, label, indices if k else np.zeros((rows, 0), dtype=np.int64))
         for row, state in zip(indices, got):
-            entropy = (key_seed & _U64, label_key(label)) + tuple(i & _U64 for i in row)
+            entropy = (key_seed & _U64, label_key(label)) + tuple(row)
             want = np.random.default_rng(np.random.SeedSequence(entropy)).bit_generator.state
             bad += state != want
         done += rows

@@ -684,6 +684,25 @@ class TestModuleEntryPoint:
         assert proc.returncode == 1
         assert _one_line(proc.stderr) and "Traceback" not in proc.stderr + proc.stdout
 
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--family", "gaussian", "--m", "8", "--n", "4", "--input", "{vec}", "--delta", "1e-320",
+         "--out", "{out}"],
+        ["qrip", "--family", "gaussian", "--m", "16", "--n", "8", "--model", "sparse:2:8", "--mode", "l1",
+         "--delta", "1e-320", "--grid", "1", "--pairs", "1", "--dithers", "1", "--out", "{out}"],
+        ["entropy", "--model", "ball:4", "--eta", "1e-300"],
+        ["entropy", "--model", "sparse:2:8", "--radius", "1e300", "--eta", "1e-10"],
+        ["meanwidth", "--model", "ball:4", "--radius", "1e200", "--trials", "200"],
+        ["meanwidth", "--model", "ball:4", "--radius", "1e308", "--trials", "200"],
+    ], ids=["embed", "qrip", "entropy-ball", "entropy-sparse", "meanwidth-1e200", "meanwidth-1e308"])
+    def test_overflow_exit_1_without_warning(self, tmp_path, argv):
+        vec = tmp_path / "x.txt"
+        vec.write_text("0.1 0.2 0.3 0.4\n")
+        out = tmp_path / "out"
+        proc = self._run(*(a.format(vec=vec, out=out) for a in argv))
+        assert proc.returncode == 1
+        assert _one_line(proc.stderr)
+        assert proc.stdout == "" and not out.exists()
+
 
 def test_import_does_not_load_scipy():
     """scipy is loaded only by the exact ball mean width (entropy, reqm)."""

@@ -358,6 +358,12 @@ class TestMeanWidth:
         with pytest.raises(ValueError):
             mean_width_mc(ball(2), 50, stream(19, "t"))
 
+    @pytest.mark.parametrize("mset", [ball(4, radius=1e200), ball(4, radius=1e308), sparse(2, 8, radius=1e200)])
+    def test_overflowing_moments_raise_without_warning(self, mset):
+        # the support values' squares (1e200) or the values themselves (1e308) overflow
+        with pytest.raises(ValueError, match="overflows float64"):
+            mean_width_mc(mset, 200, stream(20, "t"))
+
 
 class TestEntropyBound:
     def test_sparse_example(self):
@@ -388,6 +394,13 @@ class TestEntropyBound:
             entropy_bound(low_rank(1, 4, 4), 0.1, q=1)
         with pytest.raises(ValueError):
             entropy_bound(ball(4), 0.1, q=1)
+
+    @pytest.mark.parametrize(
+        "mset,eta", [(ball(4), 1e-300), (sparse(2, 8, radius=1e300), 1e-10), (low_rank(1, 4, 4, radius=1e300), 1e-10)]
+    )
+    def test_overflowing_bound_raises(self, mset, eta):
+        with pytest.raises(ValueError, match="overflows float64"):
+            entropy_bound(mset, eta, q=2)
 
     def test_ball_uses_exact_width(self):
         val = entropy_bound(ball(8, radius=1.0), 0.1, q=2)

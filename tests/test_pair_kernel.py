@@ -111,17 +111,15 @@ def test_kernel_matches_python_int_reference(pair, mode, seed):
     kernel = _kernel([y], [y_prime], mode, delta)
     got = _one_trial(kernel, seed)
     want, dithers = _reference_estimate(y, y_prime, mode, delta, seed)
-    # the block keeps the draws u, scaled into the dithers delta * u only
-    # for a pair on the integer path
-    draws = kernel._block[0][0] if kernel._slow else delta * kernel._block[0][0]
-    assert np.array_equal(draws, np.stack(dithers))
+    # the block keeps the draws u of the dithers delta * u
+    assert np.array_equal(delta * kernel._block[0][0], np.stack(dithers))
     assert got == want
 
 
 def test_kernel_reaches_both_paths(monkeypatch):
     calls = []
     checked = _PairKernel._checked
-    monkeypatch.setattr(_PairKernel, "_checked", lambda self, pair, d: calls.append(1) or checked(self, pair, d))
+    monkeypatch.setattr(_PairKernel, "_checked", lambda self, pair, u: calls.append(1) or checked(self, pair, u))
     rng = np.random.default_rng(0)
     small = rng.standard_normal(64)
     cases = [
@@ -185,7 +183,7 @@ def test_pair_guard_sends_every_trial_to_the_integer_path(monkeypatch, mode, m, 
         reference = _PairKernel(mode, QuantConfig(1.0))
         shape = (reference.cols, m)
         want = [reference._checked((y, np.zeros(m)), stream(5, "test:guard", t).random(shape)) for t in range(trials)]
-        monkeypatch.setattr(_PairKernel, "_checked", lambda self, pair, d: calls.append(1) or checked(self, pair, d))
+        monkeypatch.setattr(_PairKernel, "_checked", lambda self, pair, u: calls.append(1) or checked(self, pair, u))
         kernel = _kernel([y], [np.zeros(m)], mode, 1.0)
         got = kernel.trials(np.random.default_rng(0), states, np.empty((1, trials)))[0]
         monkeypatch.undo()

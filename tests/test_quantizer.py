@@ -66,6 +66,14 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(float("inf"), QuantConfig(1.0))
 
+    @pytest.mark.parametrize("value,delta", [(1.0, 1e-320), (1.7e308, 0.5), (-1.7e308, 0.25)])
+    def test_overflowing_cell_raises_without_warning(self, value, delta):
+        # (v + dither) / delta overflows to inf, which the range check rejects
+        with pytest.raises(ValueError, match="int64 range"):
+            quantize(value, QuantConfig(delta))
+        with pytest.raises(ValueError, match="int64 range"):
+            quantize_with_dither(np.full(3, value), np.zeros(3), QuantConfig(delta))
+
     def test_bad_delta(self):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):

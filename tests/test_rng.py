@@ -8,22 +8,24 @@ from stream_states_check import check
 
 from qembed.rng import _stream_states, stream
 
-# every word-count class of SeedSequence's int coercion, plus values
-# that fold into 64 bits
-_INTS = st.one_of(
+# every word-count class of SeedSequence's int coercion, plus seeds that
+# fold into 64 bits
+_SEEDS = st.one_of(
     st.integers(0, 1000),
     st.sampled_from([0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**70 + 5, -1, -5, -(2**40)]),
     st.integers(-(2**70), 2**70),
 )
+# indices hash as one word each
+_INDICES = st.one_of(st.integers(0, 1000), st.sampled_from([0, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    seed=_INTS,
+    seed=_SEEDS,
     label=st.text(max_size=12),
-    rows=st.integers(0, 4).flatmap(lambda k: st.lists(st.lists(_INTS, min_size=k, max_size=k), min_size=1, max_size=6)),
+    rows=st.integers(0, 4).flatmap(lambda k: st.lists(st.lists(_INDICES, min_size=k, max_size=k), min_size=1, max_size=6)),
 )
-@example(seed=2**32, label="x", rows=[[2**64 - 1, -5], [0, 1], [2**32, 3]])
+@example(seed=2**32, label="x", rows=[[2**32 - 1, 5], [0, 1], [2**31, 3]])
 @example(seed=-5, label="", rows=[[]])
 def test_batched_states_match_stream(seed, label, rows):
     k = len(rows[0])
@@ -36,11 +38,11 @@ def test_batched_states_match_stream(seed, label, rows):
         assert np.array_equal(gen.random(3), ref.random(3))
 
 
-def test_integer_arrays_fold_like_lists():
-    rows = np.array([[-1, 0], [2**40, 7], [-(2**63), 2**63 - 1]], dtype=np.int64)
+def test_integer_dtypes_match_lists():
+    rows = np.array([[2**32 - 1, 0], [2**31, 7], [0, 2**32 - 2]], dtype=np.int64)
     want = list(_stream_states(3, "a", rows.tolist()))
-    assert list(_stream_states(3, "a", rows)) == want
-    assert list(_stream_states(3, "a", rows.astype(np.uint64))) == want
+    for dtype in (np.int64, np.uint64, np.uint32):
+        assert list(_stream_states(3, "a", rows.astype(dtype))) == want
 
 
 def test_batches_index_and_slice():
@@ -58,3 +60,20 @@ def test_fixed_key_set():
 def test_rejects_non_tabular_indices():
     with pytest.raises(ValueError, match="keys, k"):
         _stream_states(0, "a", [1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [
+        [[0, -1]],
+        np.array([[2**32]], dtype=np.uint64),
+        [[1, 2**32]],
+        np.array([[2**64 + 1], [3]], dtype=object),
+        np.array([[1.0], [2.0]]),
+    ],
+    ids=["negative", "2**32", "2**32-in-list", "huge-object", "float"],
+)
+def test_rejects_indices_outside_one_word(indices):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)") as info:
+        _stream_states(0, "a", indices)
+    assert "\n" not in str(info.value)
