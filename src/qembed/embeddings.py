@@ -157,12 +157,14 @@ def embed(
     if dither.ndim not in (1, 2) or dither.shape[0] != op.m or cols not in _COLS_LAYOUT:
         raise ValueError(f"dither must have shape ({op.m},), ({op.m}, 1) or ({op.m}, 2), got {dither.shape}")
     dither = dither.reshape(op.m, cols)
-    y, err = op._matvec_bounded(x)
-    codes = None if err is None else _bracketed_codes(y, err, dither, cfg)
-    if codes is None:
-        if err is not None:
-            y = op.matvec(x)
-        codes = quantize_with_dither(np.broadcast_to(y[:, None], dither.shape), dither, cfg)
+    # a measurement that overflows fails quantize_with_dither's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, err = op._matvec_bounded(x)
+        codes = None if err is None else _bracketed_codes(y, err, dither, cfg)
+        if codes is None:
+            if err is not None:
+                y = op.matvec(x)
+            codes = quantize_with_dither(np.broadcast_to(y[:, None], dither.shape), dither, cfg)
     return CodeBlock(
         layout=_COLS_LAYOUT[cols],
         m=op.m,
@@ -177,12 +179,13 @@ def _bracketed_codes(y: np.ndarray, err: np.ndarray, dither: np.ndarray, cfg: Qu
     """The one code array of every value within ``err`` of ``y``, or None.
 
     None when a bound is not finite, the bracket's two ends quantize
-    differently in some cell, or either end cannot be quantized.
+    differently in some cell, or either end cannot be quantized (an end
+    past the largest double fails the int64 check; ``embed`` calls this
+    under its errstate).
     """
     if not math.isfinite(err.max()):
         return None
-    with np.errstate(over="ignore"):  # an end past the largest double fails the int64 check
-        ends = (y - err, y + err)
+    ends = (y - err, y + err)
     try:
         lo, hi = (quantize_with_dither(np.broadcast_to(v[:, None], dither.shape), dither, cfg) for v in ends)
     except ValueError:
@@ -231,7 +234,8 @@ def _estimate_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, mode: str, de
     uint64 values of ``_cell_gap`` for every int64 index pair.  Sums run in 64-bit
     integers when the worst case provably fits, otherwise in
     arbitrary-precision Python ints; either way the accumulation is
-    exact and delta scaling is applied once at the end.
+    exact and delta scaling is applied once at the end.  An estimate that
+    overflows float64 raises a one-line ValueError.
     """
     power = _mode(mode)[1]
     m = codes_a.shape[0]
@@ -242,16 +246,20 @@ def _estimate_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, mode: str, de
             total = int(np.sum(gaps[:, 0]))
         else:
             total = int(np.sum(gaps[:, 0], dtype=object))
-        return delta * total / m
-    # power 2: a single column multiplies itself, bi-dither its two columns
-    g1, g2 = gaps[:, 0], gaps[:, -1]
-    top = int(g1.max(initial=0))
-    peak = m * top * (top if gaps.shape[1] == 1 else int(g2.max(initial=0)))
-    if peak < 2**62:
-        total = int(np.dot(g1, g2))
+        estimate = delta * total / m
     else:
-        total = int(np.sum(g1.astype(object) * g2.astype(object)))
-    return delta * delta * total / m
+        # power 2: a single column multiplies itself, bi-dither its two columns
+        g1, g2 = gaps[:, 0], gaps[:, -1]
+        top = int(g1.max(initial=0))
+        peak = m * top * (top if gaps.shape[1] == 1 else int(g2.max(initial=0)))
+        if peak < 2**62:
+            total = int(np.dot(g1, g2))
+        else:
+            total = int(np.sum(g1.astype(object) * g2.astype(object)))
+        estimate = delta * delta * total / m
+    if not math.isfinite(estimate):
+        raise ValueError(f"the {mode} estimate at delta = {delta:g} overflows float64")
+    return estimate
 
 
 def _reaches(y, u, delta: float, n, tmp, out):
@@ -424,12 +432,20 @@ class _PairKernel:
     every delta and never forms the dithers fl(delta * u): u >= tau is the
     test fl(delta * u) >= fl(delta * tau), because the rounding is
     monotone and a draw below tau with tau's dither would have tau's code.
-    With k = c0 - c0' a cell gap is |k + a - b|, a = (u >= tau) and b = (u
-    >= tau'), so each estimate is a per-pair integer constant plus a
-    weighted count of the draws between the two thresholds: two compares
-    per draw, on bool data.  The weights are float32 integers, exact in
-    any summation order while the sum of their magnitudes stays below
-    2**24.
+    With k = c0 - c0', ``_search`` orders each coordinate's tau and tau'
+    into (P, N), P the threshold whose step widens the gap and N the one
+    whose step narrows it: (tau, tau') where k > 0, or k = 0 and tau <
+    tau', else (tau', tau).  Under every draw u the cell gap is then
+
+        gap = |k| + e,  e = (u >= P) - (u >= N),
+
+    one signed step e in {-1, 0, 1} whose sign is that of N - P.  l1 sums
+    e; l2sq sums e * (2|k| + sign(N - P)), as e**2 = e * sign(N - P); circ
+    sums |k| * (e1 + e2) over its two columns and counts the coordinates
+    where both step, where e1 * e2 = 1.  Each estimate is a per-pair
+    integer constant (sum |k| or sum k**2) plus those sums: two compares
+    per draw.  The weights are float32 integers, exact in any summation
+    order while the sum of their magnitudes stays below 2**24.
 
     A pair takes the integer path (``_checked``) for every trial when a
     guard fails: max |y| / delta + 1 < 2**52, so that codes are exact
@@ -500,7 +516,8 @@ class _PairKernel:
         The search runs ``_SEARCH_CHUNK`` coordinates of y and of y' at a
         time and writes per-coordinate data only: thresholds, weights and
         |k|.  A pair's guards and constant are reductions over its own
-        slice of them; both threshold forms carry a NaN tau into thr[0].
+        slice of them; a NaN tau makes both of its coordinate's thresholds
+        NaN.
         """
         delta, power = self.cfg.delta, self.power
         *bounds, total = itertools.accumulate([pairs[r][0].size for r in roots], initial=0)
@@ -525,34 +542,27 @@ class _PairKernel:
                 _dither_thresholds(yc, delta, c0, tau, work[3:], flags)
             k, kk, t = work[3:, 0]
             np.subtract(c0[0], c0[1], out=k)
-            lo, hi = thr[:, a:b]
-            if power == 1:
-                # l1 counts u >= P less u >= N: (P, N) = (tau, tau') where
-                # k > 0, or k = 0 and tau < tau', else (tau', tau).  sel =
-                # clip(sign(tau' - tau) + 4k, 0, 1) is 1 there, else 0;
-                # lattice differences are exact, so P = tau' - sel * (tau'
-                # - tau) and N = tau + sel * (tau' - tau)
-                np.subtract(tau[1], tau[0], out=kk)
-                np.sign(kk, out=t)
-                t += np.multiply(k, 4.0, out=lo)
-                np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
-                t *= kk
-                np.subtract(tau[1], t, out=lo)
-                np.add(tau[0], t, out=hi)
-            else:
-                # between lo and hi the gap is |k| + sign(k * (tau' - tau)):
-                # circ weighs each column by V = k * sign(T' - T), l2sq
-                # weighs by 2 * V + 1
-                np.minimum(tau[0], tau[1], out=lo)
-                np.maximum(tau[0], tau[1], out=hi)
-                np.subtract(tau[1], tau[0], out=t)
-                np.sign(t, out=t)
-                t *= k
+            p, n = thr[:, a:b]
+            # (P, N) in the class docstring's order: sel = clip(sign(tau' -
+            # tau) + 4k, 0, 1) is 1 where it is (tau, tau'), else 0; lattice
+            # differences are exact, so P = tau' - sel * (tau' - tau) and N =
+            # tau + sel * (tau' - tau)
+            np.subtract(tau[1], tau[0], out=kk)
+            np.sign(kk, out=t)
+            t += np.multiply(k, 4.0, out=p)
+            np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+            t *= kk
+            np.subtract(tau[1], t, out=p)
+            np.add(tau[0], t, out=n)
+            kab = np.abs(k, out=kabs[a:b])
+            if power == 2:
+                # e has the sign of N - P, so e**2 = e * sign(N - P): l2sq
+                # weighs e by 2|k| + sign(N - P), circ each column's e by |k|
                 if self.cols == 1:
-                    t *= 2.0
-                    t += 1.0
-                np.copyto(weights[a:b], t, casting="same_kind")
-            np.abs(k, out=kabs[a:b])
+                    np.sign(np.subtract(n, p, out=t), out=t)
+                    t += kab
+                    t += kab
+                np.copyto(weights[a:b], t if self.cols == 1 else kab, casting="same_kind")
         members = {}
         for j, first in [*zip(roots, bounds), *((j, 0) for j in leads)]:
             m = pairs[j][0].size
@@ -620,26 +630,24 @@ class _PairKernel:
 
     def _estimates(self, d: np.ndarray, thr: np.ndarray, weights, starts: list[int]) -> np.ndarray:
         """Running sums, over the pieces that begin at ``starts``, of every
-        draw row of the (rows, cols, m) block ``d``: the count of its
-        entries at or above thr[0] less those at or above thr[1] (l1), or
-        the weighted count of those between them (l2sq, circ, one piece).
-        Each is an exact integer; (rows, pieces)."""
+        draw row of the (rows, cols, m) block ``d``: of its steps e = (u >=
+        thr[0]) - (u >= thr[1]) (l1), of the weighted steps (l2sq), or of
+        the weighted steps of both columns plus the count of coordinates
+        where both step (circ, one piece).  Each is an exact integer;
+        (rows, pieces)."""
         a, b = (buf[: d.size].reshape(d.shape) for buf in self._block[1])
         np.greater_equal(d, thr[0], out=a)
         np.greater_equal(d, thr[1], out=b)
+        e = np.subtract(a.view(np.int8), b.view(np.int8), out=a.view(np.int8))
         if self.power == 1:
-            e = np.subtract(a.view(np.int8), b.view(np.int8), out=a.view(np.int8))[:, 0]
-            sums = np.add.reduceat(e, starts, axis=1, dtype=np.int32 if e.shape[1] < 2**31 else np.int64)
+            sums = np.add.reduceat(e[:, 0], starts, axis=1, dtype=np.int32 if e.shape[2] < 2**31 else np.int64)
+        elif self.cols == 1:
+            sums = np.add.reduceat(e[:, 0] * weights, starts, axis=1)
         else:
-            # a above b: lo <= u < hi
-            w = np.greater(a, b, out=a)
-            if self.cols == 1:
-                bounds = zip(starts, starts[1:] + [None])
-                sums = np.stack([np.dot(w[:, 0, i:j], weights[i:j]) for i, j in bounds], axis=1)
-            else:
-                both = np.logical_and(w[:, 0], w[:, 1], out=b[:, 0])
-                pair = np.add(w[:, 0].view(np.int8), w[:, 1].view(np.int8), out=b[:, 1].view(np.int8))
-                sums = np.add(np.dot(pair, weights), [np.count_nonzero(c) for c in both], dtype=float)[:, None]
+            # e1 and e2 share the sign of N - P: e1 * e2 is 1 where both step
+            both = np.logical_and(e[:, 0], e[:, 1], out=b[:, 0])
+            pair = np.add(e[:, 0], e[:, 1], out=b[:, 1].view(np.int8))
+            sums = np.add(np.dot(pair, weights), [np.count_nonzero(c) for c in both], dtype=float)[:, None]
         return np.cumsum(sums, axis=1, dtype=np.int64 if self.power == 1 else float)
 
     def _checked(self, pair: tuple, u: np.ndarray) -> float:

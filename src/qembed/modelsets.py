@@ -114,6 +114,8 @@ def subspace_union(bases: list[np.ndarray], radius: float = 1.0) -> ModelSet:
         b = np.asarray(b, dtype=float)
         if b.ndim != 2 or b.shape[0] != n:
             raise ValueError("all bases must be 2-d with a common ambient dimension")
+        if min(b.shape) < 1:
+            raise ValueError(f"every basis needs at least one row and one column, got shape {b.shape}")
         q, _ = np.linalg.qr(b)
         q.setflags(write=False)
         ortho.append(q)
@@ -320,7 +322,7 @@ def sample_pair(
     x_prime = c - half * u
     gap = np.linalg.norm((x - x_prime).ravel(), ord=q)
     if not abs(gap - distance) <= 1e-6 * distance:
-        raise ValueError(f"distance {distance:g} is lost to rounding at radius {mset.radius:g}: (gap {gap:g})")
+        raise ValueError(f"distance {distance:g} is lost to rounding at radius {mset.radius:g} (gap {gap:g})")
     return x, x_prime
 
 
@@ -437,7 +439,7 @@ def entropy_bound(mset: ModelSet, eta: float, q: float) -> float:
     """
     if eta <= 0 or not math.isfinite(eta):
         raise ValueError(f"eta must be positive and finite, got {eta}")
-    if q < 1:
+    if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
     k = mset.kind
     p = mset.params

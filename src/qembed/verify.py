@@ -290,29 +290,35 @@ def _qrip_task(ops, mset, mode, cfg, grid, pair_state, dither_states, q):
     operator measures all of them in one ``matvecs`` call, or reads the
     leading rows of the operator it is a prefix of; one generator and
     one kernel serve the whole task, and the kernel draws each trial's
-    dithers once for every operator.
+    dithers once for every operator.  An estimate or linear pre-metric
+    that overflows float64 raises a one-line ValueError naming its grid
+    distance.
     """
-    dithers = len(dither_states) // len(grid)
-    gen = np.random.default_rng(0)
-    xs = np.empty((2 * len(grid), ops[0].n))
-    for si, s in enumerate(grid):
-        gen.bit_generator.state = pair_state
-        xs[2 * si], xs[2 * si + 1] = (np.ravel(v) for v in sample_pair(mset, float(s), gen, q=q))
-    # one pass per operator over every input; an operator whose rows lead
-    # another's of the sweep reads that one's output, computed first
-    outs = {}
-    for op in sorted(ops, key=lambda op: (-op.m, op._prefix_of is not None)):
-        lead = outs.get(op._prefix_of)
-        outs[op] = op.matvecs(xs) if lead is None else lead[:, : op.m]
-    kernel = _PairKernel(mode, cfg)
-    ests = np.empty((len(ops), len(grid), dithers))
-    linear = np.empty((len(ops), len(grid)))
-    for si in range(len(grid)):
-        ys = [outs[op][2 * si] for op in ops]
-        y_primes = [outs[op][2 * si + 1] for op in ops]
-        kernel.load(ys, y_primes)
-        linear[:, si] = [premetric(y, y_prime, kernel.power) for y, y_prime in zip(ys, y_primes)]
-        kernel.trials(gen, dither_states[si * dithers : (si + 1) * dithers], ests[:, si])
+    # errstate is per thread, so each task sets its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        dithers = len(dither_states) // len(grid)
+        gen = np.random.default_rng(0)
+        xs = np.empty((2 * len(grid), ops[0].n))
+        for si, s in enumerate(grid):
+            gen.bit_generator.state = pair_state
+            xs[2 * si], xs[2 * si + 1] = (np.ravel(v) for v in sample_pair(mset, float(s), gen, q=q))
+        # one pass per operator over every input; an operator whose rows lead
+        # another's of the sweep reads that one's output, computed first
+        outs = {}
+        for op in sorted(ops, key=lambda op: (-op.m, op._prefix_of is not None)):
+            lead = outs.get(op._prefix_of)
+            outs[op] = op.matvecs(xs) if lead is None else lead[:, : op.m]
+        kernel = _PairKernel(mode, cfg)
+        ests = np.empty((len(ops), len(grid), dithers))
+        linear = np.empty((len(ops), len(grid)))
+        for si in range(len(grid)):
+            ys = [outs[op][2 * si] for op in ops]
+            y_primes = [outs[op][2 * si + 1] for op in ops]
+            kernel.load(ys, y_primes)
+            linear[:, si] = [premetric(y, y_prime, kernel.power) for y, y_prime in zip(ys, y_primes)]
+            kernel.trials(gen, dither_states[si * dithers : (si + 1) * dithers], ests[:, si])
+            if not (np.isfinite(ests[:, si]).all() and np.isfinite(linear[:, si]).all()):
+                raise ValueError(f"grid distance {grid[si]:g}: an estimate or linear pre-metric overflows float64")
     return ests, linear
 
 

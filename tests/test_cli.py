@@ -693,15 +693,42 @@ class TestModuleEntryPoint:
         ["entropy", "--model", "sparse:2:8", "--radius", "1e300", "--eta", "1e-10"],
         ["meanwidth", "--model", "ball:4", "--radius", "1e200", "--trials", "200"],
         ["meanwidth", "--model", "ball:4", "--radius", "1e308", "--trials", "200"],
-    ], ids=["embed", "qrip", "entropy-ball", "entropy-sparse", "meanwidth-1e200", "meanwidth-1e308"])
+        ["qrip", "--family", "gaussian", "--m", "16", "--n", "8", "--model", "sparse:2:8", "--radius", "1e154",
+         "--mode", "l2sq", "--delta", "1e150", "--grid", "1e154", "--pairs", "1", "--dithers", "2", "--out", "{out}"],
+        ["qrip", "--family", "gaussian", "--m", "16", "--n", "8", "--model", "sparse:2:8", "--radius", "1e154",
+         "--mode", "l2sq", "--delta", "1", "--grid", "1e154", "--pairs", "1", "--dithers", "2", "--out", "{out}"],
+        ["embed", "--family", "gaussian", "--m", "4", "--n", "4", "--input", "{big}", "--delta", "1", "--out", "{out}"],
+        ["embed", "--family", "rop", "--m", "4", "--n1", "2", "--n2", "2", "--kappa", "1e308", "--input", "{ints}",
+         "--delta", "1", "--out", "{out}"],
+        ["entropy", "--model", "sparse:2:8", "--eta", "0.1", "--q", "nan"],
+        ["reqm", "--prop", "p1", "--model", "sparse:2:8", "--eps", "0.1", "--delta", "1", "--q", "nan"],
+    ], ids=["embed", "qrip", "entropy-ball", "entropy-sparse", "meanwidth-1e200", "meanwidth-1e308",
+            "qrip-estimate", "qrip-premetric", "embed-1e308", "embed-rop-kappa", "entropy-q-nan", "reqm-q-nan"])
     def test_overflow_exit_1_without_warning(self, tmp_path, argv):
         vec = tmp_path / "x.txt"
         vec.write_text("0.1 0.2 0.3 0.4\n")
+        big = tmp_path / "big.txt"
+        big.write_text("1e308 1e308 1e308 1e308\n")
+        ints = tmp_path / "ints.txt"
+        ints.write_text("1 2 3 4\n")
         out = tmp_path / "out"
-        proc = self._run(*(a.format(vec=vec, out=out) for a in argv))
+        proc = self._run(*(a.format(vec=vec, big=big, ints=ints, out=out) for a in argv))
         assert proc.returncode == 1
         assert _one_line(proc.stderr)
         assert proc.stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("gap", [0, 3])
+    def test_distance_that_overflows_exit_1(self, tmp_path, gap):
+        # at delta 1e200 delta**2 overflows: equal codes gave nan, others inf
+        paths = []
+        for name, code in (("a", 0), ("b", gap)):
+            path = tmp_path / f"{name}.qemb"
+            path.write_bytes(serialize(CodeBlock("single", 4, 1e200, np.full((4, 1), code))))
+            paths.append(str(path))
+        proc = self._run("distance", *paths, "--mode", "l2sq")
+        assert proc.returncode == 1
+        assert _one_line(proc.stderr) and "overflows float64" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_import_does_not_load_scipy():

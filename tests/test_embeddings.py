@@ -90,6 +90,18 @@ class TestEmbed:
         with pytest.raises(ValueError, match="finite"):
             embed(op, np.array([0.0, bad]), np.zeros(2), cfg)
 
+    @pytest.mark.parametrize("family", ["gaussian", "subsampled_hadamard", "random_convolution", "rop"])
+    def test_overflowing_measurements_raise_without_warning(self, family):
+        # the measurements overflow float64 and fail the quantizer's check
+        if family == "rop":
+            op, x = build_rop(4, 2, 2, seed=3, kappa=1e308), np.array([1.0, 2.0, 3.0, 4.0])
+        else:
+            op, x = build(family, 4, 4, seed=3), np.full(4, 1e308)
+        for cols in (1, 2):
+            with pytest.raises(ValueError, match="finite") as err:
+                embed(op, x, np.zeros((4, cols)), QuantConfig(1.0))
+            assert "\n" not in str(err.value)
+
     def test_int64_edge_cells_accepted(self):
         # -2**63 is the lowest int64 cell index; 2**63 - 1024 the largest double below 2**63
         codes = quantize_with_dither(np.array([-(2.0**63), 2.0**63 - 1024]), np.zeros(2), QuantConfig(1.0))
@@ -258,6 +270,17 @@ class TestEstimateDistance:
         ca = CodeBlock("bidither", 1, 1.0, np.array([[0, 1]]))
         cb = CodeBlock("bidither", 1, 1.0, np.array([[1, 1]]))
         assert estimate_distance(ca, cb, "circ") == 0.0
+
+    @pytest.mark.parametrize("mode,delta", [("l1", 1e308), ("l2sq", 1e200), ("circ", 1e200)])
+    def test_estimate_that_overflows_float64_raises(self, mode, delta):
+        # delta * delta overflows at 1e200: equal codes would give inf * 0 = nan
+        layout, cols = ("single", 1) if mode != "circ" else ("bidither", 2)
+        a = CodeBlock(layout, 2, delta, np.zeros((2, cols)))
+        for gap in [4] if mode == "l1" else [0, 4]:
+            b = CodeBlock(layout, 2, delta, np.full((2, cols), gap))
+            with pytest.raises(ValueError, match="overflows float64") as err:
+                estimate_distance(a, b, mode)
+            assert "\n" not in str(err.value)
 
     def test_incomparable_blocks(self):
         a = CodeBlock("single", 2, 1.0, np.zeros((2, 1), dtype=int))

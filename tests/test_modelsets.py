@@ -192,7 +192,7 @@ class TestSamplePair:
 
     def test_gap_lost_to_rounding(self):
         # a midpoint of norm ~1e20 swallows a gap of 1: x and x' round to one point
-        with pytest.raises(ValueError, match="lost to rounding"):
+        with pytest.raises(ValueError, match=r"lost to rounding at radius 1e\+20 \(gap 0\)$"):
             sample_pair(sparse(2, 8, radius=1e20), 1.0, stream(10, "t"))
         with pytest.raises(ValueError, match="lost to rounding"):
             sample_pair(sparse(2, 8, radius=1e200), 1.0, stream(10, "t"), q=1.0)
@@ -223,6 +223,12 @@ class TestSamplePair:
                 for v in [x, x_prime, x - x_prime]
             )
             assert contains(mset, x) and contains(mset, x_prime) and in_one
+
+    @pytest.mark.parametrize("bases", [[np.eye(4)[:, :2], np.zeros((4, 0))], [np.zeros((0, 2))]])
+    def test_subspace_union_empty_basis_rejected(self, bases):
+        # sample_pair on such a set warned and raised numpy's matmul error
+        with pytest.raises(ValueError, match="at least one row and one column"):
+            subspace_union(bases)
 
     def test_dict_sparse_pair(self):
         rng = stream(32, "t")
@@ -394,6 +400,8 @@ class TestEntropyBound:
             entropy_bound(low_rank(1, 4, 4), 0.1, q=1)
         with pytest.raises(ValueError):
             entropy_bound(ball(4), 0.1, q=1)
+        with pytest.raises(ValueError, match="q must be >= 1, got nan"):
+            entropy_bound(sparse(2, 8), 0.1, q=math.nan)
 
     @pytest.mark.parametrize(
         "mset,eta", [(ball(4), 1e-300), (sparse(2, 8, radius=1e300), 1e-10), (low_rank(1, 4, 4, radius=1e300), 1e-10)]
@@ -442,3 +450,5 @@ class TestRequiredM:
                 required_m("p1", sparse(2, 8), 0.1, cfg, C=C)
         with pytest.raises(ValueError, match="not a finite integer"):
             required_m("p1", sparse(2, 8), 1e-200, cfg)
+        with pytest.raises(ValueError, match="q must be >= 1, got nan"):
+            required_m("p1", sparse(2, 8), 0.1, cfg, q=math.nan)

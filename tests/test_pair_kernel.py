@@ -253,6 +253,39 @@ def test_only_codes_that_step_twice_go_uncertified():
             assert not twice
 
 
+@st.composite
+def _gap_inputs(draw):
+    m = draw(st.integers(1, 16))
+    delta = draw(st.sampled_from([1.0, 0.7]))
+    unit = st.floats(-40.0, 40.0)
+    y = np.array(draw(st.lists(unit, min_size=m, max_size=m))) * delta
+    offsets = st.floats(-3.0, 3.0) if draw(st.booleans()) else unit
+    y_prime = y + np.array(draw(st.lists(offsets, min_size=m, max_size=m))) * delta
+    ks = draw(st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=6))
+    return y, y_prime, delta, [k * 2.0**-53 for k in ks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_gap_inputs(), mode=st.sampled_from(["l1", "l2sq", "circ"]))
+def test_cell_gap_is_k_plus_one_signed_step(case, mode):
+    # every mode's thresholds (P, N) give the cell gap under any lattice
+    # draw u as |k| + (u >= P) - (u >= N), k the gap at zero dither; the
+    # draws include each threshold and the lattice point below it
+    y, y_prime, delta, draws = case
+    cfg = QuantConfig(delta)
+    kernel = _kernel([y], [y_prime], mode, delta)
+    p, n = kernel._thr[0][:, : y.size]
+
+    def codes(v, u):
+        return quantize_with_dither(v, np.broadcast_to(delta * u, v.shape), cfg)
+
+    k = np.abs(codes(y, 0.0) - codes(y_prime, 0.0))
+    for i in np.flatnonzero(~np.isnan(p)):
+        for u in {*draws, p[i], n[i], max(p[i] - 2.0**-53, 0.0), max(n[i] - 2.0**-53, 0.0)} - {1.0}:
+            gap = abs(int(codes(y[i : i + 1], u)[0]) - int(codes(y_prime[i : i + 1], u)[0]))
+            assert gap == k[i] + (u >= p[i]) - (u >= n[i]), (i, u)
+
+
 @pytest.mark.parametrize("mode", ["l1", "l2sq", "circ"])
 @pytest.mark.parametrize("delta", [1.0, 0.7])
 def test_nested_pairs_read_the_longest_pairs_thresholds(mode, delta):

@@ -254,6 +254,21 @@ class TestMeasureQrip:
             measure_decay([op], sparse(2, 8, radius=1e160), mode, QuantConfig(1.0), [1.0, s], 1, 2, seed=0)
         assert "\n" not in str(err.value)
 
+    @pytest.mark.parametrize("decay", [False, True])
+    @pytest.mark.parametrize(
+        "delta,match",
+        [(1e150, r"grid distance 1e\+154: .* overflows float64"), (1.0, "finite")],
+        ids=["estimate", "premetric"],
+    )
+    def test_estimate_or_premetric_that_overflows_raises(self, decay, delta, match):
+        # at radius 1e154 the squared measurement gaps overflow; at delta
+        # 1e150 the codes fit but delta**2 times their squared gaps does not
+        op = build("gaussian", 16, 8, seed=12)
+        args = (sparse(2, 8, radius=1e154), "l2sq", QuantConfig(delta), [1e154], 1, 2)
+        with pytest.raises(ValueError, match=match) as err:
+            measure_decay([op], *args, seed=0) if decay else measure_qrip(op, *args, seed=0)
+        assert "\n" not in str(err.value)
+
 
 # (build arguments, embedding dimensions) of every operator family at n = 32
 _DECAY_FAMILIES = {
@@ -479,6 +494,15 @@ class TestProductConcentration:
         op = build("gaussian", 16, 8, seed=15)
         with pytest.raises(ValueError, match="model dimension 64 does not match .* n = 8"):
             check_product_concentration(op, sparse(4, 64), QuantConfig(1.0), [16, 32], trials=2)
+
+    def test_estimate_that_overflows_raises(self):
+        # delta**2 times the squared code gaps overflows float64 at every m
+        op = build("gaussian", 16, 8, seed=15)
+        with pytest.raises(ValueError, match=r"grid distance 1e\+154: .* overflows float64") as err:
+            check_product_concentration(
+                op, sparse(2, 8, radius=1e154), QuantConfig(1e150), [16, 32], trials=2, distance=1e154
+            )
+        assert "\n" not in str(err.value)
 
     def test_slope_and_ratios(self):
         op = build("gaussian", 128, 64, seed=15)
