@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 failed command, 2 failed selftest assertion.
 The CLI has one error type, ValueError: a bad flag (argparse's errors),
 a failed check here, a ValueError from the library and an unwritable
 output (an OSError from ``_atomic_write``) all become one, and ``main``
-prints it as one "error: ..." line on stderr and returns 1.  qrip and
+prints it as one "error: ..." line on stderr and returns 1.  So does a
+MemoryError: a size the machine cannot allocate.  qrip and
 decay check that their outputs can be written before they sweep.
 Sweeps run their pair ids on one worker per usable core (the CPU
 affinity set, e.g. under taskset) when a trial's dither entries, summed
@@ -443,6 +444,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy names the allocation it could not make
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -40,7 +40,7 @@ import mmap
 
 import numpy as np
 
-from .rng import _stream_states, stream
+from .rng import _integer, _stream_states, stream
 
 __all__ = [
     "LinOp",
@@ -188,10 +188,11 @@ class LinOp:
     _prefix_of: LinOp | None = None
 
     def __init__(self, m: int, n: int, seed: int, mu: float, rip_profile: tuple[float, float]):
+        m, n = _integer("m", m), _integer("n", n)
         if m < 1 or n < 1:
             raise ValueError(f"dimensions must be >= 1, got m={m}, n={n}")
-        self.m = int(m)
-        self.n = int(n)
+        self.m = m
+        self.n = n
         self.seed = int(seed)
         self.mu = float(mu)
         self.rip_profile = (float(rip_profile[0]), float(rip_profile[1]))
@@ -427,12 +428,13 @@ class ExpanderOp(LinOp):
     family = "expander"
 
     def __init__(self, m, n, seed, degree):
+        degree = _integer("degree", degree)
         if degree < 1:
             raise ValueError(f"expander left-degree must be >= 1, got {degree}")
         if degree > m:
             raise ValueError(f"expander left-degree must be <= m, got d={degree} > m={m}")
         super().__init__(m, n, seed, mu=m / degree, rip_profile=(1.0, 1.0))
-        self.degree = int(degree)
+        self.degree = degree
         nbrs = np.empty((n, degree), dtype=np.int64)
         gen = np.random.default_rng(0)
         for j, state in enumerate(_stream_states(seed, "expander:nbrs", np.arange(n)[:, None])):
@@ -458,6 +460,7 @@ def build(family: str, m: int, n: int, seed: int, **options) -> LinOp:
     Options: ``rip=(1, 2)`` selects the l1-profile Gaussian (mu =
     sqrt(pi/2)); ``degree=d`` sets the expander left-degree (required).
     """
+    m, n = _integer("m", m), _integer("n", n)
     if family == "gaussian":
         profile = tuple(options.pop("rip", (2, 2)))
         _reject_extra(options)
@@ -480,7 +483,7 @@ def build(family: str, m: int, n: int, seed: int, **options) -> LinOp:
         _reject_extra(options)
         if degree is None:
             raise ValueError("expander requires a 'degree' option (left-degree d)")
-        return ExpanderOp(m, n, seed, degree=int(degree))
+        return ExpanderOp(m, n, seed, degree=degree)
     raise ValueError(f"unknown family {family!r}; choose one of {FAMILIES}")
 
 
@@ -607,6 +610,7 @@ class RopOp(LinOp):
 
 def build_rop(m: int, n1: int, n2: int, seed: int, kappa: float = 1.0) -> RopOp:
     """Build a rank-one probing operator with standard normal probes."""
+    m, n1, n2 = _integer("m", m), _integer("n1", n1), _integer("n2", n2)
     if m < 1 or n1 < 1 or n2 < 1:
         raise ValueError(f"dimensions must be >= 1, got m={m}, n1={n1}, n2={n2}")
     if not (math.isfinite(kappa) and kappa > 0):

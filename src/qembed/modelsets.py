@@ -19,6 +19,8 @@ from typing import Any
 
 import numpy as np
 
+from .rng import _integer
+
 __all__ = [
     "ModelSet",
     "sparse",
@@ -70,52 +72,57 @@ class ModelSet:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        if self.pieces < 1:
+        if _integer("pieces", self.pieces) < 1:
             raise ValueError(f"pieces must be >= 1, got {self.pieces}")
 
 
 def sparse(s: int, n: int, radius: float = 1.0, pieces: int = 1) -> ModelSet:
+    s, n = _integer("s", s), _integer("n", n)
     if not (1 <= s <= n):
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
-    return ModelSet("sparse", {"s": int(s), "n": int(n)}, int(n), radius, pieces)
+    return ModelSet("sparse", {"s": s, "n": n}, n, radius, pieces)
 
 
 def group_sparse(s: int, l: int, n: int, radius: float = 1.0) -> ModelSet:
     """s active groups out of n groups of size l (ambient dimension n*l)."""
+    s, l, n = _integer("s", s), _integer("l", l), _integer("n", n)
     if not (1 <= s <= n) or l < 1:
         raise ValueError(f"need 1 <= s <= n and l >= 1, got s={s}, l={l}, n={n}")
-    return ModelSet("group_sparse", {"s": int(s), "l": int(l), "n": int(n)}, int(n * l), radius)
+    return ModelSet("group_sparse", {"s": s, "l": l, "n": n}, n * l, radius)
 
 
 def low_rank(r: int, n1: int, n2: int, radius: float = 1.0) -> ModelSet:
+    r, n1, n2 = _integer("r", r), _integer("n1", n1), _integer("n2", n2)
     if not (1 <= r <= min(n1, n2)):
         raise ValueError(f"need 1 <= r <= min(n1, n2), got r={r}, n1={n1}, n2={n2}")
-    return ModelSet("low_rank", {"r": int(r), "n1": int(n1), "n2": int(n2)}, int(n1 * n2), radius)
+    return ModelSet("low_rank", {"r": r, "n1": n1, "n2": n2}, n1 * n2, radius)
 
 
 def low_rank_joint_sparse(r: int, s: int, n1: int, n2: int, radius: float = 1.0) -> ModelSet:
+    r, s, n1, n2 = _integer("r", r), _integer("s", s), _integer("n1", n1), _integer("n2", n2)
     if not (1 <= r <= min(s, n2)) or not (1 <= s <= n1):
         raise ValueError(f"need 1 <= r <= min(s, n2) and 1 <= s <= n1, got r={r}, s={s}, n1={n1}, n2={n2}")
-    return ModelSet(
-        "low_rank_joint_sparse",
-        {"r": int(r), "s": int(s), "n1": int(n1), "n2": int(n2)},
-        int(n1 * n2),
-        radius,
-    )
+    return ModelSet("low_rank_joint_sparse", {"r": r, "s": s, "n1": n1, "n2": n2}, n1 * n2, radius)
 
 
 def subspace_union(bases: list[np.ndarray], radius: float = 1.0) -> ModelSet:
-    """Union of the column spans of the given n-by-k_i matrices."""
+    """Union of the column spans of the given n-by-k_i matrices, each of
+    finite entries and full column rank."""
     if not bases:
         raise ValueError("subspace_union needs at least one basis")
     ortho = []
     n = np.asarray(bases[0]).shape[0]
-    for b in bases:
+    for i, b in enumerate(bases):
         b = np.asarray(b, dtype=float)
         if b.ndim != 2 or b.shape[0] != n:
             raise ValueError("all bases must be 2-d with a common ambient dimension")
         if min(b.shape) < 1:
             raise ValueError(f"every basis needs at least one row and one column, got shape {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError(f"basis {i} has non-finite entries")
+        rank = np.linalg.matrix_rank(b)
+        if rank < b.shape[1]:
+            raise ValueError(f"basis {i} has rank {rank} < its {b.shape[1]} columns; they must be independent")
         q, _ = np.linalg.qr(b)
         q.setflags(write=False)
         ortho.append(q)
@@ -123,15 +130,18 @@ def subspace_union(bases: list[np.ndarray], radius: float = 1.0) -> ModelSet:
 
 
 def ball(n: int, radius: float = 1.0) -> ModelSet:
+    n = _integer("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return ModelSet("ball", {"n": int(n)}, int(n), radius)
+    return ModelSet("ball", {"n": n}, n, radius)
 
 
 def finite_cloud(points: np.ndarray, radius: float | None = None) -> ModelSet:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("finite_cloud needs a (T, n) array of points")
+    if not np.isfinite(pts).all():
+        raise ValueError("finite_cloud points have non-finite entries")
     pts.setflags(write=False)
     r = float(np.max(np.linalg.norm(pts, axis=1))) if radius is None else radius
     r = max(r, np.finfo(float).tiny)
@@ -142,10 +152,13 @@ def dict_sparse(dictionary: np.ndarray, s: int, radius: float = 1.0) -> ModelSet
     d = np.asarray(dictionary, dtype=float)
     if d.ndim != 2:
         raise ValueError("dictionary must be an (n, d) matrix")
+    if not np.isfinite(d).all():
+        raise ValueError("dictionary has non-finite entries")
+    s = _integer("s", s)
     if not (1 <= s <= d.shape[1]):
         raise ValueError(f"need 1 <= s <= {d.shape[1]}, got s={s}")
     d.setflags(write=False)
-    return ModelSet("dict_sparse", {"D": d, "s": int(s)}, int(d.shape[0]), radius)
+    return ModelSet("dict_sparse", {"D": d, "s": s}, d.shape[0], radius)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +177,7 @@ def sample_point(mset: ModelSet, rng: np.random.Generator) -> np.ndarray:
     norm by default, balls are sampled uniformly."""
     p = mset.params
     if mset.kind == "ball":
-        direction = rng.standard_normal(p["n"])
-        direction /= np.linalg.norm(direction)
+        direction = _unit(rng.standard_normal(p["n"]), 2)
         return mset.radius * rng.uniform() ** (1.0 / p["n"]) * direction
     if mset.kind == "finite_cloud":
         pts = p["points"]
@@ -174,80 +186,57 @@ def sample_point(mset: ModelSet, rng: np.random.Generator) -> np.ndarray:
     return _unit(lift(rng.standard_normal(dim)), 2)
 
 
+def _scatter(shape, idx):
+    """The lift writing its input into entries (or rows) ``idx`` of a zero array."""
+
+    def lift(c):
+        x = np.zeros(shape)
+        x[idx] = c
+        return x
+
+    return lift
+
+
 def _structured_frame(mset: ModelSet, rng: np.random.Generator):
     """Draw one structured component (support, groups, factors, subspace)
     and return a map from low-dimensional coordinates into it.
 
     Returns (dim, lift) where lift maps a dim-vector to a member of the
-    component.  This is the one per-kind sampler: ``sample_point`` lifts
-    one Gaussian coordinate vector, ``sample_pair`` a gap direction and a
-    centre.  The draws consumed here do not depend on the requested
-    distance, so a reused stream yields the same component at every
-    distance.
+    component.  Every lift is one of three forms: a scatter into a
+    support (sparse, group_sparse; ``_scatter``), a product with a basis
+    (subspace_union, dict_sparse; the ball's basis is the identity), or
+    the factor product ``left @ C @ right.T`` of the low-rank kinds,
+    which low_rank_joint_sparse scatters into its rows.  This is the one
+    per-kind sampler: ``sample_point`` lifts one Gaussian coordinate
+    vector, ``sample_pair`` a gap direction and a centre.  The draws
+    consumed here do not depend on the requested distance, so a reused
+    stream yields the same component at every distance.
     """
     k = mset.kind
     p = mset.params
     if k == "sparse":
-        support = rng.choice(p["n"], size=p["s"], replace=False)
-
-        def lift(c):
-            x = np.zeros(p["n"])
-            x[support] = c
-            return x
-
-        return p["s"], lift
+        return p["s"], _scatter(p["n"], rng.choice(p["n"], size=p["s"], replace=False))
     if k == "group_sparse":
         groups = np.sort(rng.choice(p["n"], size=p["s"], replace=False))
-        idx = np.concatenate([np.arange(g * p["l"], (g + 1) * p["l"]) for g in groups])
-
-        def lift(c):
-            x = np.zeros(p["n"] * p["l"])
-            x[idx] = c
-            return x
-
-        return p["s"] * p["l"], lift
-    if k == "low_rank":
-        left, _ = np.linalg.qr(rng.standard_normal((p["n1"], p["r"])))
-        right, _ = np.linalg.qr(rng.standard_normal((p["n2"], p["r"])))
-
-        def lift(c):
-            return left @ c.reshape(p["r"], p["r"]) @ right.T
-
-        return p["r"] * p["r"], lift
-    if k == "low_rank_joint_sparse":
-        rows = np.sort(rng.choice(p["n1"], size=p["s"], replace=False))
-        left, _ = np.linalg.qr(rng.standard_normal((p["s"], p["r"])))
-        right, _ = np.linalg.qr(rng.standard_normal((p["n2"], p["r"])))
-
-        def lift(c):
-            u = np.zeros((p["n1"], p["n2"]))
-            u[rows] = left @ c.reshape(p["r"], p["r"]) @ right.T
-            return u
-
-        return p["r"] * p["r"], lift
+        idx = (groups[:, None] * p["l"] + np.arange(p["l"])).ravel()  # every entry of the drawn groups
+        return p["s"] * p["l"], _scatter(p["n"] * p["l"], idx)
+    if k in ("low_rank", "low_rank_joint_sparse"):
+        r = p["r"]
+        place, height = np.asarray, p["n1"]
+        if k == "low_rank_joint_sparse":
+            rows = np.sort(rng.choice(p["n1"], size=p["s"], replace=False))
+            place, height = _scatter((p["n1"], p["n2"]), rows), p["s"]
+        left, _ = np.linalg.qr(rng.standard_normal((height, r)))
+        right, _ = np.linalg.qr(rng.standard_normal((p["n2"], r)))
+        return r * r, lambda c: place(left @ c.reshape(r, r) @ right.T)
     if k == "subspace_union":
-        bases = p["bases"]
-        b = bases[rng.integers(len(bases))]
-
-        def lift(c):
-            return b @ c
-
-        return b.shape[1], lift
-    if k == "ball":
-
-        def lift(c):
-            return c
-
-        return p["n"], lift
+        b = p["bases"][rng.integers(len(p["bases"]))]
+        return b.shape[1], b.__matmul__
     if k == "dict_sparse":
-        d = p["D"]
-        support = rng.choice(d.shape[1], size=p["s"], replace=False)
-        sub = d[:, support]
-
-        def lift(c):
-            return sub @ c
-
-        return p["s"], lift
+        support = rng.choice(p["D"].shape[1], size=p["s"], replace=False)
+        return p["s"], p["D"][:, support].__matmul__
+    if k == "ball":
+        return p["n"], np.asarray
     raise ValueError(f"unknown model kind {k!r}")
 
 
@@ -296,13 +285,12 @@ def sample_pair(
     centre_raw = rng.standard_normal(dim)
     centre_frac = rng.uniform()
 
-    u = lift(direction)
-    u = u / np.linalg.norm(u.ravel(), ord=q)
+    u = _unit(lift(direction), q)
     half = 0.5 * distance
 
     if dim >= 2:
         # centre orthogonal to the gap direction (l2 geometry of the frame)
-        d_flat = direction / np.linalg.norm(direction)
+        d_flat = _unit(direction, 2)
         c_low = centre_raw - (centre_raw @ d_flat) * d_flat
         if np.linalg.norm(c_low) > 0:
             c = lift(c_low / np.linalg.norm(c_low))
@@ -334,15 +322,9 @@ def _support_batch(mset: ModelSet, g: np.ndarray) -> np.ndarray:
     """sup over the set of |<g, u>| for a batch of directions g (rows)."""
     k = mset.kind
     p = mset.params
-    if k == "sparse":
-        s = p["s"]
-        mags = np.abs(g)
-        top = np.partition(mags, mags.shape[1] - s, axis=1)[:, -s:]
-        return mset.radius * np.linalg.norm(top, axis=1)
-    if k == "group_sparse":
-        s = p["s"]
-        groups = np.linalg.norm(g.reshape(g.shape[0], p["n"], p["l"]), axis=2)
-        top = np.partition(groups, p["n"] - s, axis=1)[:, -s:]
+    if k in ("sparse", "group_sparse"):  # the l2 norm of the s largest entry or group magnitudes
+        mags = np.abs(g) if k == "sparse" else np.linalg.norm(g.reshape(g.shape[0], p["n"], p["l"]), axis=2)
+        top = np.partition(mags, mags.shape[1] - p["s"], axis=1)[:, -p["s"] :]
         return mset.radius * np.linalg.norm(top, axis=1)
     if k == "low_rank":
         out = np.empty(g.shape[0])
@@ -382,6 +364,7 @@ def mean_width_mc(mset: ModelSet, trials: int, rng: np.random.Generator) -> tupl
     """Monte Carlo mean and standard error of the support function over
     i.i.d. standard normal directions.  Raises ValueError when either
     overflows float64."""
+    trials = _integer("trials", trials)
     if trials < 100:
         raise ValueError(f"mean_width_mc needs trials >= 100, got {trials}")
     batch = 4096
@@ -427,7 +410,7 @@ def entropy_bound(mset: ModelSet, eta: float, q: float) -> float:
     log(pieces)):
 
       sparse             s * ln(e*n/s) * ln(1 + 2*radius/eta)       q >= 1
-      dict_sparse        s * ln(e*d/s) * ln(1 + 2*radius/eta)       q >= 1
+      dict_sparse        the same, n the dictionary's d atoms       q >= 1
       group_sparse       s * (l + ln(n/s)) * ln(1 + 2*radius/eta)   q >= 1
       subspace_union     k_max * ln(1 + 2*radius/eta) + ln(T)       q >= 1
       low_rank           r*(n1+n2) * ln(1 + radius/eta)             q = 2
@@ -444,10 +427,9 @@ def entropy_bound(mset: ModelSet, eta: float, q: float) -> float:
     k = mset.kind
     p = mset.params
     r = mset.radius
-    if k == "sparse":
-        base = p["s"] * math.log(math.e * p["n"] / p["s"]) * math.log1p(2 * r / eta)
-    elif k == "dict_sparse":
-        base = p["s"] * math.log(math.e * p["D"].shape[1] / p["s"]) * math.log1p(2 * r / eta)
+    if k in ("sparse", "dict_sparse"):
+        atoms = p["n"] if k == "sparse" else p["D"].shape[1]
+        base = p["s"] * math.log(math.e * atoms / p["s"]) * math.log1p(2 * r / eta)
     elif k == "group_sparse":
         base = p["s"] * (p["l"] + math.log(p["n"] / p["s"])) * math.log1p(2 * r / eta)
     elif k == "subspace_union":

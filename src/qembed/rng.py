@@ -20,6 +20,7 @@ bytes per key and builds the state dicts on access.
 
 from __future__ import annotations
 
+import operator
 import zlib
 from collections.abc import Sequence
 
@@ -37,6 +38,17 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int (numpy integers pass); a float or any
+    other non-integer raises a one-line ValueError naming ``name``.
+    Sizes, dimensions and counts go through it rather than ``int``,
+    which would truncate 2.5 to 2."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def label_key(label: str) -> int:

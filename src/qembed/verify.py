@@ -77,7 +77,7 @@ from .embeddings import _PairKernel, quantize_with_dither
 from .linops import LinOp, build, build_rop
 from .modelsets import ModelSet, sample_pair
 from .quantizer import _LAYOUT_COLS, QuantConfig, _cell_gap, _mode, _threshold_count, premetric, sample_dither
-from .rng import _stream_states, stream
+from .rng import _integer, _stream_states, stream
 
 __all__ = [
     "DistortionRecord",
@@ -216,7 +216,7 @@ def check_dither_identity(
     |a - a'|; passes within 4 * (delta/2) / sqrt(trials) (the per-draw
     value deviates from its mean by at most one cell).
     """
-    if trials < 10_000:
+    if _integer("trials", trials) < 10_000:
         raise ValueError(f"need trials >= 10000, got {trials}")
     if rng is None:
         rng = stream(seed, "dither-identity")
@@ -260,7 +260,7 @@ def estimate_rip(
     if (p, q) != op.rip_profile:
         raise ValueError(f"operator profile {op.rip_profile} does not match requested ({p}, {q})")
     _check_dim(op.n, mset)
-    if pairs < 50:
+    if _integer("pairs", pairs) < 50:
         raise ValueError(f"need pairs >= 50 for a meaningful supremum, got {pairs}")
     scale = op.mu**p / op.m
     worst = 0.0
@@ -272,6 +272,15 @@ def estimate_rip(
         val = scale * float(np.sum(np.abs(op.matvec(u)) ** p))
         worst = max(worst, abs(val - 1.0))
     return worst
+
+
+def _ids(name: str, count) -> int:
+    """A count of pair or trial ids: each id is one 32-bit word of a
+    stream key (``rng._stream_states``), so at most 2**32 of them."""
+    count = _integer(name, count)
+    if count > 2**32:
+        raise ValueError(f"{name} must be at most 2**32 (ids are 32-bit stream indices), got {count}")
+    return count
 
 
 def _check_dim(n: int, mset: ModelSet) -> None:
@@ -407,6 +416,8 @@ def measure_decay(
     grid = np.sort(np.asarray(list(distance_grid), dtype=float))
     if grid.size < 1 or np.any(grid <= 0):
         raise ValueError("distance grid must be non-empty and positive")
+    pairs_per_distance = _ids("pairs_per_distance", pairs_per_distance)
+    dithers_per_pair = _ids("dithers_per_pair", dithers_per_pair)
     if pairs_per_distance < 1 or dithers_per_pair < 1:
         raise ValueError("pairs_per_distance and dithers_per_pair must be >= 1")
     layout, p_e = _mode(mode)
@@ -532,10 +543,10 @@ def check_product_concentration(
     (``_default_workers``) with 2 * sum of ``m_list`` dither entries per
     trial.
     """
-    m_list = sorted(int(m) for m in m_list)
+    m_list = sorted(_integer("m_list entry", m) for m in m_list)
     if len(m_list) < 2:
         raise ValueError("need at least two embedding dimensions")
-    if trials < 2:
+    if _ids("trials", trials) < 2:
         raise ValueError("need trials >= 2")
     _check_dim(op.n, mset)
     if distance is None:

@@ -548,6 +548,19 @@ class TestMeanwidthSelftestConfig:
         assert code == 1 and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 745. GiB for an array with shape (99999999999,) and data type int64"),
+     "error: Unable to allocate 745. GiB for an array with shape (99999999999,) and data type int64\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_memory_error_exit_1(capsys, monkeypatch, exc, line):
+    def command(args):
+        raise exc
+
+    monkeypatch.setitem(qembed.cli._COMMANDS, "entropy", command)
+    assert run_cli(capsys, "entropy", "--model", "sparse:2:8", "--eta", "0.1") == (1, "", line)
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process, so no call may leave a
     trace in the next: the same argv prints the same output and writes the
@@ -715,6 +728,16 @@ class TestModuleEntryPoint:
         proc = self._run(*(a.format(vec=vec, big=big, ints=ints, out=out) for a in argv))
         assert proc.returncode == 1
         assert _one_line(proc.stderr)
+        assert proc.stdout == "" and not out.exists()
+
+    def test_pair_count_beyond_one_index_word_exit_1(self, tmp_path):
+        # np.arange in measure_decay asked for 745 GiB and printed a MemoryError traceback
+        out = tmp_path / "o.csv"
+        proc = self._run("qrip", "--family", "gaussian", "--m", "8", "--n", "8", "--model", "sparse:2:8", "--mode",
+                         "l1", "--delta", "1", "--grid", "0.5", "--pairs", "99999999999", "--dithers", "1",
+                         "--out", str(out))
+        assert proc.returncode == 1
+        assert _one_line(proc.stderr) and "at most 2**32" in proc.stderr
         assert proc.stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("gap", [0, 3])

@@ -88,6 +88,25 @@ class TestBuildAndMatvec:
         x = np.array([1.0, 0.0])
         assert (op.mu**2 / op.m) * np.sum(y**2) == pytest.approx(np.sum(x**2))
 
+    @pytest.mark.parametrize("make,name", [
+        (lambda: build("gaussian", 8.7, 4, seed=1), "m"),
+        (lambda: build("subsampled_hadamard", 4, 16.0, seed=1), "n"),
+        (lambda: build("expander", 8, 4, seed=1, degree=2.5), "degree"),
+        (lambda: build_rop(4.5, 2, 2, seed=1), "m"),
+        (lambda: build_rop(4, 2, 2.0, seed=1), "n2"),
+        (lambda: linops.GaussianOp(8, 4.5, 1, mu=1.0, rip_profile=(2, 2)), "n"),
+    ])
+    def test_non_integer_dimension_rejected(self, make, name):
+        # build("gaussian", 8.7, ...) had m = 8, degree=2.5 had d = 2, build_rop(4.5, ...) raised a TypeError
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            make()
+
+    def test_numpy_integer_dimensions_pass(self):
+        op = build("expander", np.int64(8), np.int32(4), seed=1, degree=np.int64(2))
+        assert (op.m, op.n, op.degree) == (8, 4, 2) and all(type(v) is int for v in (op.m, op.n, op.degree))
+        assert np.array_equal(op.dense(), build("expander", 8, 4, seed=1, degree=2).dense())
+        assert build_rop(np.int64(4), np.int64(2), np.int64(2), seed=1).n == 4
+
     def test_build_errors(self):
         with pytest.raises(ValueError):
             build("subsampled_hadamard", 4, 12, seed=0)  # n not a power of two

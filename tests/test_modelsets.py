@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -78,6 +79,54 @@ def _all_sets(rng):
         dict_sparse(d, 3),
     ]
 
+
+
+def _every_kind():
+    """Two sets of each kind, the smallest (s = 1, n = 1) among them."""
+    rng = stream(0, "test:kinds")
+    line = np.zeros((5, 3))
+    line[1:4, 0] = [0.01, 0.5, 1.5]
+    line[4, 1] = 0.5
+    return [
+        sparse(2, 5),
+        sparse(1, 1),
+        group_sparse(2, 3, 6),
+        group_sparse(1, 1, 1),
+        low_rank(2, 4, 5),
+        low_rank(1, 1, 1),
+        low_rank_joint_sparse(2, 3, 6, 4),
+        low_rank_joint_sparse(1, 1, 1, 1),
+        subspace_union([rng.standard_normal((12, 3)) for _ in range(3)] + [rng.standard_normal((12, 1))]),
+        subspace_union([rng.standard_normal((1, 1))]),
+        ball(7, radius=1.5),
+        ball(1),
+        finite_cloud(line),
+        finite_cloud(np.array([[0.0], [0.01], [0.5], [1.5]])),
+        dict_sparse(rng.standard_normal((8, 20)), 3),
+        dict_sparse(rng.standard_normal((1, 1)), 1),
+    ]
+
+
+# sha256 of every kind's seeded pairs (q = 1 and 2, distances 0.01, 0.5
+# and 1.5), points, support values and covering bounds, taken before the
+# per-kind lifts were folded into three shared forms
+KIND_GOLDEN = "e141a71b6e69e8ca6e34f74cc42535f49bac3a27d64b1a2b85f5f63763b9c1d9"
+
+
+def test_every_kind_keeps_its_bytes():
+    h = hashlib.sha256()
+    for i, mset in enumerate(_every_kind()):
+        for seed in range(40):
+            draws = [sample_point(mset, stream(seed, "test:kind-point", i))]
+            for q, d in itertools.product((1.0, 2.0), (0.01, 0.5, 1.5)):
+                draws += sample_pair(mset, d, stream(seed, "test:kind-pair", i), q=q)
+            if mset.kind not in ("low_rank_joint_sparse", "dict_sparse"):  # no support function
+                g = stream(seed, "test:kind-dir", i).standard_normal(mset.ambient_dim)
+                draws.append(np.float64(support_function(mset, g)))
+            for v in draws:
+                h.update(repr(v.shape).encode() + v.tobytes())
+        h.update(np.array([entropy_bound(mset, eta, 2.0) for eta in (0.1, 0.5)]).tobytes())
+    assert h.hexdigest() == KIND_GOLDEN
 
 class TestSamplePoint:
     def test_membership_many_samples(self):
@@ -230,6 +279,31 @@ class TestSamplePair:
         with pytest.raises(ValueError, match="at least one row and one column"):
             subspace_union(bases)
 
+    @pytest.mark.parametrize("basis,rank", [
+        (np.zeros((3, 2)), 0), (np.ones((3, 2)), 1), (np.eye(2, 3), 2), (np.array([[1.0, 2.0], [2.0, 4.0]]), 1),
+    ])
+    def test_subspace_union_rank_deficient_basis_rejected(self, basis, rank):
+        # the zero basis gave two distinct points at distance 1 although its span is {0},
+        # and entropy_bound counted the column count, not the rank
+        with pytest.raises(ValueError, match=rf"^basis 1 has rank {rank} < its {basis.shape[1]} columns"):
+            subspace_union([np.eye(basis.shape[0])[:, :1], basis])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_structures_rejected(self, bad):
+        basis = np.eye(4)[:, :2]
+        basis[0, 0] = bad
+        with pytest.raises(ValueError, match="^basis 0 has non-finite entries$"):
+            subspace_union([basis])
+        with pytest.raises(ValueError, match="^dictionary has non-finite entries$"):
+            dict_sparse(basis, 1)
+        with pytest.raises(ValueError, match="^finite_cloud points have non-finite entries$"):
+            finite_cloud(basis, radius=1.0)
+
+    def test_zero_dictionary_direction_is_degenerate(self):
+        # it warned about an invalid divide, then reported a gap of nan lost to rounding
+        with pytest.raises(ValueError, match="^degenerate direction$"):
+            sample_pair(dict_sparse(np.zeros((4, 3)), 2), 0.5, stream(1, "t"))
+
     def test_dict_sparse_pair(self):
         rng = stream(32, "t")
         d = rng.standard_normal((8, 20))
@@ -246,6 +320,30 @@ class TestSamplePair:
         assert np.linalg.norm(x - x_prime) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             sample_pair(mset, 0.9, stream(12, "t"))
+
+
+class TestIntegerSizes:
+    @pytest.mark.parametrize("make,name", [
+        (lambda: sparse(2.5, 8), "s"),
+        (lambda: sparse(2, 8.0), "n"),
+        (lambda: sparse(2, 8, pieces=1.5), "pieces"),
+        (lambda: group_sparse(2, 1.5, 4), "l"),
+        (lambda: low_rank(1, 4, 4.5), "n2"),
+        (lambda: low_rank_joint_sparse(1, 2.0, 4, 4), "s"),
+        (lambda: ball(3.9), "n"),
+        (lambda: dict_sparse(np.eye(4), 1.5), "s"),
+        (lambda: mean_width_mc(ball(2), 150.5, stream(0, "t")), "trials"),
+    ])
+    def test_non_integer_size_rejected(self, make, name):
+        # sparse(2.5, 8) had s = 2 and ball(3.9) had n = 3
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            make()
+
+    def test_numpy_integers_pass(self):
+        mset = low_rank_joint_sparse(np.int64(1), np.int32(2), np.uint8(4), np.int16(3))
+        assert mset.params == {"r": 1, "s": 2, "n1": 4, "n2": 3} and mset.ambient_dim == 12
+        assert all(type(v) is int for v in [*mset.params.values(), mset.ambient_dim])
+        assert sparse(np.int64(2), 8, pieces=np.int64(3)).pieces == 3
 
 
 class TestSupportFunction:

@@ -62,6 +62,12 @@ class TestDitherIdentityCheck:
         gaps = 0.5 * np.abs(np.floor((a + 1.5 + xi) / 0.5) - np.floor((a + xi) / 0.5))
         assert np.all(gaps == 1.5)
 
+    def test_non_integer_counts_rejected(self):
+        with pytest.raises(ValueError, match="^trials must be an integer"):
+            check_dither_identity(0.1, 0.4, QuantConfig(1.0), 10_000.5)
+        with pytest.raises(ValueError, match="^pairs must be an integer"):
+            estimate_rip(build("gaussian", 16, 8, seed=1), sparse(2, 8), 2, 2, 50.5, stream(0, "t"))
+
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             check_dither_identity(0.0, 0.5, QuantConfig(1.0), 100)
@@ -237,6 +243,19 @@ class TestMeasureQrip:
             measure_qrip(op, mset, "l1", cfg, [-1.0], 2, 2, seed=0)
         with pytest.raises(ValueError):
             measure_qrip(op, mset, "bogus", cfg, [0.5], 2, 2, seed=0)
+
+    @pytest.mark.parametrize("pairs,dithers,match", [
+        (1.5, 2, "^pairs_per_distance must be an integer, got "),
+        (2, 2.0, "^dithers_per_pair must be an integer, got "),
+        (2**32 + 1, 1, r"^pairs_per_distance must be at most 2\*\*32 "),
+        (1, 99_999_999_999, r"^dithers_per_pair must be at most 2\*\*32 "),
+    ])
+    def test_bad_count_rejected(self, pairs, dithers, match):
+        # pairs_per_distance=1.5 failed in numpy's indexing ("indices must be integers"); ids are
+        # 32-bit stream index words, and np.arange asked for 745 GiB at 99999999999 pairs
+        op = build("gaussian", 16, 8, seed=12)
+        with pytest.raises(ValueError, match=match):
+            measure_qrip(op, sparse(2, 8), "l1", QuantConfig(1.0), [0.5], pairs, dithers, seed=0)
 
     def test_model_dimension_must_match(self):
         ops = [build("gaussian", m, 8, seed=12) for m in (16, 32)]
@@ -490,6 +509,16 @@ class TestFitDecay:
 
 
 class TestProductConcentration:
+    @pytest.mark.parametrize("m_list,trials,match", [
+        ([16, 32], 2.5, "^trials must be an integer"),
+        ([16.5, 32], 2, "^m_list entry must be an integer"),
+        ([16, 32], 99_999_999_999, r"^trials must be at most 2\*\*32 "),
+    ])
+    def test_bad_count_rejected(self, m_list, trials, match):
+        op = build("gaussian", 16, 8, seed=15)
+        with pytest.raises(ValueError, match=match):
+            check_product_concentration(op, sparse(2, 8), QuantConfig(1.0), m_list, trials=trials)
+
     def test_model_dimension_must_match(self):
         op = build("gaussian", 16, 8, seed=15)
         with pytest.raises(ValueError, match="model dimension 64 does not match .* n = 8"):
