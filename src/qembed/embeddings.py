@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ import numpy as np
 
 from .linops import LinOp, RopOp
 from .quantizer import _COLS_LAYOUT, _LAYOUT_COLS, QuantConfig, _cell_gap, _mode, quantize_with_dither
+from .rng import _fold
 
 __all__ = [
     "CodeBlock",
@@ -75,44 +77,50 @@ _EXPONENT_BITS = 0x7FF0000000000000
 class CodeBlock:
     """Quantized embedding output: cell indices plus provenance.
 
-    ``codes`` has shape (m, cols) with cols = 1 for the single layout and
-    2 for the bi-dither layout; decoding index k gives the cell centre
-    delta * (k + 1/2).  Blocks are comparable only when (layout, m,
-    delta) agree.  Seeds are stored folded into unsigned 64 bits, as
-    ``rng.stream`` folds them, so -1 and 2**64 - 1 name the same stream.
+    ``codes`` is an (m, cols) array of integers in the int64 range, with
+    cols = 1 for the single layout and 2 for the bi-dither layout; ``m``
+    and ``layout`` are read off its shape.  Decoding index k gives the
+    cell centre delta * (k + 1/2).  Blocks are comparable only when
+    (layout, m, delta) agree.  Seeds are stored folded into unsigned 64
+    bits, as ``rng.stream`` folds them, so -1 and 2**64 - 1 name the same
+    stream.  Codes or seeds that are not integers raise a one-line
+    ValueError.
     """
 
-    layout: str
-    m: int
     delta: float
     codes: np.ndarray
     op_seed: int = 0
     dither_seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"code blocks need m >= 1, got m = {self.m}")
-        if self.layout not in _LAYOUT_COLS:
-            raise ValueError(f"layout must be 'single' or 'bidither', got {self.layout!r}")
-        codes = np.asarray(self.codes, dtype=np.int64)
-        expected_cols = _LAYOUT_COLS[self.layout]
-        if codes.ndim != 2 or codes.shape != (self.m, expected_cols):
-            raise ValueError(
-                f"codes must have shape ({self.m}, {expected_cols}) for layout "
-                f"{self.layout!r}, got {codes.shape}"
-            )
+        codes = np.asarray(self.codes)
+        if codes.ndim != 2 or codes.shape[1] not in _COLS_LAYOUT:
+            raise ValueError(f"codes must be an (m, 1) or (m, 2) array, got shape {codes.shape}")
+        if codes.shape[0] < 1:
+            raise ValueError(f"code blocks need m >= 1, got m = {codes.shape[0]}")
+        if codes.dtype != np.int64:
+            codes = _int64_codes(codes)
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
-        # deserialize builds a block per query; in-range seeds skip the fold
-        if not (0 <= self.op_seed <= _U64 and 0 <= self.dither_seed <= _U64):
-            object.__setattr__(self, "op_seed", int(self.op_seed) & _U64)
-            object.__setattr__(self, "dither_seed", int(self.dither_seed) & _U64)
+        # deserialize builds a block per query; in-range int seeds skip the fold
+        a, b = self.op_seed, self.dither_seed
+        if not (type(a) is int and type(b) is int and 0 <= a <= _U64 and 0 <= b <= _U64):
+            object.__setattr__(self, "op_seed", _fold("op_seed", a))
+            object.__setattr__(self, "dither_seed", _fold("dither_seed", b))
+
+    @property
+    def m(self) -> int:
+        return self.codes.shape[0]
 
     @property
     def cols(self) -> int:
         return self.codes.shape[1]
+
+    @property
+    def layout(self) -> str:
+        return _COLS_LAYOUT[self.codes.shape[1]]
 
     @property
     def values(self) -> np.ndarray:
@@ -123,13 +131,37 @@ class CodeBlock:
         if not isinstance(other, CodeBlock):
             return NotImplemented
         return (
-            self.layout == other.layout
-            and self.m == other.m
-            and self.delta == other.delta
+            self.delta == other.delta
             and self.op_seed == other.op_seed
             and self.dither_seed == other.dither_seed
             and np.array_equal(self.codes, other.codes)
         )
+
+
+def _is_int64(v) -> bool:
+    try:
+        return -(2**63) <= operator.index(v) < 2**63
+    except TypeError:
+        return False
+
+
+def _int64_codes(codes: np.ndarray) -> np.ndarray:
+    """``codes`` as int64; an entry that is not an integer in the int64
+    range raises a one-line ValueError naming it."""
+    kind = codes.dtype.kind
+    if kind in "biu" and np.can_cast(codes.dtype, np.int64):
+        return codes.astype(np.int64)
+    if kind == "u":
+        bad = codes > 2**63 - 1
+    elif kind == "f":
+        bad = ~((codes >= -(2.0**63)) & (codes < 2.0**63) & (np.floor(codes) == codes))
+    elif kind == "O":
+        bad = ~np.vectorize(_is_int64, otypes=[bool])(codes)
+    else:
+        raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
+    if bad.any():
+        raise ValueError(f"codes must be integers in [-2**63, 2**63), got {codes[bad].tolist()[0]!r}")
+    return codes.astype(np.int64)
 
 
 def embed(
@@ -165,14 +197,7 @@ def embed(
             if err is not None:
                 y = op.matvec(x)
             codes = quantize_with_dither(np.broadcast_to(y[:, None], dither.shape), dither, cfg)
-    return CodeBlock(
-        layout=_COLS_LAYOUT[cols],
-        m=op.m,
-        delta=cfg.delta,
-        codes=codes,
-        op_seed=op.seed,
-        dither_seed=dither_seed,
-    )
+    return CodeBlock(cfg.delta, codes, op.seed, dither_seed)
 
 
 def _bracketed_codes(y: np.ndarray, err: np.ndarray, dither: np.ndarray, cfg: QuantConfig) -> np.ndarray | None:
@@ -667,7 +692,8 @@ def estimate_distance(c: CodeBlock, c_prime: CodeBlock, mode: str) -> float:
 
     Accumulation is exact in integers; the delta scaling is applied once.
     """
-    if (c.layout, c.m, c.delta) != (c_prime.layout, c_prime.m, c_prime.delta):
+    # the codes' shape is (m, cols), and cols names the layout
+    if (c.codes.shape, c.delta) != (c_prime.codes.shape, c_prime.delta):
         raise ValueError(
             "incomparable blocks: "
             f"(layout, m, delta) = ({c.layout}, {c.m}, {c.delta}) vs "
@@ -737,11 +763,4 @@ def deserialize(data: bytes) -> CodeBlock:
     if len(payload) != expected:
         raise ValueError(f"truncated stream: expected {expected} payload bytes, got {len(payload)}")
     codes = np.frombuffer(payload, dtype=_WIDTH_DTYPES[width]).astype(np.int64).reshape(m, cols)
-    return CodeBlock(
-        layout=_COLS_LAYOUT[cols],
-        m=int(m),
-        delta=float(delta),
-        codes=codes,
-        op_seed=int(op_seed),
-        dither_seed=int(dither_seed),
-    )
+    return CodeBlock(delta, codes, op_seed, dither_seed)

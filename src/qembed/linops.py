@@ -193,7 +193,7 @@ class LinOp:
             raise ValueError(f"dimensions must be >= 1, got m={m}, n={n}")
         self.m = m
         self.n = n
-        self.seed = int(seed)
+        self.seed = _integer("seed", seed)
         self.mu = float(mu)
         self.rip_profile = (float(rip_profile[0]), float(rip_profile[1]))
 
@@ -517,11 +517,14 @@ class RopOp(LinOp):
     """Rank-one probes on n1-by-n2 matrices, read row-major (n = n1 * n2).
 
     Output coordinate k is kappa * a_k^T U b_k with i.i.d. unit-variance
-    probe vectors a_k, b_k (``probes_left`` is (m, n1), ``probes_right``
-    (m, n2)); ``kappa`` rescales the argument fed to the quantizer, so
-    distance estimates over the codes carry a factor kappa (the caller
-    divides it out).  E(a_k^T U b_k)**2 = ||U||_F**2 gives the (l2, l2)
-    profile with mu = 1 / kappa.
+    probe vectors a_k, b_k, the rows of ``probes_left`` (m, n1) and
+    ``probes_right`` (m, n2), which are made read-only; m, n1 and n2 are
+    read off those shapes.  ``kappa`` rescales the argument fed to the
+    quantizer, so distance estimates over the codes carry a factor kappa
+    (the caller divides it out).  E(a_k^T U b_k)**2 = ||U||_F**2 gives
+    the (l2, l2) profile with mu = 1 / kappa.  Probes that are not 2-D
+    or differ in row count, and a kappa that is not positive and finite,
+    raise a one-line ValueError.
 
     ``matvec`` is kappa times the 3-operand ``einsum("mi,ij,mj->m")``,
     whose bits define every rop code.  ``_matvec_bounded`` computes the
@@ -534,13 +537,24 @@ class RopOp(LinOp):
 
     family = "rop"
 
-    def __init__(self, m, n1, n2, seed, kappa, probes_left, probes_right):
+    def __init__(self, probes_left, probes_right, seed, kappa):
+        a, b = np.asarray(probes_left, dtype=float), np.asarray(probes_right, dtype=float)
+        if a.ndim != 2 or b.ndim != 2:
+            raise ValueError(f"probes must be 2-D arrays, got shapes {a.shape} and {b.shape}")
+        if a.shape[0] != b.shape[0]:
+            raise ValueError(f"probes need one row count, got {a.shape[0]} and {b.shape[0]} rows")
+        kappa = float(kappa)
+        if not (math.isfinite(kappa) and kappa > 0):
+            raise ValueError(f"kappa must be positive and finite, got {kappa}")
+        (m, n1), n2 = a.shape, b.shape[1]
         super().__init__(m, n1 * n2, seed, mu=1.0 / kappa, rip_profile=(2.0, 2.0))
-        self.n1, self.n2, self.kappa = int(n1), int(n2), float(kappa)
-        self.probes_left = probes_left
-        self.probes_right = probes_right
+        self.n1, self.n2, self.kappa = n1, n2, kappa
+        self.probes_left, self.probes_right = a, b
+        # read-only, so the norms cached below stay the probes' norms
+        a.setflags(write=False)
+        b.setflags(write=False)
         with np.errstate(over="ignore"):  # an infinite norm makes the bound inf
-            norms_left, norms_right = _row_norms(probes_left), _row_norms(probes_right)
+            norms_left, norms_right = _row_norms(a), _row_norms(b)
             self._probe_norms = norms_left * norms_right
             self._probe_growth = (1.0 + norms_left) * (1.0 + norms_right)
         self._bound_scale = 2.0 * self.kappa * (_gamma(self.n1 + self.n2 + 2) + _gamma(self.n + 2))
@@ -613,10 +627,6 @@ def build_rop(m: int, n1: int, n2: int, seed: int, kappa: float = 1.0) -> RopOp:
     m, n1, n2 = _integer("m", m), _integer("n1", n1), _integer("n2", n2)
     if m < 1 or n1 < 1 or n2 < 1:
         raise ValueError(f"dimensions must be >= 1, got m={m}, n1={n1}, n2={n2}")
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     a = stream(seed, "rop:left").standard_normal((m, n1))
     b = stream(seed, "rop:right").standard_normal((m, n2))
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return RopOp(m, n1, n2, seed, kappa, a, b)
+    return RopOp(a, b, seed, kappa)

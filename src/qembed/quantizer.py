@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import _integer
+
 __all__ = [
     "QuantConfig",
     "SoftParam",
@@ -144,9 +146,10 @@ def _cell_gap(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
 
 def sample_dither(m: int, cfg: QuantConfig, rng: np.random.Generator) -> np.ndarray:
     """m i.i.d. uniform draws on [0, delta), deterministic given the stream."""
+    m = _integer("dither length", m)
     if m < 1:
         raise ValueError(f"dither length must be >= 1, got {m}")
-    return cfg.delta * rng.random(int(m))
+    return cfg.delta * rng.random(m)
 
 
 def _threshold_count(a: np.ndarray, a_prime: np.ndarray, t: float | np.ndarray, delta: float) -> np.ndarray:

@@ -43,12 +43,19 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 def _integer(name: str, value) -> int:
     """``value`` as a Python int (numpy integers pass); a float or any
     other non-integer raises a one-line ValueError naming ``name``.
-    Sizes, dimensions and counts go through it rather than ``int``,
-    which would truncate 2.5 to 2."""
+    Sizes, dimensions, counts and seeds go through it rather than
+    ``int``, which would truncate 2.5 to 2."""
     try:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _fold(name: str, value) -> int:
+    """The integer ``value`` folded into [0, 2**64), as stream keys fold
+    seeds and indices, so -1 and 2**64 - 1 name the same stream; a
+    non-integer raises ``_integer``'s ValueError."""
+    return _integer(name, value) & _U64
 
 
 def label_key(label: str) -> int:
@@ -60,9 +67,10 @@ def stream(seed: int, label: str, *indices: int) -> np.random.Generator:
     """Return the generator keyed by (seed, label, indices).
 
     Indices may be any non-negative ints (pair ids, trial ids, row
-    numbers, ...).  Negative seeds are folded into the unsigned domain.
+    numbers, ...).  Negative seeds are folded into the unsigned domain;
+    a seed or index that is not an integer raises ValueError.
     """
-    entropy = (int(seed) & _U64, label_key(label)) + tuple(int(i) & _U64 for i in indices)
+    entropy = (_fold("seed", seed), label_key(label)) + tuple(_fold("index", i) for i in indices)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -172,7 +180,7 @@ def _stream_states(seed: int, label: str, indices) -> _States:
         raise ValueError(f"indices must be integers in [0, 2**32), got dtype {rows.dtype}")
     if rows.size and not (rows.min() >= 0 and rows.max() <= _U32):
         raise ValueError(f"indices must lie in [0, 2**32), got values in [{rows.min()}, {rows.max()}]")
-    s = int(seed) & _U64
+    s = _fold("seed", seed)
     # SeedSequence hashes an int as its little-endian uint32 words (0 is one word)
     head = [s & _U32] + ([s >> 32] if s >> 32 else []) + [label_key(label)]
     entropy = [np.full(len(rows), w, dtype=np.uint32) for w in head] + list(rows.T.astype(np.uint32))

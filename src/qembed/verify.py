@@ -38,9 +38,11 @@ operator's leading output rows: the same BLAS calls on the same rows,
 so the same bits.  Every other operator computes its own.
 
 Every sweep, ``measure_decay`` and ``check_product_concentration``
-alike, runs its pairs through ``_qrip_task``, and every trial runs in
-``embeddings._PairKernel``, the single quantize-and-estimate kernel,
-whose docstring describes its threshold compares and guards.
+alike, measures the operators it is given, which ``_sweep_ops`` checks
+share one input dimension and profile.  It runs its pairs through
+``_qrip_task``, and every trial runs in ``embeddings._PairKernel``, the
+single quantize-and-estimate kernel, whose docstring describes its
+threshold compares and guards.
 
 The keyed streams of a sweep come from one batched pass each
 (``rng._stream_states``): all (pair, trial, distance) dither states and
@@ -60,7 +62,7 @@ inputs raise the quantizer's one-line ValueError.
 Every routine is a pure function of (seed, config); trials are keyed by
 (seed, pair id, trial id), so results do not depend on execution order
 or worker count.  A sweep runs its tasks, the pair ids of
-``measure_decay`` or the dimensions of ``check_product_concentration``,
+``measure_decay`` or the operators of ``check_product_concentration``,
 on the thread pool that ``_default_workers`` sizes.
 """
 
@@ -74,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import _PairKernel, quantize_with_dither
-from .linops import LinOp, build, build_rop
+from .linops import LinOp
 from .modelsets import ModelSet, sample_pair
 from .quantizer import _LAYOUT_COLS, QuantConfig, _cell_gap, _mode, _threshold_count, premetric, sample_dither
 from .rng import _integer, _stream_states, stream
@@ -289,7 +291,20 @@ def _check_dim(n: int, mset: ModelSet) -> None:
         raise ValueError(f"model dimension {mset.ambient_dim} does not match the operator's input dimension n = {n}")
 
 
-def _qrip_task(ops, mset, mode, cfg, grid, pair_state, dither_states, q):
+def _sweep_ops(ops, mset: ModelSet) -> list[LinOp]:
+    """``ops`` as a list, rejected unless it is non-empty, has one
+    (n, rip_profile) and takes the points of ``mset`` as inputs."""
+    ops = list(ops)
+    if not ops:
+        raise ValueError("a sweep needs at least one operator")
+    shapes = sorted({(op.n, op.rip_profile) for op in ops})
+    if len(shapes) > 1:
+        raise ValueError(f"operators of one sweep need one (n, rip_profile), got {shapes}")
+    _check_dim(ops[0].n, mset)
+    return ops
+
+
+def _qrip_task(ops, mset, mode, cfg, grid, pair_state, dither_states):
     """The (ops, grid, dithers) estimates and the (ops, grid) linear
     pre-metrics of one pair id (pure).
 
@@ -301,8 +316,9 @@ def _qrip_task(ops, mset, mode, cfg, grid, pair_state, dither_states, q):
     one kernel serve the whole task, and the kernel draws each trial's
     dithers once for every operator.  An estimate or linear pre-metric
     that overflows float64 raises a one-line ValueError naming its grid
-    distance.
+    distance.  Pairs are sampled at the operators' l_q gap.
     """
+    q = ops[0].rip_profile[1]
     # errstate is per thread, so each task sets its own
     with np.errstate(over="ignore", invalid="ignore"):
         dithers = len(dither_states) // len(grid)
@@ -406,13 +422,7 @@ def measure_decay(
     at the largest m, every smaller m reading their prefix.  Pair ids run
     on the sweeps' pool (``_default_workers``).
     """
-    ops = list(ops)
-    if not ops:
-        raise ValueError("a sweep needs at least one operator")
-    shapes = sorted({(op.n, op.rip_profile) for op in ops})
-    if len(shapes) > 1:
-        raise ValueError(f"operators of one sweep need one (n, rip_profile), got {shapes}")
-    _check_dim(ops[0].n, mset)
+    ops = _sweep_ops(ops, mset)
     grid = np.sort(np.asarray(list(distance_grid), dtype=float))
     if grid.size < 1 or np.any(grid <= 0):
         raise ValueError("distance grid must be non-empty and positive")
@@ -428,7 +438,6 @@ def measure_decay(
             raise ValueError(
                 f"grid distance {s:g} has {mode} target s**{p_e} = {target:g}; it must be positive and finite"
             )
-    q = ops[0].rip_profile[1]
     pair_states = _stream_states(seed, "qrip:pair", np.arange(pairs_per_distance)[:, None])
     # rows ordered by (pair, distance, trial), keyed (pair, trial, distance)
     keys = np.indices((pairs_per_distance, grid.size, dithers_per_pair)).reshape(3, -1).T
@@ -437,7 +446,7 @@ def measure_decay(
 
     def task(j):
         states = dither_states[j * per_pair : (j + 1) * per_pair]
-        return _qrip_task(ops, mset, mode, cfg, grid, pair_states[j], states, q)
+        return _qrip_task(ops, mset, mode, cfg, grid, pair_states[j], states)
 
     results = _map_tasks(task, range(pairs_per_distance), _LAYOUT_COLS[layout] * sum(op.m for op in ops))
 
@@ -523,55 +532,43 @@ def fit_decay(runs) -> float:
 
 
 def check_product_concentration(
-    op: LinOp,
+    ops,
     mset: ModelSet,
     cfg: QuantConfig,
-    m_list,
     trials: int,
     seed: int = 0,
     distance: float | None = None,
 ) -> dict:
     """Spread of the bi-dither product estimate as m grows.
 
-    Rebuilds the operator family at every m in ``m_list`` (same input
-    dimension, derived seeds; rank-one probes keep their matrix shape and
-    kappa), fixes one pair at the given distance, and measures the
-    standard deviation of the product estimate over fresh dither
+    Measures each of ``ops``, at least two operators of one input
+    dimension and profile, on one pair at the given distance, and takes
+    the standard deviation of the product estimate over fresh dither
     matrices; passes when the log-log slope against m lies in
-    [-0.75, -0.25].  Each m is an independent task, keyed by (seed, m
-    index, trial); the tasks, largest m first, run on the sweeps' pool
-    (``_default_workers``) with 2 * sum of ``m_list`` dither entries per
-    trial.
+    [-0.75, -0.25].  The operators are ranked by m; each is an
+    independent task, keyed by (seed, rank, trial), and the tasks,
+    largest m first, run on the sweeps' pool (``_default_workers``) with
+    2 * sum of m dither entries per trial.
     """
-    m_list = sorted(_integer("m_list entry", m) for m in m_list)
-    if len(m_list) < 2:
-        raise ValueError("need at least two embedding dimensions")
+    ops = sorted(_sweep_ops(ops, mset), key=lambda op: op.m)
+    if len(ops) < 2:
+        raise ValueError("need at least two operators")
     if _ids("trials", trials) < 2:
         raise ValueError("need trials >= 2")
-    _check_dim(op.n, mset)
     if distance is None:
         distance = mset.radius
-    extra = {}
-    if op.family == "expander":
-        extra["degree"] = op.degree
-    if op.family == "gaussian" and op.rip_profile == (1.0, 2.0):
-        extra["rip"] = (1, 2)
+    m_list = [op.m for op in ops]
     pair_state = stream(seed, "prodconc:pair").bit_generator.state
-    keys = np.indices((len(m_list), trials)).reshape(2, -1).T
+    keys = np.indices((len(ops), trials)).reshape(2, -1).T
     dither_states = _stream_states(seed, "prodconc:dither", keys)
 
     def task(mi):
-        seed_m = op.seed + 1000 * mi
-        if op.family == "rop":
-            op_m = build_rop(m_list[mi], op.n1, op.n2, seed_m, op.kappa)
-        else:
-            op_m = build(op.family, m_list[mi], op.n, seed=seed_m, **extra)
         states = dither_states[mi * trials : (mi + 1) * trials]
-        ests, _ = _qrip_task([op_m], mset, "circ", cfg, [distance], pair_state, states, op.rip_profile[1])
+        ests, _ = _qrip_task([ops[mi]], mset, "circ", cfg, [distance], pair_state, states)
         return float(ests[0, 0].std(ddof=1))
 
     # largest m first, so one worker takes the largest while the others share the rest
-    sds = _map_tasks(task, reversed(range(len(m_list))), _LAYOUT_COLS["bidither"] * sum(m_list))[::-1]
+    sds = _map_tasks(task, reversed(range(len(ops))), _LAYOUT_COLS["bidither"] * sum(m_list))[::-1]
     slope = power_law_slope(m_list, sds)
     ratios = [sds[i + 1] / sds[i] for i in range(len(sds) - 1)]
     return {
@@ -681,7 +678,7 @@ def selftest(seed: int = 0, fast: bool = False) -> list[dict]:
 
     rng = stream(seed, "selftest:serialize")
     codes = rng.integers(-130, 40000, size=(64, 1))
-    blk = CodeBlock("single", 64, 0.5, codes, op_seed=7, dither_seed=9)
+    blk = CodeBlock(0.5, codes, op_seed=7, dither_seed=9)
     add("code-roundtrip", deserialize(serialize(blk)) == blk, "64x1 block, i16 width")
 
     return checks

@@ -238,10 +238,8 @@ def test_08_bidither_distortion_behavior():
     ratio = float(per_unit.max() / per_unit.min())
     assert ratio <= 4.0
 
-    rep = check_product_concentration(
-        op, sparse(4, 256, radius=2.0), cfg,
-        [128, 256, 512, 1024, 2048, 4096, 8192], trials=160, seed=9, distance=1.0,
-    )
+    ops = [build("gaussian", m, 256, seed=11 + 1000 * i) for i, m in enumerate([128, 256, 512, 1024, 2048, 4096, 8192])]
+    rep = check_product_concentration(ops, sparse(4, 256, radius=2.0), cfg, trials=160, seed=9, distance=1.0)
     assert -0.75 <= rep["slope"] <= -0.25
     _report(8, "bi-dither distortion", f"unbiased at all 5 distances; residual/s max/min={ratio:.2f} <= 4; stddev slope={rep['slope']:.3f}")
 
@@ -299,15 +297,15 @@ def test_12_serialization():
         cols = 1 if layout == "single" else 2
         span = int(rng.choice([2**6, 2**14, 2**28]))
         codes = rng.integers(-span, span, size=(m, cols))
-        block = CodeBlock(layout, m, float(rng.uniform(0.01, 4.0)), codes,
+        block = CodeBlock(float(rng.uniform(0.01, 4.0)), codes,
                           op_seed=int(rng.integers(0, 2**60)),
                           dither_seed=int(rng.integers(0, 2**60)))
         assert deserialize(serialize(block)) == block
     for lo, hi, width in [(-128, 127, 0), (-129, 127, 1), (-32768, 32767, 1), (32768, 32768, 2)]:
-        blk = CodeBlock("single", 2, 1.0, np.array([[lo], [hi]]))
+        blk = CodeBlock(1.0, np.array([[lo], [hi]]))
         assert serialize(blk)[6] == width
     with pytest.raises(ValueError):
-        serialize(CodeBlock("single", 1, 1.0, np.array([[2**31]])))
+        serialize(CodeBlock(1.0, np.array([[2**31]])))
     _report(12, "serialization", "100 roundtrips bit-exact; widths switch at the i8/i16/i32 boundaries")
 
 

@@ -614,7 +614,7 @@ _FUZZ_COMMANDS = {
     "codes": ["distance", "{path}", "{ref}", "--mode", "l1"],
 }
 _TEXTISH = st.text(alphabet="0123456789.e+- \t\n\r=#_abdfilmnqrstw:", max_size=40).map(str.encode)
-_REF_BLOCK = CodeBlock("single", 3, 1.0, np.array([[0], [5], [-2]]))
+_REF_BLOCK = CodeBlock(1.0, np.array([[0], [5], [-2]]))
 
 
 @st.composite
@@ -625,7 +625,7 @@ def _code_files(draw):
     cols = 1 if layout == "single" else 2
     codes = draw(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=m * cols, max_size=m * cols))
     delta = draw(st.sampled_from([1.0, 0.5]))
-    data = bytearray(serialize(CodeBlock(layout, m, delta, np.array(codes).reshape(m, cols))))
+    data = bytearray(serialize(CodeBlock(delta, np.array(codes).reshape(m, cols))))
     for pos, val in draw(st.lists(st.tuples(st.integers(0, len(data) - 1), st.integers(0, 255)), max_size=4)):
         data[pos] = val
     if draw(st.booleans()):
@@ -640,7 +640,7 @@ def _code_files(draw):
 @example(data=b"h=1\n", target="config")
 @example(data=b"1 nan\n", target="input")
 @example(data=serialize(_REF_BLOCK), target="codes")
-@example(data=serialize(CodeBlock("bidither", 3, 1.0, np.zeros((3, 2)))), target="codes")
+@example(data=serialize(CodeBlock(1.0, np.zeros((3, 2)))), target="codes")
 @example(data=serialize(_REF_BLOCK)[:HEADER_SIZE], target="codes")
 def test_arbitrary_file_bytes_exit_0_or_1(data, target):
     """Any bytes as the config, vector or code file: exit 0, or exit 1 with one line."""
@@ -746,7 +746,7 @@ class TestModuleEntryPoint:
         paths = []
         for name, code in (("a", 0), ("b", gap)):
             path = tmp_path / f"{name}.qemb"
-            path.write_bytes(serialize(CodeBlock("single", 4, 1e200, np.full((4, 1), code))))
+            path.write_bytes(serialize(CodeBlock(1e200, np.full((4, 1), code))))
             paths.append(str(path))
         proc = self._run("distance", *paths, "--mode", "l2sq")
         assert proc.returncode == 1

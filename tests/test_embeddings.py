@@ -153,7 +153,7 @@ class TestEmbedRop:
         assert np.allclose(block.values[:, 0], 0.5)
 
     def test_kappa_scales_argument(self):
-        op = RopOp(1, 1, 1, seed=12, kappa=2.0, probes_left=np.array([[1.0]]), probes_right=np.array([[1.0]]))
+        op = RopOp(np.array([[1.0]]), np.array([[1.0]]), seed=12, kappa=2.0)
         cfg = QuantConfig(1.0)
         block = embed_rop(op, np.array([[0.3]]), np.array([0.05]), cfg)
         assert block.codes[0, 0] == 0  # floor(2 * 0.3 + 0.05) = 0
@@ -229,7 +229,7 @@ class TestEmbedRop:
     def test_bracket_past_the_int64_edge_falls_back(self):
         # y = 2**63 - 1024 is the largest double below 2**63: its cell fits
         # int64, y + e does not, so the exact path quantizes y itself
-        op = RopOp(1, 1, 1, seed=0, kappa=1.0, probes_left=np.array([[1.0]]), probes_right=np.array([[1.0]]))
+        op = RopOp(np.array([[1.0]]), np.array([[1.0]]), seed=0, kappa=1.0)
         block = embed_rop(op, np.array([[2.0**63 - 1024]]), np.zeros(1), QuantConfig(1.0))
         assert block.codes.tolist() == [[2**63 - 1024]]
 
@@ -263,29 +263,29 @@ class TestEstimateDistance:
         assert estimate_distance(cb, cb, "circ") == 0.0
 
     def test_small_examples(self):
-        mk = lambda idx: CodeBlock("single", 2, 1.0, np.array(idx)[:, None])
+        mk = lambda idx: CodeBlock(1.0, np.array(idx)[:, None])
         a, b = mk([0, 1]), mk([1, 1])
         assert estimate_distance(a, b, "l1") == pytest.approx(0.5)
         assert estimate_distance(a, b, "l2sq") == pytest.approx(0.5)
-        ca = CodeBlock("bidither", 1, 1.0, np.array([[0, 1]]))
-        cb = CodeBlock("bidither", 1, 1.0, np.array([[1, 1]]))
+        ca = CodeBlock(1.0, np.array([[0, 1]]))
+        cb = CodeBlock(1.0, np.array([[1, 1]]))
         assert estimate_distance(ca, cb, "circ") == 0.0
 
     @pytest.mark.parametrize("mode,delta", [("l1", 1e308), ("l2sq", 1e200), ("circ", 1e200)])
     def test_estimate_that_overflows_float64_raises(self, mode, delta):
         # delta * delta overflows at 1e200: equal codes would give inf * 0 = nan
-        layout, cols = ("single", 1) if mode != "circ" else ("bidither", 2)
-        a = CodeBlock(layout, 2, delta, np.zeros((2, cols)))
+        cols = 2 if mode == "circ" else 1
+        a = CodeBlock(delta, np.zeros((2, cols)))
         for gap in [4] if mode == "l1" else [0, 4]:
-            b = CodeBlock(layout, 2, delta, np.full((2, cols), gap))
+            b = CodeBlock(delta, np.full((2, cols), gap))
             with pytest.raises(ValueError, match="overflows float64") as err:
                 estimate_distance(a, b, mode)
             assert "\n" not in str(err.value)
 
     def test_incomparable_blocks(self):
-        a = CodeBlock("single", 2, 1.0, np.zeros((2, 1), dtype=int))
-        b = CodeBlock("single", 3, 1.0, np.zeros((3, 1), dtype=int))
-        c = CodeBlock("single", 2, 0.5, np.zeros((2, 1), dtype=int))
+        a = CodeBlock(1.0, np.zeros((2, 1), dtype=int))
+        b = CodeBlock(1.0, np.zeros((3, 1), dtype=int))
+        c = CodeBlock(0.5, np.zeros((2, 1), dtype=int))
         with pytest.raises(ValueError):
             estimate_distance(a, b, "l1")
         with pytest.raises(ValueError):
@@ -293,7 +293,7 @@ class TestEstimateDistance:
 
     @pytest.mark.parametrize("entry", ["measure_qrip", "estimate_distance", "_estimate_from_codes", "_PairKernel"])
     def test_unknown_mode_message(self, entry):
-        block = CodeBlock("single", 2, 1.0, np.zeros((2, 1), dtype=int))
+        block = CodeBlock(1.0, np.zeros((2, 1), dtype=int))
         calls = {
             "measure_qrip": lambda: measure_qrip(
                 build("gaussian", 4, 4, seed=0), sparse(1, 4), "l3", QuantConfig(1.0), [0.5], 1, 1, seed=0
@@ -307,8 +307,8 @@ class TestEstimateDistance:
         assert str(err.value) == "unknown mode 'l3'; choose l1, l2sq or circ"
 
     def test_wrong_layout_for_mode(self):
-        single = CodeBlock("single", 2, 1.0, np.zeros((2, 1), dtype=int))
-        bid = CodeBlock("bidither", 2, 1.0, np.zeros((2, 2), dtype=int))
+        single = CodeBlock(1.0, np.zeros((2, 1), dtype=int))
+        bid = CodeBlock(1.0, np.zeros((2, 2), dtype=int))
         with pytest.raises(ValueError):
             estimate_distance(single, single, "circ")
         with pytest.raises(ValueError):
@@ -388,7 +388,7 @@ class TestSerialization:
             m = int(rng.integers(1, 50))
             cols = 1 if layout == "single" else 2
             codes = rng.integers(-(2**20), 2**20, size=(m, cols))
-            block = CodeBlock(layout, m, float(rng.uniform(0.1, 3.0)), codes,
+            block = CodeBlock(float(rng.uniform(0.1, 3.0)), codes,
                               op_seed=int(rng.integers(0, 2**30)),
                               dither_seed=int(rng.integers(0, 2**30)))
             assert deserialize(serialize(block)) == block
@@ -407,25 +407,58 @@ class TestSerialization:
         cols = 1 if layout == "single" else 2
         lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
         values = data.draw(st.lists(st.integers(lo, hi), min_size=m * cols, max_size=m * cols))
-        block = CodeBlock(layout, m, delta, np.array(values).reshape(m, cols),
+        block = CodeBlock(delta, np.array(values).reshape(m, cols),
                           op_seed=op_seed, dither_seed=dither_seed)
         back = deserialize(serialize(block))
         assert back == block
+        assert (back.m, back.layout) == (block.m, block.layout) == (m, layout)
         # seeds are stored as rng.stream reads them: folded into u64
         assert (back.op_seed, back.dither_seed) == (op_seed % 2**64, dither_seed % 2**64)
         assert serialize(back) == serialize(block)
 
     def test_empty_blocks_rejected(self):
-        for layout, cols in (("single", 1), ("bidither", 2)):
+        for cols in (1, 2):
             with pytest.raises(ValueError, match="m >= 1"):
-                CodeBlock(layout, 0, 1.0, np.zeros((0, cols), dtype=np.int64))
-        header = bytearray(serialize(CodeBlock("single", 1, 1.0, np.zeros((1, 1), dtype=np.int64)))[:HEADER_SIZE])
+                CodeBlock(1.0, np.zeros((0, cols), dtype=np.int64))
+        header = bytearray(serialize(CodeBlock(1.0, np.zeros((1, 1), dtype=np.int64)))[:HEADER_SIZE])
         header[8:16] = (0).to_bytes(8, "little")
         with pytest.raises(ValueError, match="m >= 1"):
             deserialize(bytes(header))
 
+    @pytest.mark.parametrize("codes", [
+        np.array([[1.5]]),
+        np.array([[math.nan]]),
+        np.array([[1e300]]),
+        np.array([[-math.inf]]),
+        np.array([[2**63]], dtype=np.uint64),
+        np.array([[2**70]], dtype=object),
+        np.array([[0.5]], dtype=object),
+        np.array([["1"]]),
+    ], ids=["half", "nan", "1e300", "-inf", "uint64-2**63", "object-2**70", "object-float", "text"])
+    def test_non_integer_codes_rejected(self, codes):
+        # 1.5 became 1; NaN, 1e300 and uint64 2**63 became -2**63; 2**70 raised OverflowError
+        with pytest.raises(ValueError, match="^codes must be integers") as info:
+            CodeBlock(1.0, codes)
+        assert "\n" not in str(info.value)
+
+    def test_integer_valued_codes_of_any_dtype_pass(self):
+        want = np.array([[-(2**63)], [0], [2**63 - 1]])
+        for codes in (want.astype(object), want[:2].astype(np.float64), np.array([[2**63 - 1]], dtype=np.uint64), [[True]]):
+            got = CodeBlock(1.0, codes).codes
+            assert got.dtype == np.int64 and np.array_equal(got, np.asarray(codes, dtype=object))
+        # an int64 array is taken as it is
+        assert CodeBlock(1.0, want).codes is want
+
+    @pytest.mark.parametrize("seed", [1.5, "x", None])
+    def test_non_integer_seeds_rejected(self, seed):
+        # op_seed=1.5 was accepted and made serialize raise struct.error; "x" raised a TypeError
+        for name in ("op_seed", "dither_seed"):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got ") as info:
+                CodeBlock(1.0, np.zeros((2, 1), dtype=np.int64), **{name: seed})
+            assert "\n" not in str(info.value)
+
     def test_header_is_40_bytes(self):
-        block = CodeBlock("single", 2, 1.0, np.array([[0], [1]]))
+        block = CodeBlock(1.0, np.array([[0], [1]]))
         data = serialize(block)
         assert len(data) == HEADER_SIZE + 2  # i8 payload
         assert data[:4] == b"QEMB"
@@ -444,16 +477,16 @@ class TestSerialization:
         ],
     )
     def test_width_selection(self, lo, hi, width):
-        block = CodeBlock("single", 2, 1.0, np.array([[lo], [hi]]))
+        block = CodeBlock(1.0, np.array([[lo], [hi]]))
         assert serialize(block)[6] == width
 
     def test_width_overflow(self):
-        block = CodeBlock("single", 1, 1.0, np.array([[2**31]]))
+        block = CodeBlock(1.0, np.array([[2**31]]))
         with pytest.raises(ValueError):
             serialize(block)
 
     def test_bad_streams(self):
-        block = CodeBlock("single", 4, 1.0, np.arange(4)[:, None])
+        block = CodeBlock(1.0, np.arange(4)[:, None])
         good = serialize(block)
         with pytest.raises(ValueError):
             deserialize(b"XEMB" + good[4:])  # bad magic

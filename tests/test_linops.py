@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qembed import QuantConfig, build, build_rop, cli, embed_rop, linops
@@ -95,6 +95,8 @@ class TestBuildAndMatvec:
         (lambda: build_rop(4.5, 2, 2, seed=1), "m"),
         (lambda: build_rop(4, 2, 2.0, seed=1), "n2"),
         (lambda: linops.GaussianOp(8, 4.5, 1, mu=1.0, rip_profile=(2, 2)), "n"),
+        (lambda: build("gaussian", 4, 4, seed=1.7), "seed"),
+        (lambda: build_rop(4, 2, 2, seed=0.5), "seed"),
     ])
     def test_non_integer_dimension_rejected(self, make, name):
         # build("gaussian", 8.7, ...) had m = 8, degree=2.5 had d = 2, build_rop(4.5, ...) raised a TypeError
@@ -531,8 +533,32 @@ class TestRankOneProbes:
 
     @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
     def test_bad_kappa_rejected(self, kappa):
-        with pytest.raises(ValueError, match="kappa") as info:
-            build_rop(4, 2, 2, seed=0, kappa=kappa)
+        # RopOp(..., kappa=0) raised ZeroDivisionError
+        for make in (lambda: build_rop(4, 2, 2, seed=0, kappa=kappa), lambda: RopOp(np.ones((4, 2)), np.ones((4, 2)), 0, kappa)):
+            with pytest.raises(ValueError, match="kappa") as info:
+                make()
+            assert "\n" not in str(info.value)
+
+    @settings(max_examples=50, deadline=None)
+    @given(m=st.integers(1, 8), n1=st.integers(1, 6), n2=st.integers(1, 6), seed=st.integers(0, 2**32))
+    def test_sizes_are_read_off_the_probes(self, m, n1, n2, seed):
+        # given m = 2 with 3-row probes, matvec returned 3 values and dense()
+        # failed; given n1 = 2 with 1-column probes, einsum broadcast the input
+        gen = stream(seed, "test:rop-shapes")
+        op = RopOp(gen.standard_normal((m, n1)), gen.standard_normal((m, n2)), seed, 1.5)
+        assert (op.m, op.n1, op.n2, op.n) == (m, n1, n2, n1 * n2)
+        assert not (op.probes_left.flags.writeable or op.probes_right.flags.writeable)
+        assert op.matvec(gen.standard_normal(n1 * n2)).shape == (m,)
+        assert op.dense().shape == (m, n1 * n2)
+        with pytest.raises(ValueError):
+            op.matvec(np.ones(n1 * n2 + 1))
+
+    @settings(max_examples=50, deadline=None)
+    @given(left=st.lists(st.integers(1, 4), max_size=3), right=st.lists(st.integers(1, 4), max_size=3))
+    def test_probes_of_other_shapes_raise(self, left, right):
+        assume(not (len(left) == len(right) == 2 and left[0] == right[0]))
+        with pytest.raises(ValueError, match="^probes ") as info:
+            RopOp(np.ones(left), np.ones(right), 0, 1.0)
         assert "\n" not in str(info.value)
 
     def test_shape_mismatch(self):
@@ -575,7 +601,7 @@ class TestBoundedMatvec:
         # within the bound of the einsum value wherever the bound is finite
         gen = stream(seed, "test:rop-bound")
         a = gen.standard_normal((m, n1)) * 10.0**log_probe
-        op = RopOp(m, n1, n2, seed, 10.0**log_kappa, a, gen.standard_normal((m, n2)))
+        op = RopOp(a, gen.standard_normal((m, n2)), seed, 10.0**log_kappa)
         x = gen.standard_normal(n1 * n2) * 10.0**log_scale
         y, err = op._matvec_bounded(x)
         exact = op.matvec(x)

@@ -103,6 +103,11 @@ class TestSampleDither:
         with pytest.raises(ValueError):
             sample_dither(0, QuantConfig(1.0), stream(0, "d"))
 
+    def test_float_length_rejected(self):
+        # a length of 2.5 returned 2 dithers
+        with pytest.raises(ValueError, match=r"^dither length must be an integer, got 2\.5$"):
+            sample_dither(2.5, QuantConfig(1.0), stream(0, "t"))
+
 
 class TestSoftDistance:
     def test_no_threshold_between(self):

@@ -77,3 +77,19 @@ def test_rejects_indices_outside_one_word(indices):
     with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)") as info:
         _stream_states(0, "a", indices)
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: stream(1.5, "t"),
+        lambda: stream(0, "t", 2.5),
+        lambda: _stream_states(1.5, "t", [[0]]),
+    ],
+    ids=["stream-seed", "stream-index", "batched-seed"],
+)
+def test_rejects_non_integer_seed_or_index(make):
+    # int() truncated them: stream(1.5, "t") drew what stream(1, "t") draws
+    with pytest.raises(ValueError, match=r"^(seed|index) must be an integer, got ") as info:
+        make()
+    assert "\n" not in str(info.value)

@@ -508,47 +508,55 @@ class TestFitDecay:
         assert -0.75 <= fit_decay(runs) <= -0.25
 
 
+def _gaussians(ms, n: int, seed: int) -> list[LinOp]:
+    """Gaussian operators at ascending ``ms``, the one of rank i seeded seed + 1000 * i."""
+    return [build("gaussian", m, n, seed=seed + 1000 * i) for i, m in enumerate(ms)]
+
+
 class TestProductConcentration:
-    @pytest.mark.parametrize("m_list,trials,match", [
-        ([16, 32], 2.5, "^trials must be an integer"),
-        ([16.5, 32], 2, "^m_list entry must be an integer"),
-        ([16, 32], 99_999_999_999, r"^trials must be at most 2\*\*32 "),
+    @pytest.mark.parametrize("trials,match", [
+        (2.5, "^trials must be an integer"),
+        (99_999_999_999, r"^trials must be at most 2\*\*32 "),
     ])
-    def test_bad_count_rejected(self, m_list, trials, match):
-        op = build("gaussian", 16, 8, seed=15)
+    def test_bad_count_rejected(self, trials, match):
         with pytest.raises(ValueError, match=match):
-            check_product_concentration(op, sparse(2, 8), QuantConfig(1.0), m_list, trials=trials)
+            check_product_concentration(_gaussians([16, 32], 8, 15), sparse(2, 8), QuantConfig(1.0), trials=trials)
+
+    @pytest.mark.parametrize("ops,match", [
+        ([], "^a sweep needs at least one operator$"),
+        (_gaussians([16], 8, 15), "^need at least two operators$"),
+        ([build("gaussian", 16, 8, seed=15), build("gaussian", 32, 8, seed=15, rip=(1, 2))], r"^operators of one sweep need one \(n, rip_profile\)"),
+        ([build("gaussian", 16, 8, seed=15), build("gaussian", 32, 4, seed=15)], r"^operators of one sweep need one \(n, rip_profile\)"),
+    ], ids=["none", "one", "two-profiles", "two-dimensions"])
+    def test_operator_list_rejected(self, ops, match):
+        with pytest.raises(ValueError, match=match):
+            check_product_concentration(ops, sparse(2, 8), QuantConfig(1.0), trials=2)
 
     def test_model_dimension_must_match(self):
-        op = build("gaussian", 16, 8, seed=15)
         with pytest.raises(ValueError, match="model dimension 64 does not match .* n = 8"):
-            check_product_concentration(op, sparse(4, 64), QuantConfig(1.0), [16, 32], trials=2)
+            check_product_concentration(_gaussians([16, 32], 8, 15), sparse(4, 64), QuantConfig(1.0), trials=2)
 
     def test_estimate_that_overflows_raises(self):
         # delta**2 times the squared code gaps overflows float64 at every m
-        op = build("gaussian", 16, 8, seed=15)
         with pytest.raises(ValueError, match=r"grid distance 1e\+154: .* overflows float64") as err:
             check_product_concentration(
-                op, sparse(2, 8, radius=1e154), QuantConfig(1e150), [16, 32], trials=2, distance=1e154
+                _gaussians([16, 32], 8, 15), sparse(2, 8, radius=1e154), QuantConfig(1e150), trials=2, distance=1e154
             )
         assert "\n" not in str(err.value)
 
     def test_slope_and_ratios(self):
-        op = build("gaussian", 128, 64, seed=15)
         rep = check_product_concentration(
-            op, sparse(4, 64, radius=2.0), QuantConfig(1.0),
-            [128, 256, 512, 1024, 2048, 4096, 8192], trials=160, seed=16, distance=1.0,
+            _gaussians([128, 256, 512, 1024, 2048, 4096, 8192], 64, 15), sparse(4, 64, radius=2.0), QuantConfig(1.0),
+            trials=160, seed=16, distance=1.0,
         )
         assert rep["passed"]
         assert all(0.55 <= r <= 0.9 for r in rep["doubling_ratios"])
 
     def test_pinned_stddevs(self):
-        # acceptance test 08's call, pinned bit for bit; the check rebuilds
-        # the family at every m, so the passed operator's own m is unused
-        op = build("gaussian", 128, 256, seed=11)
+        # acceptance test 08's call, pinned bit for bit
         rep = check_product_concentration(
-            op, sparse(4, 256, radius=2.0), QuantConfig(1.0),
-            [128, 256, 512, 1024, 2048, 4096, 8192], trials=160, seed=9, distance=1.0,
+            _gaussians([128, 256, 512, 1024, 2048, 4096, 8192], 256, 11), sparse(4, 256, radius=2.0), QuantConfig(1.0),
+            trials=160, seed=9, distance=1.0,
         )
         assert rep["stddevs"] == [
             0.054163453883917155, 0.038074675680356204, 0.02565823011485338, 0.017990256320068985,
@@ -557,26 +565,27 @@ class TestProductConcentration:
 
     def test_pool_does_not_change_results(self, monkeypatch):
         # the per-m tasks follow the sweeps' rule: 2 * (1024 + 2048 + 4096)
-        # dither entries reach the threshold, so 2 cores run 2 workers
-        op = build("gaussian", 128, 64, seed=15)
+        # dither entries reach the threshold, so 2 cores run 2 workers;
+        # the operators are ranked by m whatever order they come in
+        small, mid, large = _gaussians([1024, 2048, 4096], 64, 15)
         pools = _pool_sizes(monkeypatch)
         reps = []
         for cores in (1, 2):
             _patch_cores(monkeypatch, cores)
             reps.append(check_product_concentration(
-                op, sparse(4, 64, radius=2.0), QuantConfig(1.0), [4096, 1024, 2048], trials=20, seed=16, distance=1.0,
+                [large, small, mid], sparse(4, 64, radius=2.0), QuantConfig(1.0), trials=20, seed=16, distance=1.0,
             ))
         assert pools == [2]
         assert reps[0] == reps[1]
         assert reps[0]["m_list"] == [1024, 2048, 4096]
 
     def test_rank_one_probes_rebuilt_with_shape_and_kappa(self):
-        # the check rebuilds rank-one probes at every m with the passed
-        # operator's matrix shape and kappa
+        # rank-one probes of one matrix shape at every m; kappa scales the
+        # argument fed to the quantizer, so it changes the spread
         reps = [
             check_product_concentration(
-                build_rop(64, 4, 4, seed=1, kappa=kappa), low_rank(1, 4, 4), QuantConfig(1.0),
-                [64, 128, 256, 512, 1024], trials=80, seed=3, distance=1.0,
+                [build_rop(m, 4, 4, seed=1 + 1000 * i, kappa=kappa) for i, m in enumerate([64, 128, 256, 512, 1024])],
+                low_rank(1, 4, 4), QuantConfig(1.0), trials=80, seed=3, distance=1.0,
             )
             for kappa in (1.0, 1.0, 2.0)
         ]
