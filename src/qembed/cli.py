@@ -349,8 +349,8 @@ def _sweep_config(args) -> tuple:
 
 def _decay_ops(args, m_list) -> list[LinOp]:
     """The operators of a decay sweep over ascending ``m_list``: the
-    largest m is built and every smaller m is its leading rows where it
-    has them to share (a cached dense family), else built."""
+    largest m is built and every smaller m is its leading rows where
+    those draw nothing (a dense family), else built."""
     top = _build_op(args, m_list[-1])
     return [top._leading_rows(m) or _build_op(args, m) for m in m_list[:-1]] + [top]
 

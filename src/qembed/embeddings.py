@@ -33,7 +33,7 @@ import numpy as np
 
 from .linops import LinOp, RopOp
 from .quantizer import _COLS_LAYOUT, _LAYOUT_COLS, QuantConfig, _cell_gap, _mode, quantize_with_dither
-from .rng import _fold
+from .rng import _fold, _real
 
 __all__ = [
     "CodeBlock",
@@ -100,8 +100,9 @@ class CodeBlock:
             raise ValueError(f"code blocks need m >= 1, got m = {codes.shape[0]}")
         if codes.dtype != np.int64:
             codes = _int64_codes(codes)
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        delta = _real("delta", self.delta, positive=True)
+        if delta is not self.delta:  # deserialize passes a float: no write
+            object.__setattr__(self, "delta", delta)
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
         # deserialize builds a block per query; in-range int seeds skip the fold

@@ -18,29 +18,39 @@ on the code that ``matvec`` runs.
 bit the stacked ``matvec`` of each; only the dense families override the
 stacked default.
 
-Operators are immutable after build and matvec is reentrant.  The dense
-families draw their rows straight into one buffer, so a build holds one
-copy of the matrix, and a cached build hands out its first m rows as the
-operator at m over the same buffer (``_leading_rows``), bit for bit a
-build at m: a ``decay`` sweep builds only its largest m of those
-families.  Their product has one definition (``_blocked_product``): one
-GEMV per 64-row block of the build, the last block taking the 0..63-row
-remainder, with every input run against a block while it is in cache.
-At one OpenBLAS thread each row has the bits of one GEMV over all m
-rows, and at two the same bits.  An operator at m whose blocks are
-blocks of its parent's reads the parent's product rows in a sweep
-(``_prefix_of``): where m is a multiple of 64 and ends before the
-parent's last block, or is the parent's m.
+Operators are immutable after build and matvec is reentrant.  A dense
+family draws nothing when it is built.  Its row block b (64 rows) is
+drawn from a stream keyed by b, so any set of rows can be drawn on its
+own, and the operator at m (``_leading_rows``) is the first m rows of
+any larger one: a ``decay`` sweep builds only its largest m of those
+families.  ``matvec`` and ``dense`` keep the matrix in a cache, in one
+anonymous mapping, built on first use where m * n fits
+``_DENSE_CACHE_MAX``.  ``matvecs`` on an operator without a cache
+streams the rows instead: slabs of whole blocks, split over the usable
+cores, each thread drawing into one reused slab, so a sweep holds no
+matrix.  The product has one definition (``_blocked_product``): one
+GEMV per 64-row block, the last block taking the 0..63-row remainder,
+with every input run against a block while it is in cache.  A streamed
+product's last slab holds that whole last block, so the streamed and
+the cached product agree bit for bit.  At one OpenBLAS thread each row
+has the bits of one GEMV over all m rows, and at two the same bits.  An
+operator at m whose blocks are blocks of its parent's reads the
+parent's product rows in a sweep (``_prefix_of``): where m is a
+multiple of 64 and ends before the parent's last block, or is the
+parent's m.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .rng import _integer, _stream_states, stream
+from .rng import _integer, _real, _stream_states, stream
 
 __all__ = [
     "LinOp",
@@ -65,6 +75,10 @@ FAMILIES = (
 _DENSE_CACHE_MAX = 1 << 24
 # rows of a dense build's keyed row block, and of its product's block
 _BLOCK_ROWS = 64
+# float64 entries of a streamed product's slab (2 MiB), rounded down to
+# whole blocks and at least one: each thread draws a slab, runs every
+# input against it and reuses its buffer for the next
+_SLAB_ENTRIES = 2**18
 # float64 entries of a dense product's block-major scratch (64 KiB)
 _PRODUCT_SCRATCH = 2**13
 
@@ -80,6 +94,19 @@ def _row_buffer(rows: int, n: int) -> np.ndarray:
     """
     buf = mmap.mmap(-1, max(rows * n * 8, 8))  # a mapping cannot be empty
     return np.frombuffer(buf, dtype=float, count=rows * n).reshape(rows, n)
+
+
+def _usable_cores() -> int:
+    """The process's CPU affinity set where the platform reports it,
+    else ``os.cpu_count()``: the thread count of a streamed product and
+    of a sweep's pool."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+def _last_block(m: int) -> int:
+    """The first row of ``_blocked_product``'s last block over m rows."""
+    return _BLOCK_ROWS * max(0, (m - _BLOCK_ROWS) // _BLOCK_ROWS)
 
 
 def _blocked_product(rows: np.ndarray, xs: np.ndarray, out: np.ndarray) -> None:
@@ -98,10 +125,9 @@ def _blocked_product(rows: np.ndarray, xs: np.ndarray, out: np.ndarray) -> None:
     """
     m, n = rows.shape
     k = xs.shape[0]
-    full = m // _BLOCK_ROWS
-    if m % _BLOCK_ROWS and full:
-        full -= 1  # the last block takes the remainder
-    head = full * _BLOCK_ROWS
+    # full blocks, up to the last one where that takes a remainder
+    head = m if m % _BLOCK_ROWS == 0 else _last_block(m)
+    full = head // _BLOCK_ROWS
     if head:
         blocks = rows[:head].reshape(full, 1, _BLOCK_ROWS, n)
         vecs = xs[None, :, :, None]
@@ -227,9 +253,10 @@ class LinOp:
         return self.matvec(x), None
 
     def _leading_rows(self, m: int) -> LinOp | None:
-        """The operator of this one's first ``m`` rows sharing its storage,
-        or None where there is none to share; ``_DenseIIDOp`` overrides
-        it.  A decay sweep builds its largest m and asks for the others."""
+        """The operator of this one's first ``m`` rows, drawing nothing,
+        or None where a build at m draws other rows; ``_DenseIIDOp``
+        overrides it.  A decay sweep builds its largest m and asks for
+        the others."""
         return None
 
     def dense(self) -> np.ndarray:
@@ -255,14 +282,18 @@ class _DenseIIDOp(LinOp):
 
     The 64-row block starting at row b is drawn from the stream keyed
     by (seed, family-label, b), so matvec and dense materialization
-    agree without ever storing the matrix unless it fits the cache
-    budget.  Each block is filled in place (``_fill_row_block``) into a
-    view of one ``_row_buffer``, so building the cache, or one streamed
-    slice, holds one copy of it.  One ``_rows`` call derives its block
-    states in one batched pass (``rng._stream_states``) and draws them
-    through a generator of its own, so matvec stays reentrant.  The
-    block keys do not depend on m, so the first m rows of a cache are
-    the operator at m (``_leading_rows``).
+    agree without ever storing the matrix.  Building one draws nothing.
+    ``matvec`` and ``dense`` build the read-only cache on their first
+    call where m * n fits ``_DENSE_CACHE_MAX`` (one thread builds it
+    while others wait), so repeated encodes read it.  ``matvecs`` on an
+    operator without a cache streams the rows (``_streamed_product``);
+    a sweep calls only ``matvecs``, so it never holds the matrix.  Each
+    block is filled in place (``_fill_row_block``) into a view of one
+    ``_row_buffer``; one ``_fill_rows`` call derives its block states in
+    one batched pass (``rng._stream_states``) and draws them through the
+    caller's generator, so matvec stays reentrant.  The block keys do
+    not depend on m, so the first m rows are the operator at m
+    (``_leading_rows``).
     """
 
     _row_label = "rows"
@@ -270,26 +301,14 @@ class _DenseIIDOp(LinOp):
     def __init__(self, m, n, seed, mu, rip_profile):
         super().__init__(m, n, seed, mu, rip_profile)
         self._cache: np.ndarray | None = None
-        if self.m * self.n <= _DENSE_CACHE_MAX:
-            self._cache = self._rows(0, self.m)
-            self._cache.setflags(write=False)
+        self._cache_lock = threading.Lock()
 
-    def _leading_rows(self, m: int) -> _DenseIIDOp | None:
-        """The same family at m rows over a read-only view of the first m
-        rows of the cache, or None for an uncached operator.
-
-        Row block b is keyed by b alone, so a build at m holds exactly
-        these rows; the view is C-contiguous and starts where a fresh
-        cache would (a mapping of its own, page-aligned), so ``matvec``
-        hands BLAS the same bytes, strides and shape.
-        """
-        if self._cache is None:
-            return None
+    def _leading_rows(self, m: int) -> _DenseIIDOp:
+        """The same family at m rows, a build at m, marked ``_prefix_of``
+        this one where its product blocks are blocks of this one's."""
         if not 1 <= m <= self.m:
             raise ValueError(f"leading rows need 1 <= m <= {self.m}, got m={m}")
-        op = object.__new__(type(self))
-        LinOp.__init__(op, m, self.n, self.seed, self.mu, self.rip_profile)
-        op._cache = self._cache[:m]
+        op = type(self)(m, self.n, self.seed, self.mu, self.rip_profile)
         blk = _BLOCK_ROWS
         if m == self.m or (m % blk == 0 and m <= blk * (self.m // blk - 1)):
             op._prefix_of = self
@@ -298,45 +317,91 @@ class _DenseIIDOp(LinOp):
     def _fill_row_block(self, rng: np.random.Generator, out: np.ndarray) -> None:
         raise NotImplementedError
 
+    def _fill_rows(self, gen: np.random.Generator, first: int, out: np.ndarray) -> None:
+        """Draw rows ``first`` .. ``first + len(out)`` into ``out``;
+        ``first`` starts a block, and the rows end at a block's end or at m."""
+        starts = np.arange(first, first + out.shape[0], _BLOCK_ROWS)
+        states = _stream_states(self.seed, f"{self.family}:{self._row_label}", starts[:, None])
+        for b0, state in zip(starts.tolist(), states):
+            gen.bit_generator.state = state
+            self._fill_row_block(gen, out[b0 - first : b0 - first + _BLOCK_ROWS])
+
     def _rows(self, start: int, stop: int) -> np.ndarray:
-        # one keyed stream per 64-row block keeps construction cheap and
-        # the layout reproducible for any (start, stop) slicing.  The
-        # blocks are drawn on one thread.  numpy 2.4.6's Generator
-        # releases the GIL while it fills, and a 2-thread build of the
-        # 32768 x 256 gaussian (bit for bit the same matrix) ran 82-274
-        # ms against 146-248 ms serial on a shared 2-core machine: the
-        # gain depends on the second core being free, so a threaded
-        # build needs alternating benchmark pairs before it lands
+        # one keyed stream per 64-row block keeps the layout reproducible
+        # for any (start, stop) slicing.  These rows are drawn on one
+        # thread: they are a cache or a test's slice, and a sweep's
+        # streamed product (``_streamed_product``) draws its slabs on
+        # every usable core
         blk = _BLOCK_ROWS
         first = (start // blk) * blk
         last = min(self.m, -(-stop // blk) * blk)
         full = _row_buffer(last - first, self.n)
-        starts = np.arange(first, last, blk)
-        states = _stream_states(self.seed, f"{self.family}:{self._row_label}", starts[:, None])
-        gen = np.random.default_rng(0)
-        for b0, state in zip(starts.tolist(), states):
-            gen.bit_generator.state = state
-            self._fill_row_block(gen, full[b0 - first : min(b0 + blk, last) - first])
+        self._fill_rows(np.random.default_rng(0), first, full)
         return full[start - first : stop - first]
 
+    def _cached(self) -> np.ndarray | None:
+        """The cache, built on the first call where m * n fits
+        ``_DENSE_CACHE_MAX``; None above the ceiling."""
+        if self._cache is None and self.m * self.n <= _DENSE_CACHE_MAX:
+            with self._cache_lock:
+                if self._cache is None:
+                    rows = self._rows(0, self.m)
+                    rows.setflags(write=False)
+                    self._cache = rows
+        return self._cache
+
     def _matvec(self, x: np.ndarray) -> np.ndarray:
+        self._cached()
         return self._matvecs(x[None])[0]
 
     def _matvecs(self, xs: np.ndarray) -> np.ndarray:
         out = np.empty((xs.shape[0], self.m))
         if self._cache is not None:
             _blocked_product(self._cache, xs, out)
-            return out
-        step = max(1, _DENSE_CACHE_MAX // self.n)
-        for r0 in range(0, self.m, step):
-            r1 = min(r0 + step, self.m)
-            _blocked_product(self._rows(r0, r1), xs, out[:, r0:r1])
+        else:
+            self._streamed_product(xs, out)
         return out
 
+    def _streamed_product(self, xs: np.ndarray, out: np.ndarray) -> None:
+        """``_blocked_product`` of the rows without holding them.
+
+        The rows go in slabs of ``_SLAB_ENTRIES`` (whole 64-row blocks,
+        at least one), slab i to thread i mod t of the t usable cores
+        (``_usable_cores``, capped at the slab count).  Each thread
+        keeps one generator and one ``_row_buffer`` as long as its
+        longest slab, so its pages are faulted once.  The last slab
+        starts at or before the product's last block (``_last_block``)
+        and runs to m, so that block, 64 rows plus the remainder, goes
+        through one call as it does over the whole matrix; every other
+        block is a full one, and keyed, so the bits depend on neither
+        the slabs nor the threads.  The threads run under the caller's
+        floating-point error state.
+        """
+        m, n = self.m, self.n
+        step = max(1, _SLAB_ENTRIES // (_BLOCK_ROWS * n)) * _BLOCK_ROWS
+        starts = list(range(0, _last_block(m) + 1, step))
+        slabs = list(zip(starts, starts[1:] + [m]))
+        threads = min(_usable_cores(), len(slabs))
+        err = np.geterr()
+
+        def run(part):
+            with np.errstate(**err):
+                gen = np.random.default_rng(0)
+                buf = _row_buffer(max(b - a for a, b in part), n)
+                for a, b in part:
+                    rows = buf[: b - a]
+                    self._fill_rows(gen, a, rows)
+                    _blocked_product(rows, xs, out[:, a:b])
+
+        if threads < 2:
+            run(slabs)
+            return
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, [slabs[i::threads] for i in range(threads)]))
+
     def _dense(self) -> np.ndarray:
-        if self._cache is not None:
-            return self._cache
-        return self._rows(0, self.m)
+        cache = self._cached()
+        return cache if cache is not None else self._rows(0, self.m)
 
 
 class GaussianOp(_DenseIIDOp):
@@ -543,9 +608,7 @@ class RopOp(LinOp):
             raise ValueError(f"probes must be 2-D arrays, got shapes {a.shape} and {b.shape}")
         if a.shape[0] != b.shape[0]:
             raise ValueError(f"probes need one row count, got {a.shape[0]} and {b.shape[0]} rows")
-        kappa = float(kappa)
-        if not (math.isfinite(kappa) and kappa > 0):
-            raise ValueError(f"kappa must be positive and finite, got {kappa}")
+        kappa = _real("kappa", kappa, positive=True)
         (m, n1), n2 = a.shape, b.shape[1]
         super().__init__(m, n1 * n2, seed, mu=1.0 / kappa, rip_profile=(2.0, 2.0))
         self.n1, self.n2, self.kappa = n1, n2, kappa

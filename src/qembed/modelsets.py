@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .rng import _integer
+from .rng import _integer, _real
 
 __all__ = [
     "ModelSet",
@@ -70,8 +70,7 @@ class ModelSet:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        object.__setattr__(self, "radius", _real("radius", self.radius, positive=True))
         if _integer("pieces", self.pieces) < 1:
             raise ValueError(f"pieces must be >= 1, got {self.pieces}")
 
@@ -143,7 +142,7 @@ def finite_cloud(points: np.ndarray, radius: float | None = None) -> ModelSet:
     if not np.isfinite(pts).all():
         raise ValueError("finite_cloud points have non-finite entries")
     pts.setflags(write=False)
-    r = float(np.max(np.linalg.norm(pts, axis=1))) if radius is None else radius
+    r = float(np.max(np.linalg.norm(pts, axis=1))) if radius is None else _real("radius", radius)
     r = max(r, np.finfo(float).tiny)
     return ModelSet("finite_cloud", {"points": pts}, int(pts.shape[1]), r)
 

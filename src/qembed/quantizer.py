@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _integer
+from .rng import _integer, _real
 
 __all__ = [
     "QuantConfig",
@@ -81,8 +81,7 @@ class QuantConfig:
     delta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        object.__setattr__(self, "delta", _real("delta", self.delta, positive=True))
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,7 @@ class SoftParam:
     t: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.t):
-            raise ValueError(f"t must be finite, got {self.t}")
+        object.__setattr__(self, "t", _real("t", self.t))
 
 
 def quantize(value: float, cfg: QuantConfig) -> tuple[int, float]:

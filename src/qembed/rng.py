@@ -20,6 +20,8 @@ bytes per key and builds the state dicts on access.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 import zlib
 from collections.abc import Sequence
@@ -49,6 +51,25 @@ def _integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite Python float, above 0 where ``positive``
+    (numpy reals and integers pass); anything else, text, None, bool and
+    arrays included, raises a one-line ValueError naming ``name``.  Real
+    parameters go through it rather than ``float``, which would parse
+    "1.5", unwrap a one-element array and raise a TypeError on None."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            got = " ".join(repr(value).split())  # an array's repr spans lines
+            raise ValueError(f"{name} must be a real number, got {got}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, got an integer beyond float64") from None
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise ValueError(f"{name} must be {'positive and finite' if positive else 'finite'}, got {value}")
+    return value
 
 
 def _fold(name: str, value) -> int:

@@ -27,22 +27,23 @@ dimension and profile, such as a ``decay``'s embedding dimensions, and
 by (seed, pair id, ...) and not by the operator, so the sweep samples
 each pair once per distance and draws each trial's dithers once, at the
 largest m M: the operator at m reads the first cols * m of the trial's
-cols * M values, bit for bit the values it would draw alone.  A pair
-id's task samples its pair at every distance first, then measures all
-2 * |grid| vectors with one ``LinOp.matvecs`` call per operator, which
-for a dense family runs every vector against a 64-row block of the
-matrix while the block is in cache.  An operator that
+cols * M values, bit for bit the values it would draw alone.  Before
+its pool starts, the sweep samples every (pair, distance) input and
+measures all of them with one ``LinOp.matvecs`` call per operator
+(``_measure``): a dense family without a cache streams its rows once,
+in slabs on every usable core, and holds no matrix.  An operator that
 ``_leading_rows`` marks as a prefix (``LinOp._prefix_of``), one whose
 product blocks are blocks of the larger operator's, reads that
-operator's leading output rows: the same BLAS calls on the same rows,
-so the same bits.  Every other operator computes its own.
+operator's leading output columns: the same BLAS calls on the same
+rows, so the same bits.  Every other operator computes its own.
 
 Every sweep, ``measure_decay`` and ``check_product_concentration``
 alike, measures the operators it is given, which ``_sweep_ops`` checks
-share one input dimension and profile.  It runs its pairs through
-``_qrip_task``, and every trial runs in ``embeddings._PairKernel``, the
-single quantize-and-estimate kernel, whose docstring describes its
-threshold compares and guards.
+share one input dimension and profile.  Its pool then runs
+``_qrip_task`` on each pair's (or each operator's) measurement rows,
+and every trial runs in ``embeddings._PairKernel``, the single
+quantize-and-estimate kernel, whose docstring describes its threshold
+compares and guards.
 
 The keyed streams of a sweep come from one batched pass each
 (``rng._stream_states``): all (pair, trial, distance) dither states and
@@ -69,14 +70,13 @@ on the thread pool that ``_default_workers`` sizes.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import _PairKernel, quantize_with_dither
-from .linops import LinOp
+from .linops import LinOp, _usable_cores
 from .modelsets import ModelSet, sample_pair
 from .quantizer import _LAYOUT_COLS, QuantConfig, _cell_gap, _mode, _threshold_count, premetric, sample_dither
 from .rng import _integer, _stream_states, stream
@@ -304,41 +304,55 @@ def _sweep_ops(ops, mset: ModelSet) -> list[LinOp]:
     return ops
 
 
-def _qrip_task(ops, mset, mode, cfg, grid, pair_state, dither_states):
+def _measure(ops, xs: np.ndarray) -> list[np.ndarray]:
+    """Each operator's (k, m) measurements of the k rows of ``xs``.
+
+    One ``matvecs`` call per operator, largest m first, except an
+    operator marked ``_prefix_of`` another of ``ops``: it reads that
+    one's leading columns.  Overflow gives inf, which the tasks report.
+    """
+    outs = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for op in sorted(ops, key=lambda op: (-op.m, op._prefix_of is not None)):
+            lead = outs.get(op._prefix_of)
+            outs[op] = op.matvecs(xs) if lead is None else lead[:, : op.m]
+    return [outs[op] for op in ops]
+
+
+def _pair_inputs(mset, grid, pair_states, q: float) -> np.ndarray:
+    """The (pairs * 2 * |grid|, n) inputs of a sweep, by (pair, distance):
+    each pair sampled at every distance from its own state, at l_q gap."""
+    gen = np.random.default_rng(0)
+    xs = np.empty((len(pair_states), len(grid), 2, mset.ambient_dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, state in enumerate(pair_states):
+            for si, s in enumerate(grid):
+                gen.bit_generator.state = state
+                xs[j, si] = [np.ravel(v) for v in sample_pair(mset, float(s), gen, q=q)]
+    return xs.reshape(-1, mset.ambient_dim)
+
+
+def _qrip_task(rows, mode, cfg, grid, dither_states):
     """The (ops, grid, dithers) estimates and the (ops, grid) linear
     pre-metrics of one pair id (pure).
 
-    ``pair_state`` keys the pair's sampling stream, reused at every
-    distance; ``dither_states`` key its trials, ordered by (distance,
-    trial).  The pair is sampled at every distance first, and each
-    operator measures all of them in one ``matvecs`` call, or reads the
-    leading rows of the operator it is a prefix of; one generator and
-    one kernel serve the whole task, and the kernel draws each trial's
-    dithers once for every operator.  An estimate or linear pre-metric
-    that overflows float64 raises a one-line ValueError naming its grid
-    distance.  Pairs are sampled at the operators' l_q gap.
+    ``rows`` holds each operator's (2 * |grid|, m) measurements of the
+    pair, ordered by (distance, side); ``dither_states`` key its trials,
+    ordered by (distance, trial).  One generator and one kernel serve
+    the whole task, and the kernel draws each trial's dithers once for
+    every operator.  An estimate or linear pre-metric that overflows
+    float64 raises a one-line ValueError naming its grid distance.
     """
-    q = ops[0].rip_profile[1]
     # errstate is per thread, so each task sets its own
     with np.errstate(over="ignore", invalid="ignore"):
         dithers = len(dither_states) // len(grid)
         gen = np.random.default_rng(0)
-        xs = np.empty((2 * len(grid), ops[0].n))
-        for si, s in enumerate(grid):
-            gen.bit_generator.state = pair_state
-            xs[2 * si], xs[2 * si + 1] = (np.ravel(v) for v in sample_pair(mset, float(s), gen, q=q))
-        # one pass per operator over every input; an operator whose rows lead
-        # another's of the sweep reads that one's output, computed first
-        outs = {}
-        for op in sorted(ops, key=lambda op: (-op.m, op._prefix_of is not None)):
-            lead = outs.get(op._prefix_of)
-            outs[op] = op.matvecs(xs) if lead is None else lead[:, : op.m]
         kernel = _PairKernel(mode, cfg)
-        ests = np.empty((len(ops), len(grid), dithers))
-        linear = np.empty((len(ops), len(grid)))
+        ests = np.empty((len(rows), len(grid), dithers))
+        linear = np.empty((len(rows), len(grid)))
         for si in range(len(grid)):
-            ys = [outs[op][2 * si] for op in ops]
-            y_primes = [outs[op][2 * si + 1] for op in ops]
+            ys = [r[2 * si] for r in rows]
+            y_primes = [r[2 * si + 1] for r in rows]
             kernel.load(ys, y_primes)
             linear[:, si] = [premetric(y, y_prime, kernel.power) for y, y_prime in zip(ys, y_primes)]
             kernel.trials(gen, dither_states[si * dithers : (si + 1) * dithers], ests[:, si])
@@ -353,14 +367,11 @@ def _default_workers(entries: int, tasks: int) -> int:
     One worker per usable core, capped at ``tasks``, when a trial's
     dither entries summed over every operator of the sweep (``entries``,
     cols * sum of m) reach ``_PARALLEL_MIN_BLOCK``; one worker below
-    that.  Usable cores are the process's CPU affinity set where the
-    platform reports it, else ``os.cpu_count()``.
+    that.  Usable cores come from ``linops._usable_cores``.
     """
     if entries < _PARALLEL_MIN_BLOCK:
         return 1
-    affinity = getattr(os, "sched_getaffinity", None)
-    cores = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-    return min(cores, tasks)
+    return min(_usable_cores(), tasks)
 
 
 def _map_tasks(task, items, entries: int) -> list:
@@ -443,10 +454,12 @@ def measure_decay(
     keys = np.indices((pairs_per_distance, grid.size, dithers_per_pair)).reshape(3, -1).T
     dither_states = _stream_states(seed, "qrip:dither", keys[:, [0, 2, 1]])
     per_pair = grid.size * dithers_per_pair
+    outs = _measure(ops, _pair_inputs(mset, grid, pair_states, ops[0].rip_profile[1]))
+    rows = 2 * grid.size
 
     def task(j):
         states = dither_states[j * per_pair : (j + 1) * per_pair]
-        return _qrip_task(ops, mset, mode, cfg, grid, pair_states[j], states)
+        return _qrip_task([out[j * rows : (j + 1) * rows] for out in outs], mode, cfg, grid, states)
 
     results = _map_tasks(task, range(pairs_per_distance), _LAYOUT_COLS[layout] * sum(op.m for op in ops))
 
@@ -545,10 +558,11 @@ def check_product_concentration(
     dimension and profile, on one pair at the given distance, and takes
     the standard deviation of the product estimate over fresh dither
     matrices; passes when the log-log slope against m lies in
-    [-0.75, -0.25].  The operators are ranked by m; each is an
-    independent task, keyed by (seed, rank, trial), and the tasks,
-    largest m first, run on the sweeps' pool (``_default_workers``) with
-    2 * sum of m dither entries per trial.
+    [-0.75, -0.25].  The operators are ranked by m and measure the pair
+    before the pool starts (``_measure``); each is then an independent
+    task, keyed by (seed, rank, trial), and the tasks, largest m first,
+    run on the sweeps' pool (``_default_workers``) with 2 * sum of m
+    dither entries per trial.
     """
     ops = sorted(_sweep_ops(ops, mset), key=lambda op: op.m)
     if len(ops) < 2:
@@ -561,10 +575,11 @@ def check_product_concentration(
     pair_state = stream(seed, "prodconc:pair").bit_generator.state
     keys = np.indices((len(ops), trials)).reshape(2, -1).T
     dither_states = _stream_states(seed, "prodconc:dither", keys)
+    outs = _measure(ops, _pair_inputs(mset, [distance], [pair_state], ops[0].rip_profile[1]))
 
     def task(mi):
         states = dither_states[mi * trials : (mi + 1) * trials]
-        ests, _ = _qrip_task([ops[mi]], mset, "circ", cfg, [distance], pair_state, states)
+        ests, _ = _qrip_task([outs[mi]], "circ", cfg, [distance], states)
         return float(ests[0, 0].std(ddof=1))
 
     # largest m first, so one worker takes the largest while the others share the rest

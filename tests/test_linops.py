@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qembed import QuantConfig, build, build_rop, cli, embed_rop, linops
@@ -147,13 +148,6 @@ DENSE_GOLDENS = {
     ("gaussian", 130, 77, 3): "53a792b10559f77c6fede111739275a943d6668bf236b9899e3fb100fb3d6525",
     ("bernoulli", 130, 77, 3): "149b2d8f2676d191e972862724527191d55601cdb6d476f2b284ff11f1abfef5",
 }
-# sha256 of matvec(linspace(-1, 1, 300)) on the (1000, 300, 7) operators
-# with the cache ceiling at 1000 entries, i.e. streamed in 3-row slices
-STREAMED_MATVEC_GOLDENS = {
-    "gaussian": "1fbde272e45e7c58ca3a06a954dc582cb5fb9c52fd9bdcc72ffb436275566fcf",
-    "bernoulli": "5f939bb2f44f2db4080534a5e1ca5414a0acb4323f2cd20299e12ddd063930ee",
-}
-
 
 class TestDenseBuild:
     @pytest.mark.parametrize("key", sorted(DENSE_GOLDENS))
@@ -174,41 +168,57 @@ class TestDenseBuild:
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
     def test_streamed_path_matches_golden(self, family, monkeypatch):
-        monkeypatch.setattr(linops, "_DENSE_CACHE_MAX", 1000)
-        op = build(family, 1000, 300, seed=7)
-        assert op._cache is None
-        dense = op.dense()
-        assert _sha256(dense) == DENSE_GOLDENS[(family, 1000, 300, 7)]
+        # above the ceiling the rows stream, here in 64-row slabs with the
+        # last one (896..1000) holding the product's last block whole;
+        # the parent streamed 3-row slices, whose rows lost the bits of
+        # the cached operator's product
         x = np.linspace(-1.0, 1.0, 300)
+        want = build(family, 1000, 300, seed=7).matvec(x)
+        monkeypatch.setattr(linops, "_DENSE_CACHE_MAX", 1000)
+        monkeypatch.setattr(linops, "_SLAB_ENTRIES", 1000)
+        op = build(family, 1000, 300, seed=7)
+        dense = op.dense()
+        assert op._cache is None
+        assert _sha256(dense) == DENSE_GOLDENS[(family, 1000, 300, 7)]
         got = op.matvec(x)
-        assert _sha256(got) == STREAMED_MATVEC_GOLDENS[family]
+        assert got.tobytes() == want.tobytes()
         assert np.allclose(got, dense @ x, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
     def test_build_holds_one_copy(self, family, monkeypatch):
-        # the cache is one mapping of m*n*8 bytes, which tracemalloc does
-        # not see; any numpy copy of a tenth of it would show in the peak
+        # a build draws nothing; the first matvec maps the cache, one
+        # mapping of m*n*8 bytes, which tracemalloc does not see; any
+        # numpy copy of a tenth of it would show in the peak
         m, n = 2048, 256
-        build(family, m, n, seed=0)  # warm-up: first-call allocations
+        x = np.linspace(-1.0, 1.0, n)
+        build(family, m, n, seed=0).matvec(x)  # warm-up: first-call allocations
         mapped = []
         row_buffer = linops._row_buffer
         monkeypatch.setattr(linops, "_row_buffer", lambda rows, cols: mapped.append(rows * cols * 8) or row_buffer(rows, cols))
+        op = build(family, m, n, seed=1)
+        assert mapped == [] and op._cache is None
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            op = build(family, m, n, seed=1)
+            op.matvec(x)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert mapped == [m * n * 8]
         assert peak <= 0.1 * m * n * 8
         assert op._cache.shape == (m, n)
+        op.matvec(x)
+        op.dense()
+        assert mapped == [m * n * 8]  # built once
 
     def test_caches_live_in_their_own_mapping(self):
         # a mapping is unmapped when its operator goes away; heap buffers of
         # changing sizes fragmented the heap across decay sweeps
         big, small = build("gaussian", 2048, 256, seed=1), build("gaussian", 256, 256, seed=1)
+        x = np.linspace(-1.0, 1.0, 256)
+        big.matvec(x)
+        small.dense()
         for op in (big, small):
             base = op._cache
             while isinstance(base, np.ndarray):
@@ -217,7 +227,6 @@ class TestDenseBuild:
             assert base.nbytes == op.m * op.n * 8  # exactly one copy of the matrix
             assert not op._cache.flags.writeable
         assert np.array_equal(big.dense()[:256], small.dense())
-        x = np.linspace(-1.0, 1.0, 256)
         assert np.array_equal(big.matvec(x), big.dense() @ x)
 
     def test_empty_row_slice(self):
@@ -227,7 +236,7 @@ class TestDenseBuild:
 
 class TestLeadingRows:
     """A decay sweep builds its largest m and takes every smaller m of a
-    cached dense family as the leading rows of that build."""
+    dense family as the leading rows of that build, which draw nothing."""
 
     @pytest.mark.parametrize("family,opts", [("gaussian", {}), ("gaussian", {"rip": (1, 2)}), ("bernoulli", {})])
     @pytest.mark.parametrize("m", [1, 63, 64, 100, 300])
@@ -237,13 +246,12 @@ class TestLeadingRows:
         fresh = build(family, m, 77, seed=5, **opts)
         assert type(op) is type(fresh)
         assert (op.m, op.n, op.mu, op.rip_profile, op.seed) == (m, 77, fresh.mu, fresh.rip_profile, 5)
+        assert op._cache is None and parent._cache is None
+        xs = np.stack([np.linspace(-1.0, 1.0, 77), stream(6, "test:leading", m).standard_normal(77) * 1e3])
+        assert op.matvecs(xs).tobytes() == fresh.matvecs(xs).tobytes()
         assert np.array_equal(op.dense(), fresh.dense())
-        for x in (np.linspace(-1.0, 1.0, 77), stream(6, "test:leading", m).standard_normal(77) * 1e3):
+        for x in xs:
             assert op.matvec(x).tobytes() == fresh.matvec(x).tobytes()
-        # a view of the parent's rows, read-only and laid out like a fresh cache
-        assert np.shares_memory(op._cache, parent._cache)
-        assert op._cache.flags.c_contiguous and not op._cache.flags.writeable
-        assert op._cache.ctypes.data % 4096 == fresh._cache.ctypes.data % 4096
         with pytest.raises(ValueError):
             op.dense()[0, 0] = 1.0
 
@@ -262,20 +270,22 @@ class TestLeadingRows:
     def test_other_families_have_none(self, make):
         assert make()._leading_rows(32) is None
 
-    def test_uncached_parent_builds_each_m(self, monkeypatch):
-        # m * n above the cache ceiling: no cache to share, so the decay
-        # sweep's operators are fresh builds
-        assert build("gaussian", linops._DENSE_CACHE_MAX + 1, 1, seed=2)._leading_rows(1) is None
+    def test_decay_ops_draw_nothing(self, monkeypatch):
+        # above the cache ceiling too, every m of a dense family is the
+        # largest one's leading rows, and building them draws no row
         monkeypatch.setattr(linops, "_DENSE_CACHE_MAX", 64 * 10)
-        parent = build("gaussian", 100, 10, seed=2)
-        assert parent._cache is None and parent._leading_rows(50) is None
+        drawn = []
+        monkeypatch.setattr(linops._DenseIIDOp, "_fill_rows", lambda op, gen, first, out: drawn.append(op))
+        parent = build("gaussian", linops._DENSE_CACHE_MAX + 1, 1, seed=2)
+        assert parent._leading_rows(1).m == 1
         args = cli._make_parser().parse_args(["decay", "--family", "gaussian", "--n", "10", "--model", "sparse:2:10",
                                               "--mode", "l1", "--delta", "1", "--grid", "1", "--m-list", "1,2,3,4",
                                               "--seed", "2"])
         ops = cli._decay_ops(args, [50, 64, 100])
         assert [op.m for op in ops] == [50, 64, 100]
-        assert [op._cache is None for op in ops] == [False, False, True]
-        assert not np.shares_memory(ops[0]._cache, ops[1]._cache)
+        assert [op._prefix_of for op in ops] == [None, None, None]  # no m here has its blocks nested in 100's
+        assert drawn == []
+        monkeypatch.undo()
         for op in ops:
             assert np.array_equal(op.dense(), build("gaussian", op.m, 10, seed=2).dense())
 
@@ -300,19 +310,82 @@ class TestMatvecs:
     )
     def test_dense_matches_stacked_matvec(self, family, m, n, k, streamed, data):
         name, opts = DENSE_FAMILIES[family]
-        # a ceiling below m * n streams the rows in slices of ceiling // n
-        # rows (at least one), here at most about 16 slices
-        ceiling = data.draw(st.integers(m * n // 16, m * n - 1), label="ceiling") if streamed else linops._DENSE_CACHE_MAX
+        # a ceiling below m * n keeps every product streamed, in slabs of
+        # _SLAB_ENTRIES // (64 n) blocks (at least one), here 1 to 4
+        # blocks; at the ceiling the first matvec builds the cache
+        ceiling = data.draw(st.integers(0, m * n - 1), label="ceiling") if streamed else linops._DENSE_CACHE_MAX
+        slab = 64 * n * data.draw(st.integers(1, 4), label="slab blocks")
         xs = stream(data.draw(st.integers(0, 2**16), label="seed"), "test:matvecs").standard_normal((k, n)) * 10.0
-        with mock.patch.object(linops, "_DENSE_CACHE_MAX", ceiling):
+        with mock.patch.object(linops, "_DENSE_CACHE_MAX", ceiling), mock.patch.object(linops, "_SLAB_ENTRIES", slab):
             op = build(name, m, n, seed=3, **opts)
-            assert (op._cache is None) == streamed
             got = op.matvecs(xs)
+            assert op._cache is None
             want = np.stack([op.matvec(x) for x in xs])
+            assert (op._cache is None) == streamed
             dense = op.dense()
         assert got.shape == (k, m)
         assert got.tobytes() == want.tobytes()
         assert np.allclose(got, xs @ dense.T, rtol=1e-12, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(range(len(DENSE_FAMILIES))),
+        blocks=st.integers(0, 12),
+        r=st.integers(0, 63),
+        n=st.integers(1, 40),
+        slab_blocks=st.integers(1, 5),
+        cores=st.integers(1, 3),
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    # 4097 x 256 in 16-block slabs: a slab edge at row 4096 would leave the
+    # last row alone, off the GEMV bits of the product's last block
+    @example(family=0, blocks=64, r=1, n=256, slab_blocks=16, cores=2, k=3, seed=0).via("prototype's lone row")
+    @example(family=2, blocks=4, r=1, n=7, slab_blocks=2, cores=2, k=1, seed=1).via("edge at the remainder")
+    def test_streamed_matches_cached(self, family, blocks, r, n, slab_blocks, cores, k, seed):
+        # m = 64 blocks + r; slab edges every slab_blocks blocks, so some
+        # fall at the product's remainder head (64 * (blocks - 1) when r > 0)
+        name, opts = DENSE_FAMILIES[family]
+        m = max(64 * blocks + r, 1)
+        xs = stream(seed, "test:streamed").standard_normal((k, n)) * 10.0
+        cached = build(name, m, n, seed=3, **opts)
+        cached.dense()
+        with mock.patch.object(linops, "_SLAB_ENTRIES", 64 * n * slab_blocks), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores)), create=True):
+            op = build(name, m, n, seed=3, **opts)
+            got = op.matvecs(xs)
+        assert op._cache is None and cached._cache is not None
+        assert got.tobytes() == cached.matvecs(xs).tobytes()
+
+    def test_threads_share_one_cache(self):
+        # more threads than cores call matvec on one fresh operator at once,
+        # with a short switch interval: every result is the one product and
+        # the cache is built once
+        op = build("gaussian", 1000, 300, seed=7)
+        x = np.linspace(-1.0, 1.0, 300)
+        want = build("gaussian", 1000, 300, seed=7).matvecs(x[None])[0]
+        built, results = [], []
+        rows = op._rows
+        op._rows = lambda start, stop: built.append((start, stop)) or rows(start, stop)
+        barrier = threading.Barrier(8, timeout=60)
+
+        def call():
+            barrier.wait()
+            results.append(op.matvec(x))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert built == [(0, 1000)]
+        assert len(results) == 8 and all(y.tobytes() == want.tobytes() for y in results)
 
     @settings(max_examples=30, deadline=None)
     @given(

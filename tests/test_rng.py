@@ -1,11 +1,17 @@
 """Keyed streams: batched PCG64 states reproduce ``stream`` bit for bit."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from stream_states_check import check
 
+from qembed import QuantConfig, ball, build_rop
+from qembed.embeddings import CodeBlock
+from qembed.quantizer import SoftParam
 from qembed.rng import _stream_states, stream
 
 # every word-count class of SeedSequence's int coercion, plus seeds that
@@ -93,3 +99,48 @@ def test_rejects_non_integer_seed_or_index(make):
     with pytest.raises(ValueError, match=r"^(seed|index) must be an integer, got ") as info:
         make()
     assert "\n" not in str(info.value)
+
+
+# one real parameter of each public constructor that takes one, by the
+# name its errors give it
+_REAL_PARAMS = {
+    "QuantConfig": ("delta", lambda v: QuantConfig(v)),
+    "CodeBlock": ("delta", lambda v: CodeBlock(v, np.zeros((2, 1), dtype=np.int64))),
+    "SoftParam": ("t", lambda v: SoftParam(v)),
+    "ball": ("radius", lambda v: ball(16, radius=v)),
+    "build_rop": ("kappa", lambda v: build_rop(4, 2, 2, seed=0, kappa=v)),
+}
+_NOT_REALS = st.one_of(
+    st.text(max_size=8),
+    st.none(),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("-inf"), 10**400, -(10**400)]),
+    st.floats(allow_nan=False).map(np.array),
+    st.lists(st.floats(-10, 10), min_size=1, max_size=4).map(np.array),
+    st.builds(lambda k: np.ones((k, k)), st.integers(1, 40)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(sorted(_REAL_PARAMS)), value=_NOT_REALS)
+@example(case="QuantConfig", value="1.5").via("text that float() parses")
+@example(case="QuantConfig", value=np.array([2.0])).via("an array that float() unwraps")
+def test_non_real_parameter_raises_one_line_value_error(case, value):
+    # these raised TypeErrors ('>' between str and int, float() of None)
+    name, make = _REAL_PARAMS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} must be ") as info:
+            make(value)
+    assert "\n" not in str(info.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.one_of(st.floats(min_value=1e-300, max_value=1e300), st.integers(1, 2**80),
+                       st.floats(1e-30, 1e30).map(np.float32)))
+def test_real_parameters_are_stored_as_floats(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stored = [QuantConfig(value).delta, SoftParam(-value).t, ball(2, radius=value).radius]
+    assert all(type(v) is float for v in stored)
+    assert stored == [float(value), -float(value), float(value)]

@@ -22,7 +22,7 @@ from qembed import (
     selftest,
     sparse,
 )
-from qembed import cli, verify
+from qembed import cli, linops, verify
 from qembed.linops import LinOp
 from qembed.embeddings import _estimate_from_codes, quantize_with_dither
 from qembed.quantizer import _threshold_count, premetric
@@ -436,13 +436,13 @@ class TestNestedReads:
             calls = _spy_matvecs(monkeypatch)
             run, _ = measure_decay([op, parent], mset, "l1", cfg, [0.5, 2.0], 2, 2, seed=5)
             monkeypatch.undo()
-            # one call per pair id and operator computed, in any order across workers
-            assert (calls.count(parent), calls.count(op), len(calls)) == ((2, 0, 2) if nested else (2, 2, 4))
+            # one call per operator computed, for every pair id at once
+            assert (calls.count(parent), calls.count(op), len(calls)) == ((1, 0, 1) if nested else (1, 1, 2))
             alone = measure_qrip(build("gaussian", m, 8, seed=3, rip=(1, 2)), mset, "l1", cfg, [0.5, 2.0], 2, 2, seed=5)
             assert np.array_equal(run.estimates, alone.estimates)
             assert np.array_equal(run.linear_est, alone.linear_est)
 
-    def test_one_matvecs_call_per_task_on_the_decay_benchmark(self, monkeypatch):
+    def test_one_matvecs_call_per_sweep_on_the_decay_benchmark(self, monkeypatch):
         # the benchmark's decay_l1 sweep: every smaller m reads the largest one's rows
         args = cli._make_parser().parse_args(["decay", "--family", "gaussian", "--rip", "1,2", "--n", "256",
                                               "--model", "sparse:4:256", "--mode", "l1", "--delta", "1",
@@ -451,8 +451,66 @@ class TestNestedReads:
         calls = _spy_matvecs(monkeypatch)
         runs = measure_decay(ops, sparse(4, 256, radius=20.0), "l1", QuantConfig(1.0), [0.05, 0.2, 1.0, 5.0, 10.0],
                              8, 16, seed=3)
-        assert calls == [ops[-1]] * 8
+        assert calls == [ops[-1]]
         assert [run.estimates.shape for run in runs] == [(8, 5, 16)] * 7
+
+
+class TestStreamedSweeps:
+    """A sweep measures each dense operator it computes in one streamed
+    pass before its pool starts: slabs of whole 64-row blocks on every
+    usable core, each thread reusing one slab buffer, with no matrix held."""
+
+    # 4097 x 256 streams in four 1024-row slabs, the last one 1025 rows
+    M, N = 4097, 256
+
+    def _sweep(self, ops):
+        return measure_decay(ops, sparse(4, self.N, radius=20.0), "circ", QuantConfig(1.0), [0.05, 1.0, 10.0],
+                             3, 4, seed=9)
+
+    def _ops(self):
+        top = build("gaussian", self.M, self.N, seed=3)
+        # 128 reads the top's rows; 100 and 1000 compute their own
+        return [top._leading_rows(m) for m in (100, 128, 1000)] + [top]
+
+    def test_one_slab_buffer_per_thread(self, monkeypatch):
+        _patch_cores(monkeypatch, 2)
+        mapped = []
+        row_buffer = linops._row_buffer
+        monkeypatch.setattr(linops, "_row_buffer", lambda rows, n: mapped.append((rows, n)) or row_buffer(rows, n))
+        op = build("gaussian", self.M, self.N, seed=3)
+        self._sweep([op])
+        step = linops._SLAB_ENTRIES // self.N
+        # the last slab also takes the 1..63 rows past the product's last full block
+        assert len(mapped) == 2
+        assert all(n == self.N and rows <= step + 63 for rows, n in mapped)
+        assert op._cache is None
+
+    def test_each_block_drawn_once_per_operator(self, monkeypatch):
+        drawn = []
+        fill = linops._DenseIIDOp._fill_rows
+        monkeypatch.setattr(linops._DenseIIDOp, "_fill_rows",
+                            lambda op, gen, first, out: drawn.append((op, first, len(out))) or fill(op, gen, first, out))
+        ops = self._ops()
+        self._sweep(ops)
+        for op in ops:
+            starts = sorted(b for o, first, rows in drawn if o is op for b in range(first, first + rows, 64))
+            assert starts == ([] if op._prefix_of is not None else list(range(0, op.m, 64)))
+        assert ops[1]._prefix_of is ops[-1]
+
+    def test_estimates_do_not_depend_on_cores_or_cache(self, monkeypatch):
+        runs = []
+        for cores, cached in ((1, False), (2, False), (3, False), (2, True)):
+            _patch_cores(monkeypatch, cores)
+            ops = self._ops()
+            if cached:
+                for op in ops:
+                    op.dense()
+            runs.append(self._sweep(ops))
+        for other in runs[1:]:
+            for a, b in zip(runs[0], other):
+                assert a.estimates.tobytes() == b.estimates.tobytes()
+                assert a.linear_est.tobytes() == b.linear_est.tobytes()
+                assert records_csv(a) + summary_csv(a) == records_csv(b) + summary_csv(b)
 
 
 class TestFitDecay:
