@@ -347,14 +347,6 @@ def _sweep_config(args) -> tuple:
     return mset, args.mode, QuantConfig(args.delta), grid
 
 
-def _decay_ops(args, m_list) -> list[LinOp]:
-    """The operators of a decay sweep over ascending ``m_list``: the
-    largest m is built and every smaller m is its leading rows where
-    those draw nothing (a dense family), else built."""
-    top = _build_op(args, m_list[-1])
-    return [top._leading_rows(m) or _build_op(args, m) for m in m_list[:-1]] + [top]
-
-
 def _cmd_qrip(args) -> int:
     summary = args.summary or args.out + ".summary.csv"
     _check_writable(args.out)
@@ -379,7 +371,7 @@ def _cmd_decay(args) -> int:
     if args.out:
         _check_writable(args.out)
     config = _sweep_config(args)
-    runs = measure_decay(_decay_ops(args, m_list), *config, args.pairs, args.dithers, seed=args.seed)
+    runs = measure_decay([_build_op(args, m) for m in m_list], *config, args.pairs, args.dithers, seed=args.seed)
     slope = fit_decay(runs)
     if args.out:
         keys = ("family", "n", "model", "mode", "delta", "grid", "pairs", "dithers", "seed", "m_list")

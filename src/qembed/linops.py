@@ -20,12 +20,10 @@ stacked default.
 
 Operators are immutable after build and matvec is reentrant.  A dense
 family draws nothing when it is built.  Its row block b (64 rows) is
-drawn from a stream keyed by b, so any set of rows can be drawn on its
-own, and the operator at m (``_leading_rows``) is the first m rows of
-any larger one: a ``decay`` sweep builds only its largest m of those
-families.  ``matvec`` and ``dense`` keep the matrix in a cache, in one
-anonymous mapping, built on first use where m * n fits
-``_DENSE_CACHE_MAX``.  ``matvecs`` on an operator without a cache
+drawn from a stream keyed by (seed, family label, b), so any set of
+rows can be drawn on its own.  ``matvec`` and ``dense`` keep the matrix
+in a cache, in one anonymous mapping, built on first use where m * n
+fits ``_DENSE_CACHE_MAX``.  ``matvecs`` on an operator without a cache
 streams the rows instead: slabs of whole blocks, split over the usable
 cores, each thread drawing into one reused slab, so a sweep holds no
 matrix.  The product has one definition (``_blocked_product``): one
@@ -33,11 +31,17 @@ GEMV per 64-row block, the last block taking the 0..63-row remainder,
 with every input run against a block while it is in cache.  A streamed
 product's last slab holds that whole last block, so the streamed and
 the cached product agree bit for bit.  At one OpenBLAS thread each row
-has the bits of one GEMV over all m rows, and at two the same bits.  An
-operator at m whose blocks are blocks of its parent's reads the
-parent's product rows in a sweep (``_prefix_of``): where m is a
-multiple of 64 and ends before the parent's last block, or is the
-parent's m.
+has the bits of one GEMV over all m rows, and at two the same bits.
+
+Row sharing has one rule, applied by ``_products``, the measurement
+pass of a sweep.  Two dense operators of one type, seed and n have the
+same rows, however they were built, so the one at m is the first m rows
+of the one at M >= m.  Its product reads the larger one's leading
+columns where its blocks are blocks of that product, the same BLAS calls
+on the same rows: where m == M, or where m is a multiple of 64 and ends
+before the larger product's last block (``_last_block``).  Every other
+operator makes its own ``matvecs`` call.  ``_map_threads`` is the one
+thread map, of a streamed product's slabs and of a sweep's tasks.
 """
 
 from __future__ import annotations
@@ -104,6 +108,24 @@ def _usable_cores() -> int:
     return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
 
+def _map_threads(fn, items, workers: int) -> list:
+    """``[fn(i) for i in items]`` on ``workers`` threads, in the order of
+    ``items``, inline below 2 workers.  numpy keeps the floating-point
+    error state per thread, so each call runs under the caller's
+    ``np.geterr()``."""
+    items = list(items)
+    if workers < 2:
+        return [fn(i) for i in items]
+    err = np.geterr()
+
+    def call(item):
+        with np.errstate(**err):
+            return fn(item)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(call, items))
+
+
 def _last_block(m: int) -> int:
     """The first row of ``_blocked_product``'s last block over m rows."""
     return _BLOCK_ROWS * max(0, (m - _BLOCK_ROWS) // _BLOCK_ROWS)
@@ -117,7 +139,7 @@ def _blocked_product(rows: np.ndarray, xs: np.ndarray, out: np.ndarray) -> None:
     0..63-row remainder (all m rows when m < 64).  Each full block goes
     through the same GEMV for every caller, so an operator whose blocks
     are blocks of another one's reads that one's rows of the output
-    (``LinOp._prefix_of``).  A slab of full blocks is one stacked
+    (``_products``).  A slab of full blocks is one stacked
     ``matmul`` into a block-major scratch of at most
     ``_PRODUCT_SCRATCH`` entries: blocks outermost, so each block meets
     every input in turn, and one call per slab, so the GIL is released
@@ -208,10 +230,6 @@ class LinOp:
     """
 
     family: str = "abstract"
-    # the operator whose ``matvecs`` rows lead this one's, computed by the
-    # same BLAS calls on the same rows, so a sweep over both may read them
-    # (``_DenseIIDOp._leading_rows`` sets it); None computes its own
-    _prefix_of: LinOp | None = None
 
     def __init__(self, m: int, n: int, seed: int, mu: float, rip_profile: tuple[float, float]):
         m, n = _integer("m", m), _integer("n", n)
@@ -252,13 +270,6 @@ class LinOp:
         """
         return self.matvec(x), None
 
-    def _leading_rows(self, m: int) -> LinOp | None:
-        """The operator of this one's first ``m`` rows, drawing nothing,
-        or None where a build at m draws other rows; ``_DenseIIDOp``
-        overrides it.  A decay sweep builds its largest m and asks for
-        the others."""
-        return None
-
     def dense(self) -> np.ndarray:
         """Dense m-by-n materialization reproducing matvec exactly."""
         return self._dense()
@@ -293,7 +304,7 @@ class _DenseIIDOp(LinOp):
     one batched pass (``rng._stream_states``) and draws them through the
     caller's generator, so matvec stays reentrant.  The block keys do
     not depend on m, so the first m rows are the operator at m
-    (``_leading_rows``).
+    (``_products``).
     """
 
     _row_label = "rows"
@@ -302,17 +313,6 @@ class _DenseIIDOp(LinOp):
         super().__init__(m, n, seed, mu, rip_profile)
         self._cache: np.ndarray | None = None
         self._cache_lock = threading.Lock()
-
-    def _leading_rows(self, m: int) -> _DenseIIDOp:
-        """The same family at m rows, a build at m, marked ``_prefix_of``
-        this one where its product blocks are blocks of this one's."""
-        if not 1 <= m <= self.m:
-            raise ValueError(f"leading rows need 1 <= m <= {self.m}, got m={m}")
-        op = type(self)(m, self.n, self.seed, self.mu, self.rip_profile)
-        blk = _BLOCK_ROWS
-        if m == self.m or (m % blk == 0 and m <= blk * (self.m // blk - 1)):
-            op._prefix_of = self
-        return op
 
     def _fill_row_block(self, rng: np.random.Generator, out: np.ndarray) -> None:
         raise NotImplementedError
@@ -374,30 +374,23 @@ class _DenseIIDOp(LinOp):
         and runs to m, so that block, 64 rows plus the remainder, goes
         through one call as it does over the whole matrix; every other
         block is a full one, and keyed, so the bits depend on neither
-        the slabs nor the threads.  The threads run under the caller's
-        floating-point error state.
+        the slabs nor the threads (``_map_threads``).
         """
         m, n = self.m, self.n
         step = max(1, _SLAB_ENTRIES // (_BLOCK_ROWS * n)) * _BLOCK_ROWS
         starts = list(range(0, _last_block(m) + 1, step))
         slabs = list(zip(starts, starts[1:] + [m]))
         threads = min(_usable_cores(), len(slabs))
-        err = np.geterr()
 
         def run(part):
-            with np.errstate(**err):
-                gen = np.random.default_rng(0)
-                buf = _row_buffer(max(b - a for a, b in part), n)
-                for a, b in part:
-                    rows = buf[: b - a]
-                    self._fill_rows(gen, a, rows)
-                    _blocked_product(rows, xs, out[:, a:b])
+            gen = np.random.default_rng(0)
+            buf = _row_buffer(max(b - a for a, b in part), n)
+            for a, b in part:
+                rows = buf[: b - a]
+                self._fill_rows(gen, a, rows)
+                _blocked_product(rows, xs, out[:, a:b])
 
-        if threads < 2:
-            run(slabs)
-            return
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, [slabs[i::threads] for i in range(threads)]))
+        _map_threads(run, [slabs[i::threads] for i in range(threads)], threads)
 
     def _dense(self) -> np.ndarray:
         cache = self._cached()
@@ -423,6 +416,32 @@ class BernoulliOp(_DenseIIDOp):
         out[...] = rng.integers(0, 2, size=out.shape)
         out *= 2.0
         out -= 1.0
+
+
+def _products(ops, xs: np.ndarray) -> list[np.ndarray]:
+    """Each operator's (k, m) measurements of the k rows of ``xs``, in
+    the order of ``ops``: a sweep's one measurement pass.
+
+    The operators go largest m first.  A dense one reads the leading
+    columns of the largest one before it of its type, seed and n where
+    its product blocks are blocks of that one's (the module docstring's
+    row-sharing rule); every other operator makes its own ``matvecs``
+    call.
+    """
+    outs: list = [None] * len(ops)
+    leads = {}  # (type, seed, n) -> the product of the largest such dense operator
+    for i in sorted(range(len(ops)), key=lambda i: -ops[i].m):
+        op, m = ops[i], ops[i].m
+        key = (type(op), op.seed, op.n)
+        dense = isinstance(op, _DenseIIDOp)
+        lead = leads.get(key) if dense else None
+        if lead is not None and (m == lead.shape[1] or (m % _BLOCK_ROWS == 0 and m <= _last_block(lead.shape[1]))):
+            outs[i] = lead[:, :m]
+        else:
+            outs[i] = op.matvecs(xs)
+            if dense:
+                leads.setdefault(key, outs[i])
+    return outs
 
 
 class SubsampledHadamardOp(LinOp):

@@ -254,8 +254,9 @@ def sample_pair(
     a radius whose square is finite.  A pair whose gap is lost to
     rounding against a midpoint much larger than the distance raises.
     """
-    if distance < 0 or not math.isfinite(distance):
-        raise ValueError(f"distance must be finite and >= 0, got {distance}")
+    distance = _real("distance", distance)
+    if distance < 0:
+        raise ValueError(f"distance must be >= 0, got {distance}")
     if distance > 2 * mset.radius:
         raise ValueError(f"distance {distance} is infeasible within diameter {2 * mset.radius}")
     if q == 2 and not math.isfinite(mset.radius * mset.radius):
@@ -419,8 +420,7 @@ def entropy_bound(mset: ModelSet, eta: float, q: float) -> float:
 
     Raises ValueError when the bound overflows float64.
     """
-    if eta <= 0 or not math.isfinite(eta):
-        raise ValueError(f"eta must be positive and finite, got {eta}")
+    eta = _real("eta", eta, positive=True)
     if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
     k = mset.kind
@@ -478,10 +478,10 @@ def required_m(
     """
     if prop not in ("p1", "p2", "p3"):
         raise ValueError(f"prop must be one of p1, p2, p3, got {prop!r}")
-    if not (0 < epsilon < 1):
+    epsilon = _real("epsilon", epsilon)
+    if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not (C > 0 and math.isfinite(C)):
-        raise ValueError(f"C must be positive and finite, got {C}")
+    C = _real("C", C, positive=True)
     eta = cfg.delta * (epsilon**2 if prop in ("p1", "p3") else epsilon**1.5)
     try:
         need = C * epsilon**-2 * entropy_bound(mset, eta, q)

@@ -234,8 +234,9 @@ def premetric(a: np.ndarray, a_prime: np.ndarray, p: float) -> float:
     a_prime = np.asarray(a_prime, float)
     if a.shape != a_prime.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {a_prime.shape}")
-    if not (1 <= p < math.inf):
-        raise ValueError(f"p must be finite and >= 1, got {p}")
+    p = _real("p", p)
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     return float(np.mean(np.abs(a - a_prime) ** p))
 
 

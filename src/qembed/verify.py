@@ -29,13 +29,11 @@ each pair once per distance and draws each trial's dithers once, at the
 largest m M: the operator at m reads the first cols * m of the trial's
 cols * M values, bit for bit the values it would draw alone.  Before
 its pool starts, the sweep samples every (pair, distance) input and
-measures all of them with one ``LinOp.matvecs`` call per operator
-(``_measure``): a dense family without a cache streams its rows once,
-in slabs on every usable core, and holds no matrix.  An operator that
-``_leading_rows`` marks as a prefix (``LinOp._prefix_of``), one whose
-product blocks are blocks of the larger operator's, reads that
-operator's leading output columns: the same BLAS calls on the same
-rows, so the same bits.  Every other operator computes its own.
+measures all of them in one pass (``linops._products``): a dense
+family without a cache streams its rows once, in slabs on every usable
+core, and holds no matrix, and an operator whose rows are another's
+leading rows may read that one's leading output columns, by the rule
+that the ``linops`` docstring states.
 
 Every sweep, ``measure_decay`` and ``check_product_concentration``
 alike, measures the operators it is given, which ``_sweep_ops`` checks
@@ -64,19 +62,20 @@ Every routine is a pure function of (seed, config); trials are keyed by
 (seed, pair id, trial id), so results do not depend on execution order
 or worker count.  A sweep runs its tasks, the pair ids of
 ``measure_decay`` or the operators of ``check_product_concentration``,
-on the thread pool that ``_default_workers`` sizes.
+on ``_default_workers`` threads (``linops._map_threads``), under the
+error state that the sweep sets around its measure-and-map section:
+overflow and invalid values give inf or nan, which the tasks report.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import _PairKernel, quantize_with_dither
-from .linops import LinOp, _usable_cores
+from .linops import LinOp, _map_threads, _products, _usable_cores
 from .modelsets import ModelSet, sample_pair
 from .quantizer import _LAYOUT_COLS, QuantConfig, _cell_gap, _mode, _threshold_count, premetric, sample_dither
 from .rng import _integer, _stream_states, stream
@@ -304,31 +303,15 @@ def _sweep_ops(ops, mset: ModelSet) -> list[LinOp]:
     return ops
 
 
-def _measure(ops, xs: np.ndarray) -> list[np.ndarray]:
-    """Each operator's (k, m) measurements of the k rows of ``xs``.
-
-    One ``matvecs`` call per operator, largest m first, except an
-    operator marked ``_prefix_of`` another of ``ops``: it reads that
-    one's leading columns.  Overflow gives inf, which the tasks report.
-    """
-    outs = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for op in sorted(ops, key=lambda op: (-op.m, op._prefix_of is not None)):
-            lead = outs.get(op._prefix_of)
-            outs[op] = op.matvecs(xs) if lead is None else lead[:, : op.m]
-    return [outs[op] for op in ops]
-
-
 def _pair_inputs(mset, grid, pair_states, q: float) -> np.ndarray:
     """The (pairs * 2 * |grid|, n) inputs of a sweep, by (pair, distance):
     each pair sampled at every distance from its own state, at l_q gap."""
     gen = np.random.default_rng(0)
     xs = np.empty((len(pair_states), len(grid), 2, mset.ambient_dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, state in enumerate(pair_states):
-            for si, s in enumerate(grid):
-                gen.bit_generator.state = state
-                xs[j, si] = [np.ravel(v) for v in sample_pair(mset, float(s), gen, q=q)]
+    for j, state in enumerate(pair_states):
+        for si, s in enumerate(grid):
+            gen.bit_generator.state = state
+            xs[j, si] = [np.ravel(v) for v in sample_pair(mset, float(s), gen, q=q)]
     return xs.reshape(-1, mset.ambient_dim)
 
 
@@ -341,23 +324,23 @@ def _qrip_task(rows, mode, cfg, grid, dither_states):
     ordered by (distance, trial).  One generator and one kernel serve
     the whole task, and the kernel draws each trial's dithers once for
     every operator.  An estimate or linear pre-metric that overflows
-    float64 raises a one-line ValueError naming its grid distance.
+    float64 raises a one-line ValueError naming its grid distance; the
+    sweep runs its tasks with overflow and invalid values ignored, so
+    that is the only report.
     """
-    # errstate is per thread, so each task sets its own
-    with np.errstate(over="ignore", invalid="ignore"):
-        dithers = len(dither_states) // len(grid)
-        gen = np.random.default_rng(0)
-        kernel = _PairKernel(mode, cfg)
-        ests = np.empty((len(rows), len(grid), dithers))
-        linear = np.empty((len(rows), len(grid)))
-        for si in range(len(grid)):
-            ys = [r[2 * si] for r in rows]
-            y_primes = [r[2 * si + 1] for r in rows]
-            kernel.load(ys, y_primes)
-            linear[:, si] = [premetric(y, y_prime, kernel.power) for y, y_prime in zip(ys, y_primes)]
-            kernel.trials(gen, dither_states[si * dithers : (si + 1) * dithers], ests[:, si])
-            if not (np.isfinite(ests[:, si]).all() and np.isfinite(linear[:, si]).all()):
-                raise ValueError(f"grid distance {grid[si]:g}: an estimate or linear pre-metric overflows float64")
+    dithers = len(dither_states) // len(grid)
+    gen = np.random.default_rng(0)
+    kernel = _PairKernel(mode, cfg)
+    ests = np.empty((len(rows), len(grid), dithers))
+    linear = np.empty((len(rows), len(grid)))
+    for si in range(len(grid)):
+        ys = [r[2 * si] for r in rows]
+        y_primes = [r[2 * si + 1] for r in rows]
+        kernel.load(ys, y_primes)
+        linear[:, si] = [premetric(y, y_prime, kernel.power) for y, y_prime in zip(ys, y_primes)]
+        kernel.trials(gen, dither_states[si * dithers : (si + 1) * dithers], ests[:, si])
+        if not (np.isfinite(ests[:, si]).all() and np.isfinite(linear[:, si]).all()):
+            raise ValueError(f"grid distance {grid[si]:g}: an estimate or linear pre-metric overflows float64")
     return ests, linear
 
 
@@ -372,18 +355,6 @@ def _default_workers(entries: int, tasks: int) -> int:
     if entries < _PARALLEL_MIN_BLOCK:
         return 1
     return min(_usable_cores(), tasks)
-
-
-def _map_tasks(task, items, entries: int) -> list:
-    """``[task(i) for i in items]``, on ``_default_workers(entries,
-    len(items))`` threads; the results come back in the order of
-    ``items`` whatever the worker count."""
-    items = list(items)
-    workers = _default_workers(entries, len(items))
-    if workers < 2:
-        return [task(i) for i in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, items))
 
 
 def measure_qrip(
@@ -454,14 +425,16 @@ def measure_decay(
     keys = np.indices((pairs_per_distance, grid.size, dithers_per_pair)).reshape(3, -1).T
     dither_states = _stream_states(seed, "qrip:dither", keys[:, [0, 2, 1]])
     per_pair = grid.size * dithers_per_pair
-    outs = _measure(ops, _pair_inputs(mset, grid, pair_states, ops[0].rip_profile[1]))
     rows = 2 * grid.size
+    workers = _default_workers(_LAYOUT_COLS[layout] * sum(op.m for op in ops), pairs_per_distance)
 
     def task(j):
         states = dither_states[j * per_pair : (j + 1) * per_pair]
         return _qrip_task([out[j * rows : (j + 1) * rows] for out in outs], mode, cfg, grid, states)
 
-    results = _map_tasks(task, range(pairs_per_distance), _LAYOUT_COLS[layout] * sum(op.m for op in ops))
+    with np.errstate(over="ignore", invalid="ignore"):
+        outs = _products(ops, _pair_inputs(mset, grid, pair_states, ops[0].rip_profile[1]))
+        results = _map_threads(task, range(pairs_per_distance), workers)
 
     runs = []
     for k, op in enumerate(ops):
@@ -559,10 +532,10 @@ def check_product_concentration(
     the standard deviation of the product estimate over fresh dither
     matrices; passes when the log-log slope against m lies in
     [-0.75, -0.25].  The operators are ranked by m and measure the pair
-    before the pool starts (``_measure``); each is then an independent
-    task, keyed by (seed, rank, trial), and the tasks, largest m first,
-    run on the sweeps' pool (``_default_workers``) with 2 * sum of m
-    dither entries per trial.
+    before the pool starts (``linops._products``); each is then an
+    independent task, keyed by (seed, rank, trial), and the tasks,
+    largest m first, run on the sweeps' pool (``_default_workers``) with
+    2 * sum of m dither entries per trial.
     """
     ops = sorted(_sweep_ops(ops, mset), key=lambda op: op.m)
     if len(ops) < 2:
@@ -575,15 +548,17 @@ def check_product_concentration(
     pair_state = stream(seed, "prodconc:pair").bit_generator.state
     keys = np.indices((len(ops), trials)).reshape(2, -1).T
     dither_states = _stream_states(seed, "prodconc:dither", keys)
-    outs = _measure(ops, _pair_inputs(mset, [distance], [pair_state], ops[0].rip_profile[1]))
+    workers = _default_workers(_LAYOUT_COLS["bidither"] * sum(m_list), len(ops))
 
     def task(mi):
         states = dither_states[mi * trials : (mi + 1) * trials]
         ests, _ = _qrip_task([outs[mi]], "circ", cfg, [distance], states)
         return float(ests[0, 0].std(ddof=1))
 
-    # largest m first, so one worker takes the largest while the others share the rest
-    sds = _map_tasks(task, reversed(range(len(ops))), _LAYOUT_COLS["bidither"] * sum(m_list))[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        outs = _products(ops, _pair_inputs(mset, [distance], [pair_state], ops[0].rip_profile[1]))
+        # largest m first, so one worker takes the largest while the others share the rest
+        sds = _map_threads(task, reversed(range(len(ops))), workers)[::-1]
     slope = power_law_slope(m_list, sds)
     ratios = [sds[i + 1] / sds[i] for i in range(len(sds) - 1)]
     return {

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -235,59 +236,93 @@ class TestDenseBuild:
 
 
 class TestLeadingRows:
-    """A decay sweep builds its largest m and takes every smaller m of a
-    dense family as the leading rows of that build, which draw nothing."""
+    """A dense build at m is the first m rows of every larger build of its
+    type, seed and n, and draws nothing; a sweep's measurement pass
+    (``_products``) reads the larger one's product where the blocks nest."""
 
     @pytest.mark.parametrize("family,opts", [("gaussian", {}), ("gaussian", {"rip": (1, 2)}), ("bernoulli", {})])
     @pytest.mark.parametrize("m", [1, 63, 64, 100, 300])
     def test_bit_equal_to_a_fresh_build(self, family, opts, m):
         parent = build(family, 300, 77, seed=5, **opts)
-        op = parent._leading_rows(m)
-        fresh = build(family, m, 77, seed=5, **opts)
-        assert type(op) is type(fresh)
-        assert (op.m, op.n, op.mu, op.rip_profile, op.seed) == (m, 77, fresh.mu, fresh.rip_profile, 5)
-        assert op._cache is None and parent._cache is None
+        op = build(family, m, 77, seed=5, **opts)
+        assert type(op) is type(parent)
+        assert (op.m, op.n, op.mu, op.rip_profile, op.seed) == (m, 77, parent.mu, parent.rip_profile, 5)
         xs = np.stack([np.linspace(-1.0, 1.0, 77), stream(6, "test:leading", m).standard_normal(77) * 1e3])
-        assert op.matvecs(xs).tobytes() == fresh.matvecs(xs).tobytes()
-        assert np.array_equal(op.dense(), fresh.dense())
-        for x in xs:
-            assert op.matvec(x).tobytes() == fresh.matvec(x).tobytes()
+        outs = linops._products([op, parent], xs)
+        assert op._cache is None and parent._cache is None
+        # 64 ends before the 300-row product's last block (rows 192..299), and 300 is its m
+        assert np.shares_memory(outs[0], outs[1]) == (m in (64, 300))
+        assert outs[0].tobytes() == op.matvecs(xs).tobytes()
+        assert outs[1].tobytes() == parent.matvecs(xs).tobytes()
+        assert np.array_equal(op.dense(), parent.dense()[:m])
+        for x, y in zip(xs, outs[0]):
+            assert op.matvec(x).tobytes() == y.tobytes()
         with pytest.raises(ValueError):
             op.dense()[0, 0] = 1.0
 
-    def test_out_of_range_rejected(self):
-        parent = build("gaussian", 64, 8, seed=1)
-        for m in (0, 65):
-            with pytest.raises(ValueError, match="leading rows"):
-                parent._leading_rows(m)
-
     @pytest.mark.parametrize("make", [
-        lambda: build("subsampled_hadamard", 64, 128, seed=1),
-        lambda: build("random_convolution", 64, 128, seed=1),
-        lambda: build("expander", 64, 128, seed=1, degree=3),
-        lambda: build_rop(64, 4, 5, seed=1),
+        lambda m: build("subsampled_hadamard", m, 128, seed=1),
+        lambda m: build("random_convolution", m, 128, seed=1),
+        lambda m: build("expander", m, 128, seed=1, degree=3),
+        lambda m: build_rop(m, 8, 16, seed=1),
     ], ids=["subsampled_hadamard", "random_convolution", "expander", "rop"])
-    def test_other_families_have_none(self, make):
-        assert make()._leading_rows(32) is None
+    def test_other_families_have_none(self, make, monkeypatch):
+        # their rows depend on m, so each operator makes its own matvecs call, one m equal to another's too
+        ops = [make(32), make(64), make(64)]
+        xs = stream(2, "test:other").standard_normal((3, 128))
+        want = [op.matvecs(xs) for op in ops]
+        calls = _spy_matvecs(monkeypatch)
+        outs = linops._products(ops, xs)
+        assert calls == [ops[1], ops[2], ops[0]]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(outs, want))
+
+    @pytest.mark.parametrize("small, large", [
+        (("gaussian", 64, 8, 1), ("gaussian", 256, 8, 2)),
+        (("gaussian", 64, 8, 1), ("gaussian", 256, 16, 1)),
+        (("gaussian", 64, 8, 1), ("bernoulli", 256, 8, 1)),
+        (("bernoulli", 64, 8, 1), ("gaussian", 256, 8, 1)),
+    ], ids=["seed", "n", "family", "family-reversed"])
+    def test_unequal_keys_never_share_rows(self, small, large, monkeypatch):
+        # 64 rows nest in a 256-row product of the same rows; here the rows
+        # differ, so each operator makes its own matvecs call.  The spy
+        # returns no product, so operators of different n can share a call
+        ops = [build(family, m, n, seed=seed) for family, m, n, seed in (small, large)]
+        same = build(*small[:3], seed=small[3])
+        calls = []
+        monkeypatch.setattr(LinOp, "matvecs", lambda op, xs: calls.append(op) or np.zeros((len(xs), op.m)))
+        linops._products(ops, np.zeros((1, 8)))
+        assert calls == ops[::-1]
+        calls.clear()
+        linops._products([same, ops[0]], np.zeros((1, 8)))
+        assert calls == [same]  # the same key does share
 
     def test_decay_ops_draw_nothing(self, monkeypatch):
-        # above the cache ceiling too, every m of a dense family is the
-        # largest one's leading rows, and building them draws no row
+        # above the cache ceiling too, a decay's dense operators draw no row when built
         monkeypatch.setattr(linops, "_DENSE_CACHE_MAX", 64 * 10)
         drawn = []
         monkeypatch.setattr(linops._DenseIIDOp, "_fill_rows", lambda op, gen, first, out: drawn.append(op))
-        parent = build("gaussian", linops._DENSE_CACHE_MAX + 1, 1, seed=2)
-        assert parent._leading_rows(1).m == 1
+        assert build("gaussian", linops._DENSE_CACHE_MAX + 1, 1, seed=2).m == linops._DENSE_CACHE_MAX + 1
         args = cli._make_parser().parse_args(["decay", "--family", "gaussian", "--n", "10", "--model", "sparse:2:10",
                                               "--mode", "l1", "--delta", "1", "--grid", "1", "--m-list", "1,2,3,4",
                                               "--seed", "2"])
-        ops = cli._decay_ops(args, [50, 64, 100])
+        ops = [cli._build_op(args, m) for m in [50, 64, 100]]
         assert [op.m for op in ops] == [50, 64, 100]
-        assert [op._prefix_of for op in ops] == [None, None, None]  # no m here has its blocks nested in 100's
         assert drawn == []
+        calls = []
+        monkeypatch.setattr(LinOp, "matvecs", lambda op, xs: calls.append(op) or np.zeros((len(xs), op.m)))
+        linops._products(ops, np.zeros((1, 10)))
+        assert calls == ops[::-1]  # no m here has its blocks nested in 100's
         monkeypatch.undo()
         for op in ops:
             assert np.array_equal(op.dense(), build("gaussian", op.m, 10, seed=2).dense())
+
+
+def _spy_matvecs(monkeypatch) -> list:
+    """The operators of every ``LinOp.matvecs`` call from now on, in call order."""
+    calls = []
+    matvecs = LinOp.matvecs
+    monkeypatch.setattr(LinOp, "matvecs", lambda op, xs: calls.append(op) or matvecs(op, xs))
+    return calls
 
 
 DENSE_FAMILIES = [("gaussian", {}), ("gaussian", {"rip": (1, 2)}), ("bernoulli", {})]
@@ -406,6 +441,32 @@ class TestMatvecs:
         got = op.matvecs(xs)
         assert got.shape == (k, op.m)
         assert got.tobytes() == np.stack([op.matvec(x) for x in xs]).tobytes()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_streamed_product_runs_under_the_callers_error_state(self, cores):
+        # 192 x 4096 streams in three one-block slabs, on a pool at 2 cores;
+        # numpy keeps the error state per thread.  A 1e308 coordinate
+        # overflows the rows whose entry there exceeds ~1.8 in size
+        op = build("gaussian", 192, 4096, seed=1)
+        xs = np.zeros((2, 4096))
+        xs[:, 0] = 1e308
+        on_main = []
+        fill = linops._DenseIIDOp._fill_rows
+
+        def spy(op, gen, first, out):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            fill(op, gen, first, out)
+
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores)), create=True), \
+                mock.patch.object(linops._DenseIIDOp, "_fill_rows", spy):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                op.matvecs(xs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(over="ignore"):
+                    ys = op.matvecs(xs)
+        assert on_main and all(main == (cores == 1) for main in on_main)
+        assert np.isinf(ys).any() and not np.isnan(ys).any()
 
     def test_input_shape_checked(self):
         op = build("gaussian", 70, 5, seed=1)

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from stream_states_check import check
 
-from qembed import QuantConfig, ball, build_rop
+from qembed import QuantConfig, ball, build_rop, entropy_bound, required_m, sample_pair, sparse
 from qembed.embeddings import CodeBlock
-from qembed.quantizer import SoftParam
+from qembed.quantizer import SoftParam, premetric
 from qembed.rng import _stream_states, stream
 
 # every word-count class of SeedSequence's int coercion, plus seeds that
@@ -101,14 +101,19 @@ def test_rejects_non_integer_seed_or_index(make):
     assert "\n" not in str(info.value)
 
 
-# one real parameter of each public constructor that takes one, by the
-# name its errors give it
+# one real parameter of each public constructor that takes one, and the
+# real parameters of the public functions, by the name their errors give them
 _REAL_PARAMS = {
     "QuantConfig": ("delta", lambda v: QuantConfig(v)),
     "CodeBlock": ("delta", lambda v: CodeBlock(v, np.zeros((2, 1), dtype=np.int64))),
     "SoftParam": ("t", lambda v: SoftParam(v)),
     "ball": ("radius", lambda v: ball(16, radius=v)),
     "build_rop": ("kappa", lambda v: build_rop(4, 2, 2, seed=0, kappa=v)),
+    "sample_pair": ("distance", lambda v: sample_pair(sparse(2, 8), v, stream(0, "t"))),
+    "entropy_bound": ("eta", lambda v: entropy_bound(sparse(2, 8), v, 2)),
+    "required_m-epsilon": ("epsilon", lambda v: required_m("p1", sparse(2, 8), v, QuantConfig(1.0))),
+    "required_m-C": ("C", lambda v: required_m("p1", sparse(2, 8), 0.5, QuantConfig(1.0), C=v)),
+    "premetric": ("p", lambda v: premetric(np.zeros(2), np.ones(2), v)),
 }
 _NOT_REALS = st.one_of(
     st.text(max_size=8),
@@ -125,6 +130,11 @@ _NOT_REALS = st.one_of(
 @given(case=st.sampled_from(sorted(_REAL_PARAMS)), value=_NOT_REALS)
 @example(case="QuantConfig", value="1.5").via("text that float() parses")
 @example(case="QuantConfig", value=np.array([2.0])).via("an array that float() unwraps")
+@example(case="sample_pair", value="x").via("text compared with 0")
+@example(case="entropy_bound", value="x").via("text compared with 0")
+@example(case="required_m-epsilon", value="x").via("text compared with 0")
+@example(case="required_m-C", value="x").via("text compared with 0")
+@example(case="premetric", value="x").via("text compared with 1")
 def test_non_real_parameter_raises_one_line_value_error(case, value):
     # these raised TypeErrors ('>' between str and int, float() of None)
     name, make = _REAL_PARAMS[case]

@@ -1,5 +1,7 @@
 import math
 import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from qembed import (
     selftest,
     sparse,
 )
-from qembed import cli, linops, verify
+from qembed import linops, verify
 from qembed.linops import LinOp
 from qembed.embeddings import _estimate_from_codes, quantize_with_dither
 from qembed.quantizer import _threshold_count, premetric
@@ -107,15 +109,16 @@ class TestEstimateRip:
 
 
 def _pool_sizes(monkeypatch) -> list:
-    """The ``max_workers`` of every thread pool that ``verify`` opens from now on."""
+    """The ``max_workers`` of every thread pool opened from now on: a
+    sweep's, and a streamed product's of more than one slab."""
     sizes = []
 
-    class Spy(verify.ThreadPoolExecutor):
+    class Spy(linops.ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kw):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kw)
 
-    monkeypatch.setattr(verify, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(linops, "ThreadPoolExecutor", Spy)
     return sizes
 
 
@@ -149,6 +152,37 @@ class TestDefaultWorkers:
         assert _default_workers(2**13 - 1, 8) == 1
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _default_workers(2**13, 8) == 1
+
+
+class TestSweepErrorState:
+    """A sweep's tasks run under the error state around its measure-and-map
+    section, the caller's with overflow and invalid values ignored, on the
+    pool as inline."""
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("over", ["raise", "ignore"])
+    def test_tasks_on_the_pool_see_the_sweeps_error_state(self, monkeypatch, cores, over):
+        _patch_cores(monkeypatch, cores)
+        monkeypatch.setattr(verify, "_PARALLEL_MIN_BLOCK", 1)
+        seen = []
+        task = verify._qrip_task
+
+        def spy(*args):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+            return task(*args)
+
+        monkeypatch.setattr(verify, "_qrip_task", spy)
+        # at radius 1e154 the squared measurement gaps overflow: the tasks
+        # report it as the one-line error, with no FloatingPointError or warning
+        op = build("gaussian", 16, 8, seed=12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over=over, divide="raise"), pytest.raises(ValueError, match="overflows float64") as err:
+                measure_decay([op], sparse(2, 8, radius=1e154), "l2sq", QuantConfig(1e150), [1e154], 2, 2, seed=0)
+        assert "\n" not in str(err.value)
+        assert seen and all(main == (cores == 1) for main, _ in seen)
+        assert all(state == {"divide": "raise", "over": "ignore", "under": "ignore", "invalid": "ignore"}
+                   for _, state in seen)
 
 
 class TestMeasureQrip:
@@ -345,13 +379,9 @@ class TestMeasureDecay:
     def test_matches_per_record_oracle(self, family, mode, nested, picks, delta, grid, pairs, dithers, seed):
         ms = _DECAY_FAMILIES[family][1]
         m_list = [ms[min(i, len(ms) - 1)] for i in picks]
+        # a decay sweep's operators share a seed, so a dense family's smaller m may read the largest one's rows
         op_seeds = [7] * len(m_list) if nested else [7 + 100 * k for k in range(len(m_list))]
-        if nested:
-            # a decay sweep's operators: the largest built, the others its leading rows where it has them
-            top = _fresh_op(family, max(m_list), 7)
-            ops = [top._leading_rows(m) or _fresh_op(family, m, 7) for m in m_list]
-        else:
-            ops = [_fresh_op(family, m, s) for m, s in zip(m_list, op_seeds)]
+        ops = [_fresh_op(family, m, s) for m, s in zip(m_list, op_seeds)]
         mset = sparse(3, 32, radius=20.0)
         cfg = QuantConfig(delta)
         runs = measure_decay(ops, mset, mode, cfg, grid, pairs, dithers, seed=seed)
@@ -374,8 +404,7 @@ class TestMeasureDecay:
         # at 2 cores the sweep runs 2 workers, with outputs bit-equal to 1
         ms = [1024, 2048, 3072, 4096]
         assert max(ms) < verify._PARALLEL_MIN_BLOCK <= sum(ms)
-        top = build("gaussian", max(ms), 64, seed=21, rip=(1, 2))
-        ops = [top._leading_rows(m) for m in ms]
+        ops = [build("gaussian", m, 64, seed=21, rip=(1, 2)) for m in ms]
         mset = sparse(4, 64, radius=20.0)
         pools = _pool_sizes(monkeypatch)
         runs = []
@@ -411,12 +440,26 @@ def _spy_matvecs(monkeypatch) -> list:
     return calls
 
 
+def _spy_blocks(monkeypatch) -> list:
+    """(operator, block start) of every dense row block drawn from now on."""
+    drawn = []
+    fill = linops._DenseIIDOp._fill_rows
+
+    def spy(op, gen, first, out):
+        drawn.extend((op, b) for b in range(first, first + len(out), 64))
+        fill(op, gen, first, out)
+
+    monkeypatch.setattr(linops._DenseIIDOp, "_fill_rows", spy)
+    return drawn
+
+
 class TestNestedReads:
     """A sweep computes each operator's measurements in one ``matvecs``
-    pass, except an operator whose product blocks are blocks of another
-    one's of the sweep: it reads that one's leading rows."""
+    pass, except a dense operator whose rows are the leading rows of a
+    larger one of the sweep and whose product blocks are blocks of that
+    one's: it reads that one's leading columns."""
 
-    # the m of ``_leading_rows(m)`` that read the parent's rows, per M:
+    # the m built at the parent's seed that read the parent's rows, per M:
     # a multiple of 64 whose blocks end before the parent's last block
     # (64..127 rows), or M itself
     NESTED = {8192: {64, 128, 8128, 8192}, 8193: {64, 128, 8193}, 8255: {64, 128, 8255}}
@@ -428,13 +471,14 @@ class TestNestedReads:
         mset = sparse(2, 8, radius=4.0)
         cfg = QuantConfig(0.5)
         for m in (1, 63, 64, 65, 128, M - 64, 8192, M):
-            op = parent._leading_rows(m)
+            op = build("gaussian", m, 8, seed=3, rip=(1, 2))
             nested = m in self.NESTED[M]
-            assert (op._prefix_of is parent) == nested
+            assert np.shares_memory(*linops._products([parent, op], xs)) == nested
             if nested:
                 assert parent.matvecs(xs)[:, :m].tobytes() == op.matvecs(xs).tobytes()
             calls = _spy_matvecs(monkeypatch)
-            run, _ = measure_decay([op, parent], mset, "l1", cfg, [0.5, 2.0], 2, 2, seed=5)
+            # the parent comes first, so at m = M it is the one computed
+            _, run = measure_decay([parent, op], mset, "l1", cfg, [0.5, 2.0], 2, 2, seed=5)
             monkeypatch.undo()
             # one call per operator computed, for every pair id at once
             assert (calls.count(parent), calls.count(op), len(calls)) == ((1, 0, 1) if nested else (1, 1, 2))
@@ -443,15 +487,15 @@ class TestNestedReads:
             assert np.array_equal(run.linear_est, alone.linear_est)
 
     def test_one_matvecs_call_per_sweep_on_the_decay_benchmark(self, monkeypatch):
-        # the benchmark's decay_l1 sweep: every smaller m reads the largest one's rows
-        args = cli._make_parser().parse_args(["decay", "--family", "gaussian", "--rip", "1,2", "--n", "256",
-                                              "--model", "sparse:4:256", "--mode", "l1", "--delta", "1",
-                                              "--grid", "1", "--m-list", "128,256,512,1024", "--seed", "3"])
-        ops = cli._decay_ops(args, [128, 256, 512, 1024, 2048, 4096, 8192])
-        calls = _spy_matvecs(monkeypatch)
+        # the benchmark's decay_l1 sweep, built at every m: every smaller m
+        # reads the largest one's rows, and each of its blocks is drawn once
+        ops = [build("gaussian", m, 256, seed=3, rip=(1, 2)) for m in (128, 256, 512, 1024, 2048, 4096, 8192)]
+        calls, drawn = _spy_matvecs(monkeypatch), _spy_blocks(monkeypatch)
         runs = measure_decay(ops, sparse(4, 256, radius=20.0), "l1", QuantConfig(1.0), [0.05, 0.2, 1.0, 5.0, 10.0],
                              8, 16, seed=3)
         assert calls == [ops[-1]]
+        assert all(op is ops[-1] for op, _ in drawn)
+        assert sorted(b for _, b in drawn) == list(range(0, 8192, 64))
         assert [run.estimates.shape for run in runs] == [(8, 5, 16)] * 7
 
 
@@ -468,9 +512,8 @@ class TestStreamedSweeps:
                              3, 4, seed=9)
 
     def _ops(self):
-        top = build("gaussian", self.M, self.N, seed=3)
-        # 128 reads the top's rows; 100 and 1000 compute their own
-        return [top._leading_rows(m) for m in (100, 128, 1000)] + [top]
+        # 128 reads the largest one's rows; 100 and 1000 compute their own
+        return [build("gaussian", m, self.N, seed=3) for m in (100, 128, 1000, self.M)]
 
     def test_one_slab_buffer_per_thread(self, monkeypatch):
         _patch_cores(monkeypatch, 2)
@@ -486,16 +529,14 @@ class TestStreamedSweeps:
         assert op._cache is None
 
     def test_each_block_drawn_once_per_operator(self, monkeypatch):
-        drawn = []
-        fill = linops._DenseIIDOp._fill_rows
-        monkeypatch.setattr(linops._DenseIIDOp, "_fill_rows",
-                            lambda op, gen, first, out: drawn.append((op, first, len(out))) or fill(op, gen, first, out))
+        drawn = _spy_blocks(monkeypatch)
         ops = self._ops()
+        calls = _spy_matvecs(monkeypatch)
         self._sweep(ops)
         for op in ops:
-            starts = sorted(b for o, first, rows in drawn if o is op for b in range(first, first + rows, 64))
-            assert starts == ([] if op._prefix_of is not None else list(range(0, op.m, 64)))
-        assert ops[1]._prefix_of is ops[-1]
+            starts = sorted(b for o, b in drawn if o is op)
+            assert starts == ([] if op.m == 128 else list(range(0, op.m, 64)))
+        assert calls == [ops[-1], ops[2], ops[0]]
 
     def test_estimates_do_not_depend_on_cores_or_cache(self, monkeypatch):
         runs = []
