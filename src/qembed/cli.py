@@ -13,11 +13,12 @@ prints it as one "error: ..." line on stderr and returns 1.  So does a
 MemoryError: a size the machine cannot allocate.  qrip and
 decay check that their outputs can be written before they sweep.
 Sweeps run their pair ids on one worker per usable core (the CPU
-affinity set, e.g. under taskset) when a trial's dither entries, summed
-over every m of the sweep (2m each for circ), reach 2**13, else on one
-(``verify._default_workers``); decay runs all its dimensions as one
-sweep, so dimensions each below 2**13 may reach it together.  Results
-do not depend on the worker count.  For sweeps, set
+affinity set, e.g. under taskset) when a trial's dither block, m
+entries at the sweep's largest m (2m for circ), reaches 2**16, else on
+one (``verify._default_workers``); decay runs all its dimensions as
+one sweep, drawing each trial's dithers once at the largest m, so its
+smaller dimensions add nothing to the block.  Results do not depend on
+the worker count.  For sweeps, set
 OPENBLAS_NUM_THREADS=1: idle OpenBLAS threads spin on the cores the
 trial workers need.
 """

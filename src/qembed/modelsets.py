@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .rng import _integer, _real
+from .rng import _integer, _order, _real
 
 __all__ = [
     "ModelSet",
@@ -250,13 +250,15 @@ def sample_pair(
     Both points live in one structured component (shared support /
     shared factors), so their difference keeps the model structure.  The
     midpoint is drawn at a feasible norm so both endpoints stay within
-    the declared radius; requires distance <= 2 * radius and, for q = 2,
-    a radius whose square is finite.  A pair whose gap is lost to
-    rounding against a midpoint much larger than the distance raises.
+    the declared radius; requires distance <= 2 * radius, a norm order
+    q >= 1 (inf included) and, for q = 2, a radius whose square is
+    finite.  A pair whose gap is lost to rounding against a midpoint
+    much larger than the distance raises.
     """
     distance = _real("distance", distance)
     if distance < 0:
         raise ValueError(f"distance must be >= 0, got {distance}")
+    q = _order("q", q)
     if distance > 2 * mset.radius:
         raise ValueError(f"distance {distance} is infeasible within diameter {2 * mset.radius}")
     if q == 2 and not math.isfinite(mset.radius * mset.radius):
@@ -418,11 +420,11 @@ def entropy_bound(mset: ModelSet, eta: float, q: float) -> float:
       ball               (width / eta)**2  (exact Gaussian width)   q = 2
       finite_cloud       ln(T)                                      q >= 1
 
-    Raises ValueError when the bound overflows float64.
+    q is a norm order in [1, inf].  Raises ValueError when the bound
+    overflows float64.
     """
     eta = _real("eta", eta, positive=True)
-    if not q >= 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+    q = _order("q", q)
     k = mset.kind
     p = mset.params
     r = mset.radius

@@ -53,22 +53,42 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _float(name: str, value) -> float:
+    """A ``value`` that is not a Python float, converted to one, nan and
+    +-inf included (numpy reals and integers pass); text, None, bool,
+    arrays and integers beyond float64 raise a one-line ValueError
+    naming ``name``.  The type check of ``_real`` and ``_order``, rather
+    than ``float``, which would parse "1.5", unwrap a one-element array
+    and raise a TypeError on None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        got = " ".join(repr(value).split())  # an array's repr spans lines
+        raise ValueError(f"{name} must be a real number, got {got}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a real number, got an integer beyond float64") from None
+
+
 def _real(name: str, value, positive: bool = False) -> float:
-    """``value`` as a finite Python float, above 0 where ``positive``
-    (numpy reals and integers pass); anything else, text, None, bool and
-    arrays included, raises a one-line ValueError naming ``name``.  Real
-    parameters go through it rather than ``float``, which would parse
-    "1.5", unwrap a one-element array and raise a TypeError on None."""
-    if type(value) is not float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            got = " ".join(repr(value).split())  # an array's repr spans lines
-            raise ValueError(f"{name} must be a real number, got {got}")
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ValueError(f"{name} must be finite, got an integer beyond float64") from None
+    """``value`` as a finite Python float, above 0 where ``positive``;
+    anything else raises ``_float``'s one-line ValueError or one naming
+    the range.  Real parameters go through it."""
+    if type(value) is not float:  # a float, the common case, skips the call
+        value = _float(name, value)
     if not math.isfinite(value) or (positive and value <= 0):
         raise ValueError(f"{name} must be {'positive and finite' if positive else 'finite'}, got {value}")
+    return value
+
+
+def _order(name: str, value) -> float:
+    """``value`` as a norm order q, a Python float in [1, inf]: ``_real``
+    with +inf admitted, as ``np.linalg.norm`` takes it.  nan, q < 1 and
+    anything ``_float`` rejects raise a one-line ValueError naming
+    ``name``."""
+    if type(value) is not float:
+        value = _float(name, value)
+    if not value >= 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
     return value
 
 

@@ -78,7 +78,7 @@ from .embeddings import _PairKernel, quantize_with_dither
 from .linops import LinOp, _map_threads, _products, _usable_cores
 from .modelsets import ModelSet, sample_pair
 from .quantizer import _LAYOUT_COLS, QuantConfig, _cell_gap, _mode, _threshold_count, premetric, sample_dither
-from .rng import _integer, _stream_states, stream
+from .rng import _integer, _real, _stream_states, stream
 
 __all__ = [
     "DistortionRecord",
@@ -102,28 +102,33 @@ RECORD_COLUMNS = "m,delta,mode,true_dist,est_dist,rel_err,pair_id,trial_id,seed"
 SUMMARY_COLUMNS = "m,mode,eps_L_hat,dist,rho_hat_max,rho_hat_median"
 
 # The pool rule of every sweep (``_default_workers``): one worker per
-# usable core once a trial's dither entries, summed over every operator
-# of the sweep (cols * sum of m), reach this many; one worker below it,
-# where the trials' Python and per-call overhead, which holds the GIL,
-# dominates.  2 workers against 1, in-process ``measure_decay``, gaussian,
-# n = 256, 8 pairs x 16 dithers x 5 distances, 2 cores, OpenBLAS at one
-# thread, median of 7 per round, range over 4 rounds, estimates
+# usable core once one trial's dither block, cols * m at the sweep's
+# largest m, reaches this many entries; one worker below it.  The kernel
+# draws each trial once, at the largest m, and smaller m read a prefix,
+# so nested dimensions add nothing.  A task runs only the kernel's
+# ``load`` and ``trials`` (the products run in one pass before the
+# pool), many short numpy calls that hold the GIL, so a second worker
+# pays off only once a trial's draws are long.  2 workers against 1,
+# from ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python
+# tests/pool_crossover.py --rounds 7`` (in-process ``measure_decay``,
+# gaussian, n = 256, sparse:4:256, delta 1, 5 distances, a 2-core x86
+# machine), median and range over 7 rounds, two runs, estimates
 # bit-identical:
 #
-#   entries  shape                                  2 workers
-#   128      l1, m = 128                            0.58-0.89x
-#   512      l1, m = 512; circ, m = 256             0.59-0.74x
-#   2048     l1, m = 2048; circ, m = 1024           0.85-1.12x
-#   4096     l1, m = 4096; circ, m = 2048           1.05-1.39x
-#   8192     l1, m = 8192; circ, m = 4096           1.22-1.41x
-#   10240    l1, m = 1024, 2048, 3072, 4096         1.22-1.45x
-#   16256    l1, m = 128, 256, ..., 8192 (decay)    1.01-1.43x
+#   key     shape (pairs x dithers)                   run 1             run 2
+#   2048    l1, m = 2048 (8 x 16)                     0.74 (0.51-0.85)  0.60 (0.52-0.90)
+#   8192    l1, m = 128, ..., 8192 (8 x 16; decay_l1) 0.74 (0.60-0.81)  0.65 (0.58-0.98)
+#   8192    l2sq, m = 8192 (8 x 16)                   0.68 (0.63-1.05)  0.69 (0.67-0.78)
+#   16384   circ, m = 8192 (8 x 16)                   0.68 (0.58-0.91)  0.72 (0.62-0.85)
+#   32768   l1, m = 32768 (8 x 16)                    0.90 (0.81-1.00)  0.90 (0.81-0.96)
+#   32768   circ, m = 16384 (8 x 16)                  0.78 (0.67-0.92)  0.83 (0.74-0.98)
+#   65536   l1, m = 65536 (8 x 16)                    0.97 (0.86-1.31)  0.99 (0.86-1.14)
+#   65536   circ, m = 32768 (8 x 16)                  0.91 (0.80-1.37)  1.20 (1.01-1.31)
+#   65536   circ, m = 32768 (6 x 96; sweep_circ)      1.25 (0.97-1.35)  1.18 (0.92-1.62)
 #
-# The low ends fell in spells when the two cores ran like one (a
-# two-thread np.sin ran ~1x then).  An earlier 2-core measurement of
-# the same shapes read 0.92-0.99x for l1 up to 4096 entries, so the
-# threshold sits at 8192, the smallest size that gained in both.
-_PARALLEL_MIN_BLOCK = 2**13
+# Every key below 2**16 lost in both runs, so the threshold sits at the
+# smallest key where a median gained.
+_PARALLEL_MIN_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -347,10 +352,10 @@ def _qrip_task(rows, mode, cfg, grid, dither_states):
 def _default_workers(entries: int, tasks: int) -> int:
     """Worker count of a sweep of ``tasks`` independent tasks.
 
-    One worker per usable core, capped at ``tasks``, when a trial's
-    dither entries summed over every operator of the sweep (``entries``,
-    cols * sum of m) reach ``_PARALLEL_MIN_BLOCK``; one worker below
-    that.  Usable cores come from ``linops._usable_cores``.
+    One worker per usable core, capped at ``tasks``, when one trial's
+    dither block (``entries``, cols * m at the sweep's largest m)
+    reaches ``_PARALLEL_MIN_BLOCK``; one worker below that.  Usable
+    cores come from ``linops._usable_cores``.
     """
     if entries < _PARALLEL_MIN_BLOCK:
         return 1
@@ -405,9 +410,9 @@ def measure_decay(
     on the sweeps' pool (``_default_workers``).
     """
     ops = _sweep_ops(ops, mset)
-    grid = np.sort(np.asarray(list(distance_grid), dtype=float))
-    if grid.size < 1 or np.any(grid <= 0):
-        raise ValueError("distance grid must be non-empty and positive")
+    grid = np.sort(np.array([_real("grid distance", s, positive=True) for s in distance_grid], dtype=float))
+    if grid.size < 1:
+        raise ValueError("distance grid must be non-empty")
     pairs_per_distance = _ids("pairs_per_distance", pairs_per_distance)
     dithers_per_pair = _ids("dithers_per_pair", dithers_per_pair)
     if pairs_per_distance < 1 or dithers_per_pair < 1:
@@ -426,7 +431,7 @@ def measure_decay(
     dither_states = _stream_states(seed, "qrip:dither", keys[:, [0, 2, 1]])
     per_pair = grid.size * dithers_per_pair
     rows = 2 * grid.size
-    workers = _default_workers(_LAYOUT_COLS[layout] * sum(op.m for op in ops), pairs_per_distance)
+    workers = _default_workers(_LAYOUT_COLS[layout] * max(op.m for op in ops), pairs_per_distance)
 
     def task(j):
         states = dither_states[j * per_pair : (j + 1) * per_pair]
@@ -534,8 +539,8 @@ def check_product_concentration(
     [-0.75, -0.25].  The operators are ranked by m and measure the pair
     before the pool starts (``linops._products``); each is then an
     independent task, keyed by (seed, rank, trial), and the tasks,
-    largest m first, run on the sweeps' pool (``_default_workers``) with
-    2 * sum of m dither entries per trial.
+    largest m first, run on the sweeps' pool (``_default_workers``),
+    keyed on the largest operator's 2 * m dither entries per trial.
     """
     ops = sorted(_sweep_ops(ops, mset), key=lambda op: op.m)
     if len(ops) < 2:
@@ -548,7 +553,7 @@ def check_product_concentration(
     pair_state = stream(seed, "prodconc:pair").bit_generator.state
     keys = np.indices((len(ops), trials)).reshape(2, -1).T
     dither_states = _stream_states(seed, "prodconc:dither", keys)
-    workers = _default_workers(_LAYOUT_COLS["bidither"] * sum(m_list), len(ops))
+    workers = _default_workers(_LAYOUT_COLS["bidither"] * m_list[-1], len(ops))
 
     def task(mi):
         states = dither_states[mi * trials : (mi + 1) * trials]

@@ -5,11 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from stream_states_check import check
 
-from qembed import QuantConfig, ball, build_rop, entropy_bound, required_m, sample_pair, sparse
+from qembed import QuantConfig, ball, build, build_rop, entropy_bound, measure_decay, required_m, sample_pair, sparse
 from qembed.embeddings import CodeBlock
 from qembed.quantizer import SoftParam, premetric
 from qembed.rng import _stream_states, stream
@@ -114,7 +114,13 @@ _REAL_PARAMS = {
     "required_m-epsilon": ("epsilon", lambda v: required_m("p1", sparse(2, 8), v, QuantConfig(1.0))),
     "required_m-C": ("C", lambda v: required_m("p1", sparse(2, 8), 0.5, QuantConfig(1.0), C=v)),
     "premetric": ("p", lambda v: premetric(np.zeros(2), np.ones(2), v)),
+    "sample_pair-q": ("q", lambda v: sample_pair(sparse(2, 8), 1.0, stream(0, "t"), q=v)),
+    "entropy_bound-q": ("q", lambda v: entropy_bound(sparse(2, 8), 0.1, v)),
+    "measure_decay": ("grid distance", lambda v: measure_decay(
+        [build("gaussian", 4, 8, seed=0)], sparse(2, 8), "l2sq", QuantConfig(1.0), [1.0, v], 1, 1, seed=0)),
 }
+# norm orders: q = inf is valid, as np.linalg.norm takes it
+_ORDERS = {"sample_pair-q", "entropy_bound-q"}
 _NOT_REALS = st.one_of(
     st.text(max_size=8),
     st.none(),
@@ -135,14 +141,42 @@ _NOT_REALS = st.one_of(
 @example(case="required_m-epsilon", value="x").via("text compared with 0")
 @example(case="required_m-C", value="x").via("text compared with 0")
 @example(case="premetric", value="x").via("text compared with 1")
+@example(case="entropy_bound-q", value="x").via("text compared with 1")
+@example(case="entropy_bound-q", value=None).via("None compared with 1")
+@example(case="entropy_bound-q", value=np.ones(2)).via("an array compared with 1")
+@example(case="sample_pair-q", value="x").via("text taken as a norm order")
+@example(case="measure_decay", value=True).via("a bool taken as distance 1")
+@example(case="measure_decay", value=[1, 2]).via("a nested list compared with 0")
 def test_non_real_parameter_raises_one_line_value_error(case, value):
-    # these raised TypeErrors ('>' between str and int, float() of None)
+    # these raised TypeErrors ('>' between str and int, float() of None),
+    # numpy's ambiguous truth value, or took True as 1
+    assume(not (case in _ORDERS and type(value) is float and value == math.inf))
     name, make = _REAL_PARAMS[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^{name} must be ") as info:
             make(value)
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("q", [0.5, 0, -1, -math.inf])
+@pytest.mark.parametrize("case", sorted(_ORDERS))
+def test_norm_order_below_one_rejected(case, q):
+    with pytest.raises(ValueError, match=r"^q must be >= 1, got ") as info:
+        _REAL_PARAMS[case][1](q)
+    assert "\n" not in str(info.value)
+
+
+def test_norm_orders_admit_inf():
+    # the sparse covering bound does not depend on q >= 1; an l_inf pair
+    # has its gap in the max norm
+    assert entropy_bound(sparse(2, 8), 0.1, math.inf) == entropy_bound(sparse(2, 8), 0.1, 1)
+    for q in (math.inf, np.float64(math.inf)):
+        x, x_prime = sample_pair(sparse(2, 8), 1.5, stream(0, "t"), q=q)
+        assert np.max(np.abs(x - x_prime)) == pytest.approx(1.5, rel=1e-6)
+    # integer and numpy orders draw what the float order draws
+    pairs = [sample_pair(sparse(2, 8), 1.5, stream(0, "t"), q=q) for q in (2.0, 2, np.int64(2), np.float32(2))]
+    assert all(np.array_equal(a, b) for p in pairs[1:] for a, b in zip(pairs[0], p))
 
 
 @settings(max_examples=100, deadline=None)

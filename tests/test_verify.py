@@ -122,6 +122,14 @@ def _pool_sizes(monkeypatch) -> list:
     return sizes
 
 
+def _sweep_pools(monkeypatch) -> list:
+    """The worker count of every sweep pool (``verify._map_threads``) from now on."""
+    workers = []
+    map_threads = verify._map_threads
+    monkeypatch.setattr(verify, "_map_threads", lambda fn, items, n: workers.append(n) or map_threads(fn, items, n))
+    return workers
+
+
 def _patch_cores(monkeypatch, cores: int):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
@@ -130,14 +138,19 @@ class TestDefaultWorkers:
     @pytest.mark.parametrize(
         "cores, block, pairs, workers",
         [
+            # below the threshold, the old 2**13 one among them, one worker
             (1, 2**13, 6, 1),
             (1, 2**14 - 1, 6, 1),
             (1, 2**14, 6, 1),
             (4, 2**13 - 1, 6, 1),
-            (4, 2**13, 6, 4),
-            (4, 2**14 - 1, 6, 4),
-            (4, 2**14, 6, 4),
-            (4, 2**14, 3, 3),
+            (4, 2**13, 6, 1),
+            (4, 2**16 - 1, 6, 1),
+            # at and above it, one per core, capped at the task count
+            (1, 2**16, 6, 1),
+            (4, 2**16, 6, 4),
+            (4, 2**17 - 1, 6, 4),
+            (4, 2**17, 6, 4),
+            (4, 2**17, 3, 3),
         ],
     )
     def test_affinity_cores(self, monkeypatch, cores, block, pairs, workers):
@@ -148,10 +161,41 @@ class TestDefaultWorkers:
     def test_cpu_count_fallback(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _default_workers(2**13, 8) == 3
-        assert _default_workers(2**13 - 1, 8) == 1
+        assert _default_workers(2**16, 8) == 3
+        assert _default_workers(2**16 - 1, 8) == 1
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _default_workers(2**13, 8) == 1
+        assert _default_workers(2**16, 8) == 1
+
+    @pytest.mark.parametrize(
+        "mode, ms, pairs, dithers, key, workers",
+        [
+            ("l1", [128, 256, 512, 1024, 2048, 4096, 8192], 8, 16, 8192, 1),
+            ("circ", [32768], 6, 96, 65536, 2),
+        ],
+        ids=["decay_l1", "sweep_circ"],
+    )
+    def test_benchmark_shapes(self, monkeypatch, mode, ms, pairs, dithers, key, workers):
+        # the two benchmark sweeps (gaussian, n = 256, 5 distances) on 2
+        # cores: a trial draws cols * max(m) dither entries, so decay_l1's
+        # seven dimensions run inline and sweep_circ keeps 2 workers.  The
+        # spy stops each sweep once the rule has answered.
+        _patch_cores(monkeypatch, 2)
+        seen = []
+        rule = verify._default_workers
+
+        class Stop(Exception):
+            pass
+
+        def spy(entries, tasks):
+            seen.append((entries, tasks, rule(entries, tasks)))
+            raise Stop
+
+        monkeypatch.setattr(verify, "_default_workers", spy)
+        ops = [build("gaussian", m, 256, seed=1, **({"rip": (1, 2)} if mode == "l1" else {})) for m in ms]
+        with pytest.raises(Stop):
+            measure_decay(ops, sparse(4, 256, radius=20.0), mode, QuantConfig(1.0), [0.05, 0.2, 1.0, 5.0, 10.0],
+                          pairs, dithers, seed=11)
+        assert seen == [(key, pairs, workers)]
 
 
 class TestSweepErrorState:
@@ -399,25 +443,29 @@ class TestMeasureDecay:
             alone = measure_qrip(fresh, mset, mode, cfg, grid, pairs, dithers, seed=seed)
             assert records_csv(run) + summary_csv(run) == records_csv(alone) + summary_csv(alone)
 
-    def test_summed_dimensions_size_the_pool(self, monkeypatch):
-        # every m is below the pool threshold and their sum is above it:
-        # at 2 cores the sweep runs 2 workers, with outputs bit-equal to 1
-        ms = [1024, 2048, 3072, 4096]
-        assert max(ms) < verify._PARALLEL_MIN_BLOCK <= sum(ms)
-        ops = [build("gaussian", m, 64, seed=21, rip=(1, 2)) for m in ms]
+    def test_nested_dimensions_do_not_add_up(self, monkeypatch):
+        # a trial draws its dithers once, at the largest m, so the pool is
+        # keyed on that m alone: with the threshold at 8192, 1024 + ... +
+        # 4096 sums past it but runs inline on 2 cores, while a largest m
+        # at it runs 2 workers; each sweep's outputs are bit-equal at 1 and
+        # 2 cores
+        monkeypatch.setattr(verify, "_PARALLEL_MIN_BLOCK", 8192)
         mset = sparse(4, 64, radius=20.0)
-        pools = _pool_sizes(monkeypatch)
-        runs = []
-        for cores in (1, 2):
-            _patch_cores(monkeypatch, cores)
-            runs.append(measure_decay(ops, mset, "l1", QuantConfig(0.7), [0.05, 1.0, 10.0], 3, 4, seed=22))
-        assert pools == [2]
-        for a, b in zip(*runs):
-            assert np.array_equal(a.estimates, b.estimates)
-            assert np.array_equal(a.linear_est, b.linear_est)
-            assert a.fit.eps_L_hat == b.fit.eps_L_hat
-            assert np.array_equal(a.fit.rho_hat_max, b.fit.rho_hat_max)
-            assert np.array_equal(a.fit.rho_hat_median, b.fit.rho_hat_median)
+        for ms, workers in (([1024, 2048, 3072, 4096], 1), ([1024, 2048, 4096, 8192], 2)):
+            assert sum(ms) >= 8192
+            ops = [build("gaussian", m, 64, seed=21, rip=(1, 2)) for m in ms]
+            pools = _sweep_pools(monkeypatch)
+            runs = []
+            for cores in (1, 2):
+                _patch_cores(monkeypatch, cores)
+                runs.append(measure_decay(ops, mset, "l1", QuantConfig(0.7), [0.05, 1.0, 10.0], 3, 4, seed=22))
+            assert pools == [1, workers]
+            for a, b in zip(*runs):
+                assert np.array_equal(a.estimates, b.estimates)
+                assert np.array_equal(a.linear_est, b.linear_est)
+                assert a.fit.eps_L_hat == b.fit.eps_L_hat
+                assert np.array_equal(a.fit.rho_hat_max, b.fit.rho_hat_max)
+                assert np.array_equal(a.fit.rho_hat_median, b.fit.rho_hat_median)
 
     def test_operators_must_share_n_and_profile(self):
         mset = sparse(2, 16)
@@ -663,10 +711,12 @@ class TestProductConcentration:
         ]
 
     def test_pool_does_not_change_results(self, monkeypatch):
-        # the per-m tasks follow the sweeps' rule: 2 * (1024 + 2048 + 4096)
-        # dither entries reach the threshold, so 2 cores run 2 workers;
-        # the operators are ranked by m whatever order they come in
+        # the per-m tasks follow the sweeps' rule, keyed on the largest
+        # operator's 2 * 4096 dither entries, made the threshold here, so
+        # 2 cores run 2 workers; the operators are ranked by m whatever
+        # order they come in
         small, mid, large = _gaussians([1024, 2048, 4096], 64, 15)
+        monkeypatch.setattr(verify, "_PARALLEL_MIN_BLOCK", 2 * 4096)
         pools = _pool_sizes(monkeypatch)
         reps = []
         for cores in (1, 2):
