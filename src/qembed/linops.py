@@ -23,15 +23,19 @@ family draws nothing when it is built.  Its row block b (64 rows) is
 drawn from a stream keyed by (seed, family label, b), so any set of
 rows can be drawn on its own.  ``matvec`` and ``dense`` keep the matrix
 in a cache, in one anonymous mapping, built on first use where m * n
-fits ``_DENSE_CACHE_MAX``.  ``matvecs`` on an operator without a cache
-streams the rows instead: slabs of whole blocks, split over the usable
-cores, each thread drawing into one reused slab, so a sweep holds no
-matrix.  The product has one definition (``_blocked_product``): one
-GEMV per 64-row block, the last block taking the 0..63-row remainder,
-with every input run against a block while it is in cache.  A streamed
-product's last slab holds that whole last block, so the streamed and
-the cached product agree bit for bit.  At one OpenBLAS thread each row
-has the bits of one GEMV over all m rows, and at two the same bits.
+fits ``_DENSE_CACHE_MAX``.  A Gaussian cache holds float64 entries
+(8 bytes each); a Bernoulli cache holds its +-1 entries as int8 (1
+byte each) and a product widens it to float64 one slab at a time.
+``matvecs`` on an operator without a cache streams the rows instead:
+slabs of whole blocks, split over the usable cores, each thread drawing
+into one reused slab, so a sweep holds no matrix.  The product has one
+definition (``_blocked_product``): one GEMV per 64-row block, the last
+block taking the 0..63-row remainder, with every input run against a
+block while it is in cache.  A slab's float64 rows, drawn or widened,
+are the rows a float64 cache holds, and the last slab holds that whole
+last block, so the streamed, the widened and the cached product agree
+bit for bit.  At one OpenBLAS thread each row has the bits of one GEMV
+over all m rows, and at two the same bits.
 
 Row sharing has one rule, applied by ``_products``, the measurement
 pass of a sweep.  Two dense operators of one type, seed and n have the
@@ -74,21 +78,30 @@ FAMILIES = (
     "expander",
 )
 
-# Dense-cache ceiling: 2**24 float64 entries (128 MiB).  Larger dense
-# families stream their rows per matvec from the same keyed generators.
+# Dense-cache ceiling in entries, whatever their width: 2**24 entries,
+# 128 MiB as float64 (Gaussian) and 16 MiB as int8 (Bernoulli).  Larger
+# dense families stream their rows per matvec from the same keyed
+# generators.
 _DENSE_CACHE_MAX = 1 << 24
 # rows of a dense build's keyed row block, and of its product's block
 _BLOCK_ROWS = 64
-# float64 entries of a streamed product's slab (2 MiB), rounded down to
-# whole blocks and at least one: each thread draws a slab, runs every
-# input against it and reuses its buffer for the next
-_SLAB_ENTRIES = 2**18
+# float64 entries of a product's slab (512 KiB), rounded down to whole
+# blocks and at least one: a streamed product's thread draws a slab, and
+# a Bernoulli cache's product widens one, runs every input against it
+# and reuses its buffer for the next.  2**16 against 2**18 (5 alternating
+# 10 s perfbench pairs on a 2-core x86 machine): decay_l1 peak RSS 51.9 ->
+# 49.0 MiB and sweep_circ 64.0 -> 63.1, throughput inside the noise
+_SLAB_ENTRIES = 2**16
 # float64 entries of a dense product's block-major scratch (64 KiB)
 _PRODUCT_SCRATCH = 2**13
+# int64 entries of one Bernoulli draw (256 KiB): a block is drawn in row
+# chunks of this size, the same values as one draw of the whole block
+_DRAW_ENTRIES = 2**15
 
 
-def _row_buffer(rows: int, n: int) -> np.ndarray:
-    """A fresh (rows, n) float64 buffer for dense rows to fill.
+def _row_buffer(rows: int, n: int, dtype=np.float64) -> np.ndarray:
+    """A fresh (rows, n) buffer, float64 unless ``dtype`` says otherwise,
+    for dense rows or a sweep's measurements to fill.
 
     The buffer is an anonymous mapping of its own, unmapped when the
     last array using it goes away.  From the malloc heap, caches of
@@ -96,8 +109,9 @@ def _row_buffer(rows: int, n: int) -> np.ndarray:
     m = 128 ... 8192) fragmented it, and peak RSS grew by about one
     cache.
     """
-    buf = mmap.mmap(-1, max(rows * n * 8, 8))  # a mapping cannot be empty
-    return np.frombuffer(buf, dtype=float, count=rows * n).reshape(rows, n)
+    size = rows * n * np.dtype(dtype).itemsize
+    buf = mmap.mmap(-1, max(size, 8))  # a mapping cannot be empty
+    return np.frombuffer(buf, dtype=dtype, count=rows * n).reshape(rows, n)
 
 
 def _usable_cores() -> int:
@@ -171,6 +185,17 @@ def _blocked_product(rows: np.ndarray, xs: np.ndarray, out: np.ndarray) -> None:
         b = a + (left if left < 8 else 4 if left < 12 else (left - 4) // 8 * 8)
         np.matmul(rows[a:b], xs[:, :, None], out=out[:, a:b, None])
         a = b
+
+
+def _slab_products(slabs, xs: np.ndarray, out: np.ndarray, fill, buf: np.ndarray) -> None:
+    """``_blocked_product`` of each (first, stop) slab's rows into its
+    columns of ``out``, ``fill(first, rows)`` writing the float64 rows
+    into ``buf``, as long as the longest slab and reused for each, so
+    its pages are faulted once."""
+    for a, b in slabs:
+        rows = buf[: b - a]
+        fill(a, rows)
+        _blocked_product(rows, xs, out[:, a:b])
 
 
 def _is_pow2(n: int) -> bool:
@@ -296,18 +321,22 @@ class _DenseIIDOp(LinOp):
     agree without ever storing the matrix.  Building one draws nothing.
     ``matvec`` and ``dense`` build the read-only cache on their first
     call where m * n fits ``_DENSE_CACHE_MAX`` (one thread builds it
-    while others wait), so repeated encodes read it.  ``matvecs`` on an
-    operator without a cache streams the rows (``_streamed_product``);
-    a sweep calls only ``matvecs``, so it never holds the matrix.  Each
-    block is filled in place (``_fill_row_block``) into a view of one
-    ``_row_buffer``; one ``_fill_rows`` call derives its block states in
-    one batched pass (``rng._stream_states``) and draws them through the
-    caller's generator, so matvec stays reentrant.  The block keys do
-    not depend on m, so the first m rows are the operator at m
-    (``_products``).
+    while others wait), so repeated encodes read it.  The cache holds
+    ``_cache_dtype`` entries: float64 for Gaussian, int8 for Bernoulli's
+    +-1, which a product widens to float64 one slab at a time on the
+    calling thread (``_slab_products``).  ``matvecs`` on an operator
+    without a cache streams the rows (``_streamed_product``) into a
+    ``_row_buffer`` output; a sweep calls only ``matvecs``, so it never
+    holds the matrix.  Each block is filled in place
+    (``_fill_row_block``) into a view of one ``_row_buffer``; one
+    ``_fill_rows`` call derives its block states in one batched pass
+    (``rng._stream_states``) and draws them through the caller's
+    generator, so matvec stays reentrant.  The block keys do not depend
+    on m, so the first m rows are the operator at m (``_products``).
     """
 
     _row_label = "rows"
+    _cache_dtype = np.float64
 
     def __init__(self, m, n, seed, mu, rip_profile):
         super().__init__(m, n, seed, mu, rip_profile)
@@ -326,7 +355,7 @@ class _DenseIIDOp(LinOp):
             gen.bit_generator.state = state
             self._fill_row_block(gen, out[b0 - first : b0 - first + _BLOCK_ROWS])
 
-    def _rows(self, start: int, stop: int) -> np.ndarray:
+    def _rows(self, start: int, stop: int, dtype=np.float64) -> np.ndarray:
         # one keyed stream per 64-row block keeps the layout reproducible
         # for any (start, stop) slicing.  These rows are drawn on one
         # thread: they are a cache or a test's slice, and a sweep's
@@ -335,7 +364,7 @@ class _DenseIIDOp(LinOp):
         blk = _BLOCK_ROWS
         first = (start // blk) * blk
         last = min(self.m, -(-stop // blk) * blk)
-        full = _row_buffer(last - first, self.n)
+        full = _row_buffer(last - first, self.n, dtype)
         self._fill_rows(np.random.default_rng(0), first, full)
         return full[start - first : stop - first]
 
@@ -345,7 +374,7 @@ class _DenseIIDOp(LinOp):
         if self._cache is None and self.m * self.n <= _DENSE_CACHE_MAX:
             with self._cache_lock:
                 if self._cache is None:
-                    rows = self._rows(0, self.m)
+                    rows = self._rows(0, self.m, self._cache_dtype)
                     rows.setflags(write=False)
                     self._cache = rows
         return self._cache
@@ -355,46 +384,62 @@ class _DenseIIDOp(LinOp):
         return self._matvecs(x[None])[0]
 
     def _matvecs(self, xs: np.ndarray) -> np.ndarray:
-        out = np.empty((xs.shape[0], self.m))
-        if self._cache is not None:
-            _blocked_product(self._cache, xs, out)
-        else:
+        cache = self._cache
+        if cache is None:
+            out = _row_buffer(xs.shape[0], self.m)
             self._streamed_product(xs, out)
+            return out
+        out = np.empty((xs.shape[0], self.m))
+        if cache.dtype == np.float64:
+            _blocked_product(cache, xs, out)
+        else:
+            # widened on the heap: malloc reuses the slab from call to
+            # call, where a fresh mapping faulted its pages in every encode
+            slabs = self._slabs()
+            buf = np.empty((max(b - a for a, b in slabs), self.n))
+            _slab_products(slabs, xs, out, lambda a, rows: np.copyto(rows, cache[a : a + len(rows)]), buf)
         return out
+
+    def _slabs(self) -> list[tuple[int, int]]:
+        """The (first, stop) rows of each slab of a product: whole 64-row
+        blocks, ``_SLAB_ENTRIES`` float64 entries (at least one block),
+        the last slab starting at or before the product's last block
+        (``_last_block``) and running to m, so that block, 64 rows plus
+        the remainder, goes through one call as it does over the whole
+        matrix."""
+        step = max(1, _SLAB_ENTRIES // (_BLOCK_ROWS * self.n)) * _BLOCK_ROWS
+        starts = list(range(0, _last_block(self.m) + 1, step))
+        return list(zip(starts, starts[1:] + [self.m]))
 
     def _streamed_product(self, xs: np.ndarray, out: np.ndarray) -> None:
         """``_blocked_product`` of the rows without holding them.
 
-        The rows go in slabs of ``_SLAB_ENTRIES`` (whole 64-row blocks,
-        at least one), slab i to thread i mod t of the t usable cores
-        (``_usable_cores``, capped at the slab count).  Each thread
-        keeps one generator and one ``_row_buffer`` as long as its
-        longest slab, so its pages are faulted once.  The last slab
-        starts at or before the product's last block (``_last_block``)
-        and runs to m, so that block, 64 rows plus the remainder, goes
-        through one call as it does over the whole matrix; every other
-        block is a full one, and keyed, so the bits depend on neither
-        the slabs nor the threads (``_map_threads``).
+        Slab i (``_slabs``) goes to thread i mod t of the t usable cores
+        (``_usable_cores``, capped at the slab count), each thread with
+        one generator and one slab buffer (``_slab_products``).  Every
+        block is a full one but the last, and keyed, so the bits depend
+        on neither the slabs nor the threads (``_map_threads``).
         """
-        m, n = self.m, self.n
-        step = max(1, _SLAB_ENTRIES // (_BLOCK_ROWS * n)) * _BLOCK_ROWS
-        starts = list(range(0, _last_block(m) + 1, step))
-        slabs = list(zip(starts, starts[1:] + [m]))
+        slabs = self._slabs()
         threads = min(_usable_cores(), len(slabs))
 
         def run(part):
             gen = np.random.default_rng(0)
-            buf = _row_buffer(max(b - a for a, b in part), n)
-            for a, b in part:
-                rows = buf[: b - a]
-                self._fill_rows(gen, a, rows)
-                _blocked_product(rows, xs, out[:, a:b])
+            buf = _row_buffer(max(b - a for a, b in part), self.n)
+            _slab_products(part, xs, out, lambda a, rows: self._fill_rows(gen, a, rows), buf)
 
         _map_threads(run, [slabs[i::threads] for i in range(threads)], threads)
 
     def _dense(self) -> np.ndarray:
         cache = self._cached()
-        return cache if cache is not None else self._rows(0, self.m)
+        if cache is None:
+            return self._rows(0, self.m)
+        if cache.dtype == np.float64:
+            return cache
+        rows = _row_buffer(self.m, self.n)
+        np.copyto(rows, cache)
+        rows.setflags(write=False)
+        return rows
 
 
 class GaussianOp(_DenseIIDOp):
@@ -408,14 +453,20 @@ class GaussianOp(_DenseIIDOp):
 
 
 class BernoulliOp(_DenseIIDOp):
-    """i.i.d. +-1 entries (unit variance), mu=1, (l2, l2) profile."""
+    """i.i.d. +-1 entries (unit variance), mu=1, (l2, l2) profile.  Its
+    cache holds the entries as int8."""
 
     family = "bernoulli"
+    _cache_dtype = np.int8
 
     def _fill_row_block(self, rng, out):
-        out[...] = rng.integers(0, 2, size=out.shape)
-        out *= 2.0
-        out -= 1.0
+        # 0/1 int64 draws of at most _DRAW_ENTRIES, written as 2b - 1 into
+        # int8 or float64 rows; chunks of rows draw what one call over the
+        # block does (the generator keeps its spare 32 bits between calls)
+        step = max(1, _DRAW_ENTRIES // self.n)
+        for a in range(0, out.shape[0], step):
+            bits = rng.integers(0, 2, size=out[a : a + step].shape)
+            np.subtract(np.multiply(bits, 2, out=bits), 1, out=out[a : a + step])
 
 
 def _products(ops, xs: np.ndarray) -> list[np.ndarray]:

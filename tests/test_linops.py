@@ -188,14 +188,24 @@ class TestDenseBuild:
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
     def test_build_holds_one_copy(self, family, monkeypatch):
         # a build draws nothing; the first matvec maps the cache, one
-        # mapping of m*n*8 bytes, which tracemalloc does not see; any
-        # numpy copy of a tenth of it would show in the peak
+        # mapping of m*n entries, 8 bytes each for gaussian and 1 for
+        # bernoulli's int8, which tracemalloc does not see.  A bernoulli
+        # product widens the cache one float64 slab at a time, on the
+        # heap, and dense() maps a float64 copy; any numpy copy of a tenth
+        # of the float64 matrix beyond that slab would show in the peak
         m, n = 2048, 256
+        width = {"gaussian": 8, "bernoulli": 1}[family]
+        slab = 0 if width == 8 else linops._SLAB_ENTRIES * 8  # whole blocks of 256 entries
         x = np.linspace(-1.0, 1.0, n)
         build(family, m, n, seed=0).matvec(x)  # warm-up: first-call allocations
         mapped = []
         row_buffer = linops._row_buffer
-        monkeypatch.setattr(linops, "_row_buffer", lambda rows, cols: mapped.append(rows * cols * 8) or row_buffer(rows, cols))
+
+        def spy(rows, cols, dtype=np.float64):
+            mapped.append(rows * cols * np.dtype(dtype).itemsize)
+            return row_buffer(rows, cols, dtype)
+
+        monkeypatch.setattr(linops, "_row_buffer", spy)
         op = build(family, m, n, seed=1)
         assert mapped == [] and op._cache is None
         tracemalloc.start()
@@ -206,12 +216,12 @@ class TestDenseBuild:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert mapped == [m * n * 8]
-        assert peak <= 0.1 * m * n * 8
-        assert op._cache.shape == (m, n)
+        assert mapped == [m * n * width]
+        assert peak <= 0.1 * m * n * 8 + slab
+        assert op._cache.shape == (m, n) and op._cache.itemsize == width
         op.matvec(x)
         op.dense()
-        assert mapped == [m * n * 8]  # built once
+        assert mapped == [m * n * width] + ([] if width == 8 else [m * n * 8])  # built once
 
     def test_caches_live_in_their_own_mapping(self):
         # a mapping is unmapped when its operator goes away; heap buffers of
@@ -221,14 +231,39 @@ class TestDenseBuild:
         big.matvec(x)
         small.dense()
         for op in (big, small):
-            base = op._cache
-            while isinstance(base, np.ndarray):
-                base = base.base
-            assert isinstance(base, memoryview)
-            assert base.nbytes == op.m * op.n * 8  # exactly one copy of the matrix
+            assert _mapping_bytes(op._cache) == op.m * op.n * 8  # exactly one copy of the matrix
             assert not op._cache.flags.writeable
         assert np.array_equal(big.dense()[:256], small.dense())
         assert np.array_equal(big.matvec(x), big.dense() @ x)
+
+    @pytest.mark.parametrize("m, n", [(1, 8), (63, 10), (130, 50), (1000, 300), (2048, 256)])
+    def test_bernoulli_caches_hold_int8(self, m, n):
+        # +-1 entries, one byte each, in a mapping of m*n bytes: no
+        # bernoulli cache holds a float64 matrix, whichever call built it
+        for build_cache in (lambda op: op.matvec(np.ones(n)), lambda op: op.dense()):
+            op = build("bernoulli", m, n, seed=2)
+            build_cache(op)
+            assert op._cache.dtype == np.int8 and not op._cache.flags.writeable
+            assert _mapping_bytes(op._cache) == m * n
+            assert set(np.unique(op._cache)) <= {-1, 1}
+            dense = op.dense()
+            assert dense.dtype == np.float64 and not dense.flags.writeable
+            assert not np.shares_memory(dense, op._cache) and dense.tobytes() == op._rows(0, m).tobytes()
+
+    def test_streamed_output_lives_in_its_own_mapping(self):
+        # a sweep's (k, m) measurements go back to the system with their
+        # array, as the streamed rows do; a cached encode's small output
+        # stays on the heap
+        xs = stream(3, "test:output").standard_normal((5, 77))
+        for family in ("gaussian", "bernoulli"):
+            with mock.patch.object(linops, "_DENSE_CACHE_MAX", 0):
+                streamed = build(family, 300, 77, seed=1).matvecs(xs)
+            op = build(family, 300, 77, seed=1)
+            op.dense()
+            cached = op.matvecs(xs)
+            assert _mapping_bytes(streamed) == 5 * 300 * 8
+            assert _mapping_bytes(cached) is None
+            assert cached.tobytes() == streamed.tobytes()
 
     def test_empty_row_slice(self):
         op = build("gaussian", 128, 16, seed=3)
@@ -317,6 +352,15 @@ class TestLeadingRows:
             assert np.array_equal(op.dense(), build("gaussian", op.m, 10, seed=2).dense())
 
 
+def _mapping_bytes(a: np.ndarray) -> int | None:
+    """The size of the anonymous mapping under ``a`` (a ``_row_buffer``),
+    None where the memory is numpy's own, from the malloc heap."""
+    base = a
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.nbytes if isinstance(base, memoryview) else None
+
+
 def _spy_matvecs(monkeypatch) -> list:
     """The operators of every ``LinOp.matvecs`` call from now on, in call order."""
     calls = []
@@ -392,16 +436,50 @@ class TestMatvecs:
         assert op._cache is None and cached._cache is not None
         assert got.tobytes() == cached.matvecs(xs).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        blocks=st.integers(0, 12),
+        r=st.integers(0, 63),
+        n=st.integers(1, 300),
+        slab_blocks=st.integers(1, 5),
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    @example(blocks=16, r=0, n=4096, slab_blocks=1, k=1, seed=0).via("the benchmark's 1024 x 4096 encode")
+    @example(blocks=64, r=1, n=256, slab_blocks=16, k=2, seed=0).via("4097 x 256, a remainder row")
+    @example(blocks=0, r=63, n=10, slab_blocks=1, k=3, seed=1).via("m < 64")
+    def test_bernoulli_int8_cache_matches_streamed(self, blocks, r, n, slab_blocks, k, seed):
+        # m = 64 blocks + r; the cached product widens the int8 cache in
+        # slabs of slab_blocks blocks, the last one holding the product's
+        # last block, and gets the bits of a fresh operator's streamed rows
+        m = max(64 * blocks + r, 1)
+        xs = stream(seed, "test:int8").standard_normal((k, n)) * 10.0
+        with mock.patch.object(linops, "_SLAB_ENTRIES", 64 * n * slab_blocks):
+            cached = build("bernoulli", m, n, seed=3)
+            ys = [cached.matvec(x) for x in xs]
+            got = cached.matvecs(xs)
+            fresh = build("bernoulli", m, n, seed=3)
+            want = fresh.matvecs(xs)
+        assert cached._cache.dtype == np.int8 and fresh._cache is None
+        assert got.tobytes() == want.tobytes() and np.stack(ys).tobytes() == want.tobytes()
+        dense = cached.dense()
+        assert dense.dtype == np.float64 and not dense.flags.writeable
+        assert dense.tobytes() == fresh._rows(0, m).tobytes()
+
     def test_threads_share_one_cache(self):
         # more threads than cores call matvec on one fresh operator at once,
         # with a short switch interval: every result is the one product and
-        # the cache is built once
-        op = build("gaussian", 1000, 300, seed=7)
+        # the cache is built once, for the float64 and the int8 cache
+        for family in ("gaussian", "bernoulli"):
+            self._share_one_cache(family)
+
+    def _share_one_cache(self, family):
+        op = build(family, 1000, 300, seed=7)
         x = np.linspace(-1.0, 1.0, 300)
-        want = build("gaussian", 1000, 300, seed=7).matvecs(x[None])[0]
+        want = build(family, 1000, 300, seed=7).matvecs(x[None])[0]
         built, results = [], []
         rows = op._rows
-        op._rows = lambda start, stop: built.append((start, stop)) or rows(start, stop)
+        op._rows = lambda *args: built.append(args[:2]) or rows(*args)
         barrier = threading.Barrier(8, timeout=60)
 
         def call():

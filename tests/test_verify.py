@@ -552,7 +552,7 @@ class TestStreamedSweeps:
     pass before its pool starts: slabs of whole 64-row blocks on every
     usable core, each thread reusing one slab buffer, with no matrix held."""
 
-    # 4097 x 256 streams in four 1024-row slabs, the last one 1025 rows
+    # 4097 x 256 streams in sixteen 256-row slabs, the last one 257 rows
     M, N = 4097, 256
 
     def _sweep(self, ops):
@@ -571,9 +571,11 @@ class TestStreamedSweeps:
         op = build("gaussian", self.M, self.N, seed=3)
         self._sweep([op])
         step = linops._SLAB_ENTRIES // self.N
+        slabs = [rows for rows, n in mapped if n == self.N]
         # the last slab also takes the 1..63 rows past the product's last full block
-        assert len(mapped) == 2
-        assert all(n == self.N and rows <= step + 63 for rows, n in mapped)
+        assert len(slabs) == 2 and all(rows <= step + 63 for rows in slabs)
+        # the other mapping holds the (k, m) measurements, returned with them
+        assert [n for _, n in mapped if n != self.N] == [self.M]
         assert op._cache is None
 
     def test_each_block_drawn_once_per_operator(self, monkeypatch):
@@ -714,17 +716,18 @@ class TestProductConcentration:
         # the per-m tasks follow the sweeps' rule, keyed on the largest
         # operator's 2 * 4096 dither entries, made the threshold here, so
         # 2 cores run 2 workers; the operators are ranked by m whatever
-        # order they come in
+        # order they come in.  The streamed products open slab pools of
+        # their own, which the sweep's count leaves out
         small, mid, large = _gaussians([1024, 2048, 4096], 64, 15)
         monkeypatch.setattr(verify, "_PARALLEL_MIN_BLOCK", 2 * 4096)
-        pools = _pool_sizes(monkeypatch)
+        pools = _sweep_pools(monkeypatch)
         reps = []
         for cores in (1, 2):
             _patch_cores(monkeypatch, cores)
             reps.append(check_product_concentration(
                 [large, small, mid], sparse(4, 64, radius=2.0), QuantConfig(1.0), trials=20, seed=16, distance=1.0,
             ))
-        assert pools == [2]
+        assert pools == [1, 2]
         assert reps[0] == reps[1]
         assert reps[0]["m_list"] == [1024, 2048, 4096]
 
