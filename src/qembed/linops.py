@@ -21,21 +21,29 @@ stacked default.
 Operators are immutable after build and matvec is reentrant.  A dense
 family draws nothing when it is built.  Its row block b (64 rows) is
 drawn from a stream keyed by (seed, family label, b), so any set of
-rows can be drawn on its own.  ``matvec`` and ``dense`` keep the matrix
-in a cache, in one anonymous mapping, built on first use where m * n
-fits ``_DENSE_CACHE_MAX``.  A Gaussian cache holds float64 entries
-(8 bytes each); a Bernoulli cache holds its +-1 entries as int8 (1
-byte each) and a product widens it to float64 one slab at a time.
-``matvecs`` on an operator without a cache streams the rows instead:
-slabs of whole blocks, split over the usable cores, each thread drawing
-into one reused slab, so a sweep holds no matrix.  The product has one
-definition (``_blocked_product``): one GEMV per 64-row block, the last
-block taking the 0..63-row remainder, with every input run against a
-block while it is in cache.  A slab's float64 rows, drawn or widened,
-are the rows a float64 cache holds, and the last slab holds that whole
-last block, so the streamed, the widened and the cached product agree
-bit for bit.  At one OpenBLAS thread each row has the bits of one GEMV
-over all m rows, and at two the same bits.
+rows can be drawn on its own: Gaussian rows by ``standard_normal``,
+Bernoulli rows from the stream's raw PCG64 words, the bits numpy's
+``integers(0, 2)`` would draw.  The expander draws the neighbours of
+all n columns in batched passes over raw words (``_choices``), the
+values of each column's ``choice``.  ``matvec`` and ``dense`` keep the
+matrix in a cache, in one anonymous mapping, built on first use where
+m * n fits ``_DENSE_CACHE_MAX``.  A Gaussian cache holds float64
+entries (8 bytes each); a Bernoulli cache holds its +-1 entries as
+int8 (1 byte each) and a product widens it to float64 in pieces of
+about 1 MiB on the calling thread.  ``matvecs`` on an operator without
+a cache streams the rows instead: slabs of whole blocks, split over the
+usable cores, each thread drawing into one reused slab, so a sweep
+holds no matrix.  The product has one definition
+(``_blocked_product``): one GEMV per 64-row block, the last block
+taking the 0..63-row remainder, with every input run against a block
+while it is in cache.  A slab's drawn rows are the rows a float64 cache
+holds, and the last slab holds that whole last block.  A widened piece
+is whole 8-row groups of full blocks through one GEMV, which gives each
+row its block's bits (a BLAS on two threads splits both at a 4-row
+group), and the last block is widened whole.  So the streamed, the
+widened and the cached product agree bit for bit.  At one OpenBLAS
+thread each row has the bits of one GEMV over all m rows, and at two
+the same bits.
 
 Row sharing has one rule, applied by ``_products``, the measurement
 pass of a sweep.  Two dense operators of one type, seed and n have the
@@ -85,17 +93,23 @@ FAMILIES = (
 _DENSE_CACHE_MAX = 1 << 24
 # rows of a dense build's keyed row block, and of its product's block
 _BLOCK_ROWS = 64
-# float64 entries of a product's slab (512 KiB), rounded down to whole
-# blocks and at least one: a streamed product's thread draws a slab, and
-# a Bernoulli cache's product widens one, runs every input against it
-# and reuses its buffer for the next.  2**16 against 2**18 (5 alternating
-# 10 s perfbench pairs on a 2-core x86 machine): decay_l1 peak RSS 51.9 ->
-# 49.0 MiB and sweep_circ 64.0 -> 63.1, throughput inside the noise
+# float64 entries of a streamed product's slab (512 KiB), rounded down to
+# whole blocks and at least one: a thread draws a slab, runs every input
+# against it and reuses its buffer for the next.  2**16 against 2**18 (5
+# alternating 10 s perfbench pairs on a 2-core x86 machine): decay_l1 peak
+# RSS 51.9 -> 49.0 MiB and sweep_circ 64.0 -> 63.1, throughput inside the
+# noise
 _SLAB_ENTRIES = 2**16
+# float64 entries of a cached Bernoulli product's widened piece (1 MiB),
+# rounded down to whole 8-row groups and at least one, so that a piece
+# stays in a 2 MiB L2 while its GEMVs run.  One 1024 x 4096 matvec (CPU
+# time, 30 x 20 calls interleaved, one x86 core, one BLAS thread): 2.84 ms
+# widening one 64-row block at a time, 2.22 in 32-row pieces
+_WIDEN_ENTRIES = 2**17
 # float64 entries of a dense product's block-major scratch (64 KiB)
 _PRODUCT_SCRATCH = 2**13
-# int64 entries of one Bernoulli draw (256 KiB): a block is drawn in row
-# chunks of this size, the same values as one draw of the whole block
+# entries of one Bernoulli draw: a block's flattened entries are drawn
+# in chunks of this many, 2**14 raw PCG64 words (128 KiB) each
 _DRAW_ENTRIES = 2**15
 
 
@@ -323,8 +337,8 @@ class _DenseIIDOp(LinOp):
     call where m * n fits ``_DENSE_CACHE_MAX`` (one thread builds it
     while others wait), so repeated encodes read it.  The cache holds
     ``_cache_dtype`` entries: float64 for Gaussian, int8 for Bernoulli's
-    +-1, which a product widens to float64 one slab at a time on the
-    calling thread (``_slab_products``).  ``matvecs`` on an operator
+    +-1, which a product widens to float64 in pieces of
+    ``_WIDEN_ENTRIES`` on the calling thread.  ``matvecs`` on an operator
     without a cache streams the rows (``_streamed_product``) into a
     ``_row_buffer`` output; a sweep calls only ``matvecs``, so it never
     holds the matrix.  Each block is filled in place
@@ -392,12 +406,23 @@ class _DenseIIDOp(LinOp):
         out = np.empty((xs.shape[0], self.m))
         if cache.dtype == np.float64:
             _blocked_product(cache, xs, out)
-        else:
-            # widened on the heap: malloc reuses the slab from call to
-            # call, where a fresh mapping faulted its pages in every encode
-            slabs = self._slabs()
-            buf = np.empty((max(b - a for a, b in slabs), self.n))
-            _slab_products(slabs, xs, out, lambda a, rows: np.copyto(rows, cache[a : a + len(rows)]), buf)
+            return out
+        # int8 rows widen into a buffer on the heap, which malloc reuses
+        # from call to call where a fresh mapping faulted its pages in every
+        # encode: the full blocks in pieces of 8j rows, one GEMV each, which
+        # a BLAS on two threads splits at a 4-row group as it does a block,
+        # and the last block whole through _blocked_product's own pieces
+        head = self.m if self.m % _BLOCK_ROWS == 0 else _last_block(self.m)
+        step = max(8, _WIDEN_ENTRIES // self.n // 8 * 8)
+        buf = np.empty((max(min(step, head), self.m - head), self.n))
+        for a in range(0, head, step):
+            rows = buf[: min(step, head - a)]
+            np.copyto(rows, cache[a : a + len(rows)])
+            np.matmul(rows, xs[:, :, None], out=out[:, a : a + len(rows), None])
+        if head < self.m:
+            rows = buf[: self.m - head]
+            np.copyto(rows, cache[head:])
+            _blocked_product(rows, xs, out[:, head:])
         return out
 
     def _slabs(self) -> list[tuple[int, int]]:
@@ -453,20 +478,25 @@ class GaussianOp(_DenseIIDOp):
 
 
 class BernoulliOp(_DenseIIDOp):
-    """i.i.d. +-1 entries (unit variance), mu=1, (l2, l2) profile.  Its
-    cache holds the entries as int8."""
+    """i.i.d. +-1 entries (unit variance), mu=1, (l2, l2) profile.  A
+    block's entries come from its stream's raw PCG64 words, two per word,
+    the values ``2 * integers(0, 2) - 1`` would take.  Its cache holds the
+    entries as int8."""
 
     family = "bernoulli"
     _cache_dtype = np.int8
 
     def _fill_row_block(self, rng, out):
-        # 0/1 int64 draws of at most _DRAW_ENTRIES, written as 2b - 1 into
-        # int8 or float64 rows; chunks of rows draw what one call over the
-        # block does (the generator keeps its spare 32 bits between calls)
-        step = max(1, _DRAW_ENTRIES // self.n)
-        for a in range(0, out.shape[0], step):
-            bits = rng.integers(0, 2, size=out[a : a + step].shape)
-            np.subtract(np.multiply(bits, 2, out=bits), 1, out=out[a : a + step])
+        # integers(0, 2) is Lemire's draw on one bit, which never draws
+        # again: bit 31 of each 32-bit half of a raw word, the low half
+        # first, +1 where it is set.  Whole words of at most _DRAW_ENTRIES
+        # entries; an odd block leaves its last high half unread, and the
+        # next block starts from its own state
+        flat = out.reshape(-1)
+        for a in range(0, flat.size, _DRAW_ENTRIES):
+            b = min(a + _DRAW_ENTRIES, flat.size)
+            sign = rng.bit_generator.random_raw(-(-(b - a) // 2)).astype("<u8", copy=False).view("<i4")[: b - a] >> 31
+            np.subtract(-1, sign + sign, out=flat[a:b])
 
 
 def _products(ops, xs: np.ndarray) -> list[np.ndarray]:
@@ -549,12 +579,57 @@ class RandomConvolutionOp(LinOp):
         return self.generator[(i - j) % self.n]
 
 
+def _choices(states, m: int, d: int) -> np.ndarray:
+    """The (keys, d) array whose row k is ``choice(m, d, replace=False)``
+    of the generator in ``states[k]``, bit for bit.
+
+    numpy picks by Floyd's algorithm, one draw on [0, j] for each
+    j = m - d ... m - 1 (none at j = 0), a value picked before giving
+    way to j, then shuffles by Fisher-Yates, one draw on [0, i] for each
+    i = d - 1 ... 1.  Each draw is Lemire's on s = j + 1 (i + 1): the
+    high word of x * s for the next 32-bit value x (a raw word's low
+    half, then its high half), drawn again where the low word falls
+    below 2**32 mod s.  So every key makes the same draws from its first
+    words, and batches of keys run them from ``_States.raw``.  A key
+    where a draw would be drawn again runs ``choice`` itself, and so does
+    every key where m > 2**32 (numpy draws 64-bit values there) or
+    d > 32.  Above d = 32 a batch of ~256 KiB holds under 512 keys and
+    its 2d steps cost more than ``choice`` (2,048 keys at m = 4096 on
+    one x86 Xeon core: 15 against 32 ms at d = 32, 29 against 20 ms at
+    d = 64); it also keeps clear of numpy's other branch, a tail shuffle
+    where m > 10000 and d > m // 50.
+    """
+    out = np.empty((len(states), d), dtype=np.int64)
+    floyd = range(max(m - d, 1), m)
+    spans = np.array([*floyd, *range(d - 1, 0, -1)], dtype=np.uint64) + np.uint64(1)
+    limits = np.uint64(2**32) % spans  # Lemire draws again below these
+    redo = np.ones(len(states), dtype=bool)
+    step = 2**15 // max(len(spans), 1)  # keys per batch: ~256 KiB of uint64 products
+    for a in range(0, len(states) if d <= 32 and m <= 2**32 else 0, step):
+        x = states[a : a + step].raw(-(-len(spans) // 2)).astype("<u8", copy=False).view("<u4")[:, : len(spans)] * spans
+        redo[a : a + step] = ((x & np.uint64(2**32 - 1)) < limits).any(axis=1)
+        draws = (x >> np.uint64(32)).astype(np.int64)
+        picks, rows = out[a : a + step], np.arange(len(x))
+        picks[:, : d - len(floyd)] = 0
+        picks[:, d - len(floyd) :] = draws[:, : len(floyd)]
+        for t in range(1, d):
+            picks[(picks[:, :t] == picks[:, t, None]).any(axis=1), t] = m - d + t
+        for i, k in zip(range(d - 1, 0, -1), draws[:, len(floyd) :].T):
+            picks[rows, i], picks[rows, k] = picks[rows, k], picks[rows, i]
+    gen = np.random.default_rng(0)
+    for k in np.flatnonzero(redo).tolist():
+        gen.bit_generator.state = states[k]
+        out[k] = gen.choice(m, size=d, replace=False)
+    return out
+
+
 class ExpanderOp(LinOp):
     """0/1 adjacency of a random left-d-regular bipartite graph.
 
     Each input node j connects to d distinct output nodes chosen
-    uniformly from the stream keyed by (seed, "expander:nbrs", j); the n
-    states come from one batched pass.  matvec accumulates in O(n*d).
+    uniformly by ``choice`` from the stream keyed by (seed,
+    "expander:nbrs", j); ``_choices`` draws all n columns' picks in
+    batched passes over raw PCG64 words.  matvec accumulates in O(n*d).
     The profile is (l1, l1) with mu = m / d, so the normalized functional
     (mu / m) * ||A x||_1 is ||A x||_1 / d, which equals ||x||_1 exactly on
     nonnegative inputs.
@@ -570,12 +645,7 @@ class ExpanderOp(LinOp):
             raise ValueError(f"expander left-degree must be <= m, got d={degree} > m={m}")
         super().__init__(m, n, seed, mu=m / degree, rip_profile=(1.0, 1.0))
         self.degree = degree
-        nbrs = np.empty((n, degree), dtype=np.int64)
-        gen = np.random.default_rng(0)
-        for j, state in enumerate(_stream_states(seed, "expander:nbrs", np.arange(n)[:, None])):
-            gen.bit_generator.state = state
-            nbrs[j] = gen.choice(m, size=degree, replace=False)
-        self.neighbors = nbrs
+        self.neighbors = _choices(_stream_states(seed, "expander:nbrs", np.arange(n)[:, None]), m, degree)
         self.neighbors.setflags(write=False)
 
     def _matvec(self, x):

@@ -10,12 +10,15 @@ and is the reference for any key.  Loops over many keys, whose indices
 lie in [0, 2**32) and so hash as one uint32 word each, use
 ``_stream_states`` instead: it derives the PCG64 states of a whole batch
 of keys in one vectorized pass (``SeedSequence``'s hash mix over uint32
-arrays, then PCG64's set-seed step in 128-bit Python ints), and the loop
+arrays, then PCG64's set-seed step in uint64 limbs), and the loop
 assigns each state to one reused ``Generator``.  Deriving and assigning
 cost ~2.9 us per key against ~19 us for ``stream`` (2,880 keys, one core
 of an x86 Xeon), and draw the same values bit for bit; ``SeedSequence``
 output is stable across numpy versions (NEP 19).  A batch keeps 32
-bytes per key and builds the state dicts on access.
+bytes per key and builds the state dicts on access.  Where each key
+needs only a few draws, ``_States.raw`` runs PCG64 itself over the
+whole batch: one 128-bit step and one output per word, vectorized over
+the keys, the words of ``random_raw`` bit for bit.
 """
 
 from __future__ import annotations
@@ -32,14 +35,15 @@ __all__ = ["stream", "label_key"]
 
 _U32 = 0xFFFFFFFF
 _U64 = 0xFFFFFFFFFFFFFFFF
-_U128 = (1 << 128) - 1
 # SeedSequence constants (numpy/random/bit_generator.pyx)
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128) in uint64
+# limbs, the low limb also in 32-bit halves for ``_step``'s high product
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MULT_LO1, _MULT_LO0 = _MULT_LO >> np.uint64(32), _MULT_LO & np.uint64(_U32)
 
 
 def _integer(name: str, value) -> int:
@@ -168,18 +172,31 @@ def _seed_words(pool: list[np.ndarray]) -> np.ndarray:
     return out.astype("<u4").view("<u8").astype(np.uint64)
 
 
+def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's LCG step, state * multiplier + inc mod 2**128, on uint64
+    limb arrays: wrapping products, the low limbs' high product from
+    32-bit halves, and an add with carry."""
+    w32, c32 = np.uint64(_U32), np.uint64(32)
+    lo0, lo1 = lo & w32, lo >> c32
+    p00, p01, p10 = lo0 * _MULT_LO0, lo0 * _MULT_LO1, lo1 * _MULT_LO0
+    mid = (p00 >> c32) + (p01 & w32) + (p10 & w32)
+    high = lo1 * _MULT_LO1 + (p01 >> c32) + (p10 >> c32) + (mid >> c32)
+    new_lo = lo * _MULT_LO + inc_lo
+    return high + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (new_lo < inc_lo), new_lo
+
+
 def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
-    """PCG64's set-seed step on seed words (s_hi, s_lo) and stream words (i_hi, i_lo)."""
-    inc = (((i_hi << 64 | i_lo) << 1) | 1) & _U128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _U128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    """The ``bit_generator.state`` dict of PCG64 state words (s_hi, s_lo) and increment words (i_hi, i_lo)."""
+    state = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+    return {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
 
 
 class _States(Sequence):
     """PCG64 ``bit_generator.state`` dicts of a batch of keys.
 
-    Holds 32 bytes of seed words per key and builds each dict on access;
-    slices are batches too.  Read-only, so threads may share one.
+    Holds each key's (state, inc) as four uint64 words, 32 bytes, and
+    builds each dict on access; slices are batches too.  Read-only, so
+    threads may share one.
     """
 
     __slots__ = ("_words",)
@@ -200,6 +217,19 @@ class _States(Sequence):
         for start in range(0, len(self._words), 256):
             for row in self._words[start : start + 256].tolist():
                 yield _pcg64_state(*row)
+
+    def raw(self, count: int) -> np.ndarray:
+        """The (keys, count) uint64 array whose row k is ``random_raw(count)``
+        of key k's generator: PCG64 steps the state, then outputs it
+        through XSL-RR (the high limb xor the low one, rotated right by
+        the state's top 6 bits)."""
+        hi, lo, inc_hi, inc_lo = np.ascontiguousarray(self._words.T)
+        out = np.empty((len(self._words), count), dtype=np.uint64)
+        for t in range(count):
+            hi, lo = _step(hi, lo, inc_hi, inc_lo)
+            word, rot = hi ^ lo, hi >> np.uint64(58)
+            out[:, t] = word >> rot | word << (np.uint64(64) - rot & np.uint64(63))
+        return out
 
 
 def _stream_states(seed: int, label: str, indices) -> _States:
@@ -225,4 +255,10 @@ def _stream_states(seed: int, label: str, indices) -> _States:
     # SeedSequence hashes an int as its little-endian uint32 words (0 is one word)
     head = [s & _U32] + ([s >> 32] if s >> 32 else []) + [label_key(label)]
     entropy = [np.full(len(rows), w, dtype=np.uint32) for w in head] + list(rows.T.astype(np.uint32))
-    return _States(_seed_words(_pool(entropy)))
+    s_hi, s_lo, i_hi, i_lo = _seed_words(_pool(entropy)).T
+    # PCG64's set-seed step: inc = 2 * stream + 1, state = (inc + seed) * multiplier + inc
+    one = np.uint64(1)
+    inc_hi, inc_lo = i_hi << one | i_lo >> np.uint64(63), i_lo << one | one
+    lo = s_lo + inc_lo
+    hi, lo = _step(s_hi + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    return _States(np.column_stack([hi, lo, inc_hi, inc_lo]))

@@ -10,6 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from expander_draw_check import check as check_draws
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -190,12 +191,12 @@ class TestDenseBuild:
         # a build draws nothing; the first matvec maps the cache, one
         # mapping of m*n entries, 8 bytes each for gaussian and 1 for
         # bernoulli's int8, which tracemalloc does not see.  A bernoulli
-        # product widens the cache one float64 slab at a time, on the
+        # product widens the cache one float64 piece at a time, on the
         # heap, and dense() maps a float64 copy; any numpy copy of a tenth
-        # of the float64 matrix beyond that slab would show in the peak
+        # of the float64 matrix beyond that piece would show in the peak
         m, n = 2048, 256
         width = {"gaussian": 8, "bernoulli": 1}[family]
-        slab = 0 if width == 8 else linops._SLAB_ENTRIES * 8  # whole blocks of 256 entries
+        piece = 0 if width == 8 else linops._WIDEN_ENTRIES * 8  # whole 8-row groups of 256 entries
         x = np.linspace(-1.0, 1.0, n)
         build(family, m, n, seed=0).matvec(x)  # warm-up: first-call allocations
         mapped = []
@@ -217,7 +218,7 @@ class TestDenseBuild:
         finally:
             tracemalloc.stop()
         assert mapped == [m * n * width]
-        assert peak <= 0.1 * m * n * 8 + slab
+        assert peak <= 0.1 * m * n * 8 + piece
         assert op._cache.shape == (m, n) and op._cache.itemsize == width
         op.matvec(x)
         op.dense()
@@ -264,6 +265,46 @@ class TestDenseBuild:
             assert _mapping_bytes(streamed) == 5 * 300 * 8
             assert _mapping_bytes(cached) is None
             assert cached.tobytes() == streamed.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block=st.integers(0, 2**20),
+        rows=st.integers(1, 64),
+        n=st.integers(1, 1200),
+        seed=st.integers(0, 2**64 - 1),
+        dtype=st.sampled_from([np.float64, np.int8]),
+    )
+    @example(block=0, rows=63, n=1201, seed=5, dtype=np.int8).via("odd block over two draws")
+    @example(block=3, rows=64, n=4096, seed=3, dtype=np.float64).via("the benchmark's rows, eight draws")
+    def test_bernoulli_rows_are_numpys_bits(self, block, rows, n, seed, dtype):
+        # a block's +-1 rows, taken from raw PCG64 words in draws of
+        # _DRAW_ENTRIES entries, are 2 * integers(0, 2) - 1 of its stream
+        start = 64 * block
+        got = build("bernoulli", start + rows, n, seed=seed)._rows(start, start + rows, dtype)
+        want = stream(seed, "bernoulli:rows", start).integers(0, 2, size=(rows, n)) * 2 - 1
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.one_of(st.integers(1, 3000), st.integers(2**31 + 1, 2**32), st.integers(2**32 + 1, 2**40)),
+        n=st.integers(1, 40),
+        d=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_expander_picks_are_numpys_choice(self, m, n, d, seed):
+        # batched Floyd picks and shuffles, each column's choice; a draw
+        # that choice would make again, d > 32 and m > 2**32 run choice
+        d = min(d, m)
+        nbrs = build("expander", m, n, seed=seed, degree=d).neighbors
+        for j in range(n):
+            assert np.array_equal(nbrs[j], stream(seed, "expander:nbrs", j).choice(m, size=d, replace=False))
+
+    def test_draws_match_numpy_on_fixed_cases(self):
+        # expander picks against choice and bernoulli rows against
+        # integers(0, 2) over random keys, the m == d, d == 1, tail-shuffle,
+        # redrawn-Lemire and 64-bit cases included; CI runs 2,000 rounds
+        done, bad = check_draws(120, seed=1)
+        assert done > 0 and bad == 0
 
     def test_empty_row_slice(self):
         op = build("gaussian", 128, 16, seed=3)
@@ -442,19 +483,22 @@ class TestMatvecs:
         r=st.integers(0, 63),
         n=st.integers(1, 300),
         slab_blocks=st.integers(1, 5),
+        groups=st.integers(1, 12),
         k=st.integers(1, 5),
         seed=st.integers(0, 2**16),
     )
-    @example(blocks=16, r=0, n=4096, slab_blocks=1, k=1, seed=0).via("the benchmark's 1024 x 4096 encode")
-    @example(blocks=64, r=1, n=256, slab_blocks=16, k=2, seed=0).via("4097 x 256, a remainder row")
-    @example(blocks=0, r=63, n=10, slab_blocks=1, k=3, seed=1).via("m < 64")
-    def test_bernoulli_int8_cache_matches_streamed(self, blocks, r, n, slab_blocks, k, seed):
+    @example(blocks=16, r=0, n=4096, slab_blocks=1, groups=4, k=1, seed=0).via("the benchmark's 1024 x 4096 encode")
+    @example(blocks=64, r=1, n=256, slab_blocks=16, groups=64, k=2, seed=0).via("4097 x 256, a remainder row")
+    @example(blocks=0, r=63, n=10, slab_blocks=1, groups=1, k=3, seed=1).via("m < 64")
+    def test_bernoulli_int8_cache_matches_streamed(self, blocks, r, n, slab_blocks, groups, k, seed):
         # m = 64 blocks + r; the cached product widens the int8 cache in
-        # slabs of slab_blocks blocks, the last one holding the product's
-        # last block, and gets the bits of a fresh operator's streamed rows
+        # pieces of 8 * groups rows up to the product's last block, which
+        # it widens whole, and gets the bits of a fresh operator's rows,
+        # streamed in slabs of slab_blocks blocks
         m = max(64 * blocks + r, 1)
         xs = stream(seed, "test:int8").standard_normal((k, n)) * 10.0
-        with mock.patch.object(linops, "_SLAB_ENTRIES", 64 * n * slab_blocks):
+        with mock.patch.object(linops, "_SLAB_ENTRIES", 64 * n * slab_blocks), \
+                mock.patch.object(linops, "_WIDEN_ENTRIES", 8 * n * groups):
             cached = build("bernoulli", m, n, seed=3)
             ys = [cached.matvec(x) for x in xs]
             got = cached.matvecs(xs)
@@ -572,6 +616,12 @@ class TestMatvecs:
             "    ys = op.matvecs(xs)\n"
             "    digest.update(ys.tobytes())\n"
             "    gemv = gemv and all(np.array_equal(y, op.dense() @ x) for x, y in zip(xs, ys))\n"
+            # a cached bernoulli product: int8 rows widened in 8j-row pieces
+            "    op = build('bernoulli', m, n, seed=m + n)\n"
+            "    dense = op.dense()\n"
+            "    ys = op.matvecs(xs)\n"
+            "    digest.update(ys.tobytes())\n"
+            "    gemv = gemv and op._cache.dtype == np.int8 and all(np.array_equal(y, dense @ x) for x, y in zip(xs, ys))\n"
             "print(digest.hexdigest(), gemv)\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(linops.__file__)))

@@ -1,4 +1,4 @@
-"""Keyed streams: batched PCG64 states reproduce ``stream`` bit for bit."""
+"""Keyed streams: batched PCG64 states and raw words reproduce ``stream`` bit for bit."""
 
 import math
 import warnings
@@ -37,9 +37,10 @@ def test_batched_states_match_stream(seed, label, rows):
     k = len(rows[0])
     states = _stream_states(seed, label, rows if k else np.zeros((len(rows), 0), dtype=np.int64))
     gen = np.random.default_rng(0)
-    for row, state in zip(rows, states):
+    for row, state, words in zip(rows, states, states.raw(5)):
         ref = stream(seed, label, *row)
         assert state == ref.bit_generator.state
+        assert np.array_equal(words, stream(seed, label, *row).bit_generator.random_raw(5))
         gen.bit_generator.state = state
         assert np.array_equal(gen.random(3), ref.random(3))
 
